@@ -184,6 +184,14 @@ class GridCase:
                 raise CaseError(f"generator at bus {g.bus} has q_min > q_max")
             if g.v_set <= 0:
                 raise CaseError(f"generator at bus {g.bus} has non-positive voltage setpoint")
+        regulated = {b.id for b in self.buses if b.kind in (BusKind.PV, BusKind.SLACK)}
+        v_set: dict[int, float] = {}
+        for g in self.generators:
+            if g.bus in regulated and v_set.setdefault(g.bus, g.v_set) != g.v_set:
+                raise CaseError(
+                    f"bus {g.bus}: generators disagree on the voltage setpoint "
+                    f"({v_set[g.bus]} vs {g.v_set})"
+                )
 
 
 # -- MATPOWER-format parsing -------------------------------------------------

@@ -140,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("full", "network"), default="full")
     p.add_argument("--top", type=int, default=5, help="top-K used by the summary (default 5)")
     p.add_argument("--with-oracle", action="store_true", help="re-solve every outage nonlinearly")
-    p.add_argument("--jobs", type=int, default=1, help="parallel oracle solves (default 1)")
     p.add_argument("--json", action="store_true", help="JSON report instead of ranked CSV")
     p.add_argument("--out")
     p.add_argument("--summary", help="also write a JSON summary to this file")
@@ -387,7 +386,6 @@ def _cmd_screen(args) -> int:
         mode=args.mode,
         top_k=args.top,
         with_oracle=args.with_oracle,
-        jobs=args.jobs,
     )
 
     if args.summary:

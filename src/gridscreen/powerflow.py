@@ -83,6 +83,22 @@ def expand_complex_matrix(matrix: sp.spmatrix) -> sp.coo_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(2 * coo.shape[0], 2 * coo.shape[1]))
 
 
+def _pinned_network(ybus: sp.spmatrix, slack: int) -> sp.coo_matrix:
+    """Expanded network entries for the non-slack rows, plus the two slack pins.
+
+    Rows ``2k``/``2k+1`` are the current balance of bus ``k``; at the slack
+    they are replaced by unit pins on its rectangular voltage.
+    """
+    coo = ybus.tocoo()
+    keep = coo.row != slack
+    sub = sp.coo_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape)
+    net = expand_complex_matrix(sub)
+    rows = np.concatenate([net.row, [2 * slack, 2 * slack + 1]])
+    cols = np.concatenate([net.col, [2 * slack, 2 * slack + 1]])
+    vals = np.concatenate([net.data, [1.0, 1.0]])
+    return sp.coo_matrix((vals, (rows, cols)), shape=net.shape)
+
+
 @dataclass
 class PowerFlowOptions:
     """Newton solver settings.
@@ -159,21 +175,7 @@ class _NewtonProblem:
 
         self.size = 2 * n + len(self.pv)
         self._device_idx = np.array([k for k in range(n) if k != self.slack], dtype=np.int64)
-        self._static_triplets = self._build_static_triplets()
-
-    def _build_static_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Expanded network entries for non-slack rows, plus the slack pins."""
-        coo = self.ybus.matrix.tocoo()
-        keep = coo.row != self.slack
-        sub = sp.coo_matrix(
-            (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
-        )
-        net = expand_complex_matrix(sub)
-        s = self.slack
-        rows = np.concatenate([net.row, [2 * s, 2 * s + 1]])
-        cols = np.concatenate([net.col, [2 * s, 2 * s + 1]])
-        vals = np.concatenate([net.data, [1.0, 1.0]])
-        return rows, cols, vals
+        self._static = _pinned_network(ybus.matrix, self.slack)
 
     # -- state handling -------------------------------------------------------
 
@@ -263,9 +265,9 @@ class _NewtonProblem:
         dev_rows = np.repeat(2 * k, 4) + np.tile([0, 0, 1, 1], len(k))
         dev_cols = np.repeat(2 * k, 4) + np.tile([0, 1, 0, 1], len(k))
 
-        rows = [self._static_triplets[0], dev_rows]
-        cols = [self._static_triplets[1], dev_cols]
-        vals = [self._static_triplets[2], -di]
+        rows = [self._static.row, dev_rows]
+        cols = [self._static.col, dev_cols]
+        vals = [self._static.data, -di]
 
         if len(self.pv):
             kp = self.pv
@@ -492,40 +494,38 @@ def linearize_at_solution(sol: PowerFlowSolution, mode: str = "full") -> Lineari
     tolerance that stopped the iteration.
     """
     problem = sol._problem
-    n = sol.n
     if mode == "full":
         x_op = sol.full_state
         matrix = problem.jacobian(x_op)
-        pv = problem.pv.copy()
-    elif mode == "network":
-        x_op = sol.state.copy()
-        coo = problem.ybus.matrix.tocoo()
-        keep = coo.row != problem.slack
-        sub = sp.coo_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape)
-        net = expand_complex_matrix(sub)
-        s = problem.slack
-        rows = np.concatenate([net.row, [2 * s, 2 * s + 1]])
-        cols = np.concatenate([net.col, [2 * s, 2 * s + 1]])
-        vals = np.concatenate([net.data, [1.0, 1.0]])
-        matrix = sp.coo_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n)).tocsc()
-        pv = np.zeros(0, dtype=np.int64)
-    else:
-        raise ValueError(f"unknown linearization mode {mode!r}")
+        return _factorized_system("full", sol.case, matrix, x_op, problem.slack, problem.pv.copy())
+    if mode == "network":
+        return _network_system(sol.case, problem.ybus.matrix, problem.slack, sol.state.copy())
+    raise ValueError(f"unknown linearization mode {mode!r}")
 
-    rhs = matrix @ x_op
+
+def _network_system(case: GridCase, ybus: sp.spmatrix, slack: int, x_op: np.ndarray) -> LinearizedSystem:
+    """Network-mode model of ``ybus``: the pinned admittance matrix alone."""
+    matrix = _pinned_network(ybus, slack).tocsc()
+    return _factorized_system("network", case, matrix, x_op, slack, np.zeros(0, dtype=np.int64))
+
+
+def _factorized_system(
+    mode: str, case: GridCase, matrix: sp.csc_matrix, x_op: np.ndarray, slack: int, pv: np.ndarray
+) -> LinearizedSystem:
+    """Factor ``matrix`` into a linear model that ``x_op`` solves exactly."""
     try:
         lu = splu(matrix)
     except RuntimeError as exc:
         raise SingularSystemError(f"singular operating-point model: {exc}") from exc
     return LinearizedSystem(
         mode=mode,
-        case=sol.case,
-        n=n,
+        case=case,
+        n=case.n,
         size=matrix.shape[0],
         matrix=matrix,
-        rhs=rhs,
+        rhs=matrix @ x_op,
         x_op=x_op,
-        slack=problem.slack,
+        slack=slack,
         pv=pv,
         _lu=lu,
     )

@@ -9,7 +9,6 @@ flow per outage to measure how faithful the ranking is.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,14 +299,13 @@ def screen(
     top_k: int = 5,
     with_oracle: bool = False,
     oracle_options: PowerFlowOptions | None = None,
-    jobs: int = 1,
 ) -> ScreeningReport:
     """Rank all single closed-branch outages of ``case`` by predicted severity.
 
     Islanding outages (graph bridges) are flagged rather than evaluated and
     sort above every finite severity.  With ``with_oracle`` every outage is
-    additionally re-solved nonlinearly and the report carries per-entry
-    oracle severities plus a rank-agreement summary.
+    additionally re-solved nonlinearly, one outage after another, and the
+    report carries per-entry oracle severities plus a rank-agreement summary.
     """
     if metric not in SEVERITY_METRICS:
         raise ValueError(f"unknown severity metric {metric!r}; choose from {SEVERITY_METRICS}")
@@ -344,19 +342,8 @@ def screen(
         entries.append(entry)
 
     if with_oracle:
-        work = [e.branch for e in entries]
-
-        def run(idx: int) -> OracleOutcome:
-            return oracle_outage(case, idx, sol, oracle_options)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(run, work))
-        else:
-            outcomes = [run(idx) for idx in work]
-        by_branch = {o.branch: o for o in outcomes}
         for entry in entries:
-            o = by_branch[entry.branch]
+            o = oracle_outage(case, entry.branch, sol, oracle_options)
             entry.oracle_islanded = o.islanded
             entry.oracle_converged = o.converged
             if o.islanded:

@@ -14,11 +14,9 @@ change by the chain rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .case_io import GridCase, branch_admittances, build_ybus
 from .errors import IslandingError, SingularSystemError
@@ -26,8 +24,8 @@ from .powerflow import (
     BranchTerminalCurrents,
     LinearizedSystem,
     PowerFlowSolution,
+    _network_system,
     branch_terminal_currents,
-    expand_complex_matrix,
     state_to_complex,
 )
 
@@ -41,10 +39,8 @@ __all__ = [
     "COND_LIMIT",
     "injection_sensitivity",
     "branch_current_jacobian",
-    "line_current_sensitivity",
     "outage_transfer_matrix",
     "solve_outage_injection",
-    "outage_voltage_change",
     "delta_voltage_magnitude",
     "delta_current_magnitude",
     "delta_line_power",
@@ -148,13 +144,6 @@ def branch_current_jacobian(
     return BranchCurrentJacobian(branch=branch_idx, rows=rows, block=block)
 
 
-def line_current_sensitivity(
-    sens: InjectionSensitivity, jac: BranchCurrentJacobian
-) -> np.ndarray:
-    """4x4 derivative of branch ``jac`` terminal currents wrt injections at ``sens``."""
-    return jac.block @ sens.dv[jac.rows, :]
-
-
 @dataclass
 class OutageTransferMatrix:
     """Self-consistency matrix of the equivalent-injection outage model."""
@@ -172,10 +161,14 @@ class OutageTransferMatrix:
 
 
 def outage_transfer_matrix(sens: InjectionSensitivity, jac: BranchCurrentJacobian) -> OutageTransferMatrix:
-    """Build the transfer matrix for removing the branch both arguments describe."""
+    """Build the transfer matrix for removing the branch both arguments describe.
+
+    ``jac.block @ sens.dv[jac.rows]`` is the 4x4 derivative of the branch's
+    terminal currents wrt the injections at its own terminals.
+    """
     if sens.branch != jac.branch:
         raise ValueError("sensitivity and Jacobian describe different branches")
-    t = np.eye(4) - line_current_sensitivity(sens, jac)
+    t = np.eye(4) - jac.block @ sens.dv[jac.rows, :]
     return OutageTransferMatrix(branch=sens.branch, t=t)
 
 
@@ -195,16 +188,6 @@ def solve_outage_injection(
         )
     pre = i_pre.vector if isinstance(i_pre, BranchTerminalCurrents) else np.asarray(i_pre, dtype=float)
     return np.linalg.solve(tm.t, pre)
-
-
-def outage_voltage_change(
-    sens: InjectionSensitivity,
-    tm: OutageTransferMatrix,
-    i_pre: BranchTerminalCurrents | np.ndarray,
-) -> np.ndarray:
-    """First-order voltage state change (length 2n) caused by the outage."""
-    injection = solve_outage_injection(tm, i_pre)
-    return sens.dv @ injection
 
 
 # -- chain-rule monitors --------------------------------------------------------
@@ -411,12 +394,6 @@ def severity_from_deltas(
     raise ValueError(f"unknown severity metric {metric!r}; choose from {SEVERITY_METRICS}")
 
 
-def impact_severity(impact: OutageImpact, metric: str, closed: np.ndarray) -> float:
-    return severity_from_deltas(
-        metric, impact.delta_vmag, impact.delta_imag, impact.delta_p, impact.outage, closed
-    )
-
-
 @dataclass
 class CircuitLodfResult:
     """AC analogue of the DC outage distribution factors.
@@ -453,58 +430,34 @@ def circuit_lodf(
 # -- islanding detection via transfer-matrix rank --------------------------------
 
 
-def singular_outage_branches(case: GridCase, cond_limit: float = COND_LIMIT) -> set[int]:
+def singular_outage_branches(case: GridCase) -> set[int]:
     """Closed branches whose removal makes the series connection network singular.
 
-    The test runs on the pure series network (no shunts, no line charging,
-    devices absent, slack voltage pinned), where the transfer matrix of a
-    branch loses rank exactly when the branch is a cut of the connected
-    network.  On the operating-point models shunt and device stamps can
-    keep an islanded block invertible, so this topology question is asked
-    of the topology-only model.
+    The test runs on the pure series network at nominal ratios (no shunts,
+    no line charging, no off-nominal taps or phase shifts, devices absent,
+    slack voltage pinned), where the transfer matrix of a branch loses rank
+    exactly when the branch is a cut of the connected network.  Shunt and
+    device stamps, and the circulating current of a transformer loop whose
+    ratios do not multiply to one, can keep an islanded block invertible, so
+    this topology question is asked of the topology-only model.  Each branch
+    goes through the same injection, Jacobian and transfer-matrix chain as
+    an outage evaluation.
     """
     case.validate()
-    n = case.n
-    yb = build_ybus(case, include_charging=False, include_shunts=False)
-    coo = yb.matrix.tocoo()
-    slack = case.slack_index()
-    keep = coo.row != slack
-    sub = sp.coo_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape)
-    net = expand_complex_matrix(sub)
-    rows = np.concatenate([net.row, [2 * slack, 2 * slack + 1]])
-    cols = np.concatenate([net.col, [2 * slack, 2 * slack + 1]])
-    vals = np.concatenate([net.data, [1.0, 1.0]])
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n)).tocsc()
+    nominal = replace(case, branches=tuple(replace(br, tap=1.0, shift=0.0) for br in case.branches))
+    yb = build_ybus(nominal, include_charging=False, include_shunts=False)
     try:
-        lu = splu(matrix)
-    except RuntimeError as exc:
+        lin = _network_system(nominal, yb.matrix, nominal.slack_index(), np.zeros(2 * nominal.n))
+    except SingularSystemError as exc:
         raise SingularSystemError(
-            f"series connection network is singular; the case is likely disconnected: {exc}"
+            "series connection network is singular; the case is likely disconnected"
         ) from exc
-
-    singular: set[int] = set()
-    for idx, br in enumerate(case.branches):
-        if not br.closed:
-            continue
-        f = case.bus_index(br.from_bus)
-        t = case.bus_index(br.to_bus)
-        state_rows = np.array([2 * f, 2 * f + 1, 2 * t, 2 * t + 1], dtype=np.int64)
-        rhs = np.zeros((2 * n, 4))
-        for j, row in enumerate(state_rows):
-            if row // 2 != slack:
-                rhs[row, j] = 1.0
-        dv = lu.solve(rhs)
-        for j, row in enumerate(state_rows):
-            if row // 2 == slack:
-                dv[:, j] = 0.0
-        yff, yft, ytf, ytt = branch_admittances(br, include_charging=False)
-        block = np.zeros((4, 4))
-        block[0:2, 0:2] = _complex_block(yff)
-        block[0:2, 2:4] = _complex_block(yft)
-        block[2:4, 0:2] = _complex_block(ytf)
-        block[2:4, 2:4] = _complex_block(ytt)
-        t_mat = np.eye(4) - block @ dv[state_rows, :]
-        cond = np.linalg.cond(t_mat)
-        if not np.isfinite(cond) or cond > cond_limit:
-            singular.add(idx)
-    return singular
+    return {
+        idx
+        for idx, br in enumerate(nominal.branches)
+        if br.closed
+        and outage_transfer_matrix(
+            injection_sensitivity(lin, idx),
+            branch_current_jacobian(nominal, idx, include_charging=False),
+        ).singular
+    }

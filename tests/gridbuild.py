@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from gridscreen.case_io import Branch, Bus, BusKind, Generator, GridCase
 
 
@@ -160,3 +162,59 @@ def pv_case(
         ),
         (Generator(2, p_set=0.3, v_set=v_set, q_min=-0.1, q_max=q_max),),
     )
+
+
+def random_meshed(
+    seed: int,
+    n_core: int = 12,
+    n_chords: int = 4,
+    n_parallel: int = 2,
+    n_spurs: int = 3,
+    n_open: int = 1,
+) -> GridCase:
+    """Seeded random connected network with loops, parallel circuits and spurs.
+
+    A random spanning tree over ``n_core`` buses gets ``n_chords`` extra
+    branches that close loops; ``n_spurs`` buses hang radially off earlier
+    buses (so spurs can chain); ``n_parallel`` circuits double existing
+    corridors, spurs included; ``n_open`` open branches join random bus
+    pairs.  The slack sits at a random bus, every load is constant-current,
+    and some branches are off-nominal transformers.
+    """
+    rng = np.random.default_rng(seed)
+    n = n_core + n_spurs
+    slack = int(rng.integers(1, n + 1))
+
+    def branch(f: int, t: int, closed: bool = True) -> Branch:
+        tap = float(rng.uniform(0.9, 1.1)) if rng.random() < 0.3 else 1.0
+        return Branch(
+            int(f),
+            int(t),
+            float(rng.uniform(0.001, 0.05)),
+            float(rng.uniform(0.01, 0.3)),
+            float(rng.uniform(0.0, 0.1)),
+            tap=tap,
+            closed=closed,
+        )
+
+    branches = [branch(rng.integers(1, k), k) for k in range(2, n_core + 1)]
+    for _ in range(n_chords if n_core > 1 else 0):
+        f, t = rng.choice(np.arange(1, n_core + 1), size=2, replace=False)
+        branches.append(branch(f, t))
+    branches += [branch(rng.integers(1, k), k) for k in range(n_core + 1, n + 1)]
+    for _ in range(n_parallel if branches else 0):
+        base = branches[int(rng.integers(len(branches)))]
+        branches.append(branch(base.from_bus, base.to_bus))
+    for _ in range(n_open if n > 1 else 0):
+        f, t = rng.choice(np.arange(1, n + 1), size=2, replace=False)
+        branches.append(branch(f, t, closed=False))
+
+    buses = []
+    for k in range(1, n + 1):
+        if k == slack:
+            buses.append(Bus(k, BusKind.SLACK))
+        else:
+            i_load = rng.uniform(0.0, 0.3) * np.exp(-1j * rng.uniform(0.0, 0.5))
+            buses.append(Bus(k, BusKind.PQ, i_load_r=i_load.real, i_load_i=i_load.imag))
+    order = rng.permutation(len(branches))
+    return GridCase(f"random_meshed_{seed}", 100.0, tuple(buses), tuple(branches[i] for i in order), ())

@@ -201,8 +201,8 @@ def test_c4_dc_lodf_exactness(case14, case118):
 def test_c5_screening_fidelity(case14, sol14, lin14, case118, sol118, lin118):
     """Predicted severity ranking agrees with the nonlinear re-solve oracle."""
     start = time.perf_counter()
-    rep14 = screen(case14, sol14, lin14, metric="vmag_inf", with_oracle=True, jobs=4)
-    rep118 = screen(case118, sol118, lin118, metric="vmag_inf", with_oracle=True, jobs=4)
+    rep14 = screen(case14, sol14, lin14, metric="vmag_inf", with_oracle=True)
+    rep118 = screen(case118, sol118, lin118, metric="vmag_inf", with_oracle=True)
     elapsed = time.perf_counter() - start
 
     c14 = rep14.comparison

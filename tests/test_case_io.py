@@ -177,6 +177,16 @@ def test_parse_requires_tables():
             ),
             "q_min",
         ),
+        (
+            lambda c: GridCase(
+                c.name,
+                c.base_mva,
+                c.buses,
+                c.branches,
+                c.generators + (Generator(1, 0.1, 1.0), Generator(1, 0.1, 1.05)),
+            ),
+            "bus 1: generators disagree",
+        ),
     ],
 )
 def test_validate_rejects_bad_cases(mutate, fragment):

@@ -224,7 +224,7 @@ def test_screen_summary_file(tmp_path, capsys):
 
 
 def test_screen_with_oracle_json(capsys):
-    code, out, _ = run(capsys, "screen", CASE14, "--with-oracle", "--jobs", "2", "--json")
+    code, out, _ = run(capsys, "screen", CASE14, "--with-oracle", "--json")
     assert code == 0
     doc = json.loads(out)
     comp = doc["comparison"]

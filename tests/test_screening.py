@@ -174,17 +174,6 @@ def test_screen_metric_variants(case14, sol14, metric):
     assert sum(e.islanding for e in report.entries) == 1
 
 
-def test_screen_oracle_parallel_jobs_deterministic(case14, sol14, lin14):
-    serial = screen(case14, sol14, lin14, with_oracle=True, jobs=1)
-    threaded = screen(case14, sol14, lin14, with_oracle=True, jobs=4)
-    assert [e.branch for e in serial.entries] == [e.branch for e in threaded.entries]
-    for a, b in zip(serial.entries, threaded.entries):
-        assert a.severity == b.severity
-        assert a.oracle_severity == b.oracle_severity
-        assert a.oracle_converged == b.oracle_converged
-    assert serial.comparison.spearman == threaded.comparison.spearman
-
-
 def test_screen_lightly_loaded_linear_network_ranks_perfectly():
     from gridscreen.case_io import scale_loading
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridscreen.errors import IslandingError
 from gridscreen.powerflow import (
@@ -18,15 +20,13 @@ from gridscreen.sensitivity import (
     delta_line_power,
     delta_voltage_magnitude,
     evaluate_outage,
-    impact_severity,
     injection_sensitivity,
     outage_transfer_matrix,
-    outage_voltage_change,
     severity_from_deltas,
     singular_outage_branches,
     solve_outage_injection,
 )
-from gridscreen.screening import find_bridges
+from gridscreen.screening import find_bridges, is_connected
 from gridscreen.case_io import scale_loading
 
 import reference
@@ -35,6 +35,7 @@ from gridbuild import (
     SLACK_SPLIT_LOOP_BRANCH,
     SLACK_SPLIT_SPUR_BRANCH,
     parallel_pair,
+    random_meshed,
     ring5,
     slack_split,
     triangle,
@@ -174,15 +175,6 @@ def test_bridge_outage_raises_islanding(mode):
         evaluate_outage(sol, lin, RING5_BRIDGE)
 
 
-def test_outage_voltage_change_matches_evaluate(sol14, lin14):
-    impact = evaluate_outage(sol14, lin14, 6)
-    sens = injection_sensitivity(lin14, 6)
-    jac = branch_current_jacobian(sol14.case, 6)
-    tm = outage_transfer_matrix(sens, jac)
-    dv = outage_voltage_change(sens, tm, branch_terminal_currents(sol14, 6))
-    assert np.allclose(dv, impact.delta_state, atol=1e-12)
-
-
 def test_delta_voltage_magnitude_matches_fd(sol14):
     v = sol14.v_complex
     rng = np.random.default_rng(5)
@@ -290,25 +282,25 @@ def test_severity_metrics_exclude_outaged_branch(sol14, lin14):
     closed = np.array([br.closed for br in sol14.case.branches])
     others = closed.copy()
     others[6] = False
-    assert impact_severity(impact, "imag_inf", closed) == pytest.approx(
-        np.max(np.abs(impact.delta_imag[others]))
-    )
-    assert impact_severity(impact, "pline_inf", closed) == pytest.approx(
-        np.max(np.abs(impact.delta_p[others]))
-    )
-    assert impact_severity(impact, "vmag_inf", closed) == pytest.approx(
-        np.max(np.abs(impact.delta_vmag))
-    )
-    assert impact_severity(impact, "vmag_2", closed) == pytest.approx(
-        np.linalg.norm(impact.delta_vmag)
-    )
+
+    def severity(metric):
+        return severity_from_deltas(
+            metric, impact.delta_vmag, impact.delta_imag, impact.delta_p, impact.outage, closed
+        )
+
+    assert severity("imag_inf") == pytest.approx(np.max(np.abs(impact.delta_imag[others])))
+    assert severity("pline_inf") == pytest.approx(np.max(np.abs(impact.delta_p[others])))
+    assert severity("vmag_inf") == pytest.approx(np.max(np.abs(impact.delta_vmag)))
+    assert severity("vmag_2") == pytest.approx(np.linalg.norm(impact.delta_vmag))
 
 
 def test_severity_unknown_metric_rejected(sol14, lin14):
     impact = evaluate_outage(sol14, lin14, 6)
     closed = np.array([br.closed for br in sol14.case.branches])
     with pytest.raises(ValueError, match="metric"):
-        impact_severity(impact, "angle_inf", closed)
+        severity_from_deltas(
+            "angle_inf", impact.delta_vmag, impact.delta_imag, impact.delta_p, impact.outage, closed
+        )
 
 
 def test_circuit_lodf_self_ratio_near_minus_one_at_light_load(case14):
@@ -374,6 +366,25 @@ def test_singular_outage_branches_equal_graph_bridges(builder, expected):
     case = builder()
     assert singular_outage_branches(case) == expected
     assert find_bridges(case) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(1, 20),
+    n_chords=st.integers(0, 8),
+    n_parallel=st.integers(0, 3),
+    n_spurs=st.integers(0, 8),
+    n_open=st.integers(0, 2),
+)
+def test_islanding_detectors_agree_on_random_networks(seed, n_core, n_chords, n_parallel, n_spurs, n_open):
+    case = random_meshed(seed, n_core, n_chords, n_parallel, n_spurs, n_open)
+    cuts = {
+        idx
+        for idx, br in enumerate(case.branches)
+        if br.closed and not is_connected(case, skip_branch=idx)
+    }
+    assert singular_outage_branches(case) == find_bridges(case) == cuts
 
 
 def test_singular_outage_branches_tracks_topology_changes(case14):
