@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .case_io import GridCase, case_to_json, load_case
 from .dcmodel import build_dc_model, dc_lodf, solve_dc
-from .errors import CaseError, GridScreenError, IslandingError, PowerFlowError
+from .errors import CaseError, GridScreenError
 from .powerflow import (
     PowerFlowOptions,
     branch_power_flows,
@@ -27,7 +27,7 @@ from .powerflow import (
     solve_ac_powerflow,
 )
 from .screening import compare_severities, find_bridges, screen
-from .sensitivity import SEVERITY_METRICS, _build_baseline, evaluate_outage
+from .sensitivity import SEVERITY_METRICS, _outage_impacts
 
 __all__ = ["main", "main_entry"]
 
@@ -278,19 +278,10 @@ def _cmd_sens(args) -> int:
     case = load_case(args.case)
     sol = solve_ac_powerflow(case, _powerflow_options(args))
     lin = linearize_at_solution(sol, args.mode)
-    baseline = _build_baseline(sol)
     outages = _parse_outage(args.outage, case)
     bridges = find_bridges(case)
-
-    records = []
-    for l in outages:
-        if l in bridges:
-            records.append((l, None))
-            continue
-        try:
-            records.append((l, evaluate_outage(sol, lin, l, baseline)))
-        except IslandingError:
-            records.append((l, None))
+    impacts = _outage_impacts(sol, lin, [l for l in outages if l not in bridges])
+    records = [(l, impacts.get(l)) for l in outages]
 
     if args.json:
         doc = {"case": case.name, "quantity": args.quantity, "mode": args.mode, "outages": []}

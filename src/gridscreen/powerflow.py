@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,13 +50,16 @@ __all__ = [
 _GROWTH_LIMIT = 3
 _Q_LIMIT_MARGIN = 1e-9
 _VOLTAGE_COLLAPSE = 1e-12
+# below this current magnitude the directional derivative of |I| is undefined
+# and the Euclidean norm of the current change is reported instead
+_CURRENT_FLOOR = 1e-9
 
 
 def state_to_complex(state: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Interleaved ``[V1r, V1i, V2r, ...]`` vector to complex bus voltages."""
+    """Interleaved ``[V1r, V1i, V2r, ...]`` vector (or rows of them) to complex bus voltages."""
     if n is None:
-        n = len(state) // 2
-    return state[0 : 2 * n : 2] + 1j * state[1 : 2 * n : 2]
+        n = state.shape[-1] // 2
+    return state[..., 0 : 2 * n : 2] + 1j * state[..., 1 : 2 * n : 2]
 
 
 def complex_to_state(v: np.ndarray) -> np.ndarray:
@@ -297,6 +301,23 @@ class _NewtonProblem:
 
 
 @dataclass
+class _BranchBaseline:
+    """Pre-outage branch quantities shared by every outage evaluation."""
+
+    v: np.ndarray  # complex (n,) bus voltages
+    v_mag: np.ndarray
+    closed: np.ndarray  # bool (m,)
+    opened: np.ndarray  # indices of the open branches
+    v_from: np.ndarray  # complex (m,) from-bus voltage
+    i_from: np.ndarray  # complex (m,)
+    i_from_conj: np.ndarray
+    i_terminal: np.ndarray  # (m, 4) [Re i_from, Im i_from, Re i_to, Im i_to]
+    tiny: np.ndarray  # bool (m,) closed with |i_from| below _CURRENT_FLOOR
+    safe_mag: np.ndarray  # (m,) |i_from|, 1 where below _CURRENT_FLOOR
+    p_from: np.ndarray
+
+
+@dataclass
 class PowerFlowSolution:
     """Converged operating point of a case."""
 
@@ -334,6 +355,31 @@ class PowerFlowSolution:
         x[: 2 * self.n] = self.state
         x[2 * self.n :] = self.q_gen[self._problem.pv]
         return x
+
+    @cached_property
+    def _baseline(self) -> _BranchBaseline:
+        """Pre-outage branch quantities, built once per solution."""
+        yb = self.ybus
+        v = self.v_complex
+        vf = v[yb.from_idx]
+        vt = v[yb.to_idx]
+        i_from = yb.yff * vf + yb.yft * vt
+        i_to = yb.ytf * vf + yb.ytt * vt
+        closed = np.array([br.closed for br in self.case.branches])
+        mag = np.abs(i_from)
+        return _BranchBaseline(
+            v=v,
+            v_mag=np.abs(v),
+            closed=closed,
+            opened=np.flatnonzero(~closed),
+            v_from=vf,
+            i_from=i_from,
+            i_from_conj=np.conj(i_from),
+            i_terminal=np.stack([i_from.real, i_from.imag, i_to.real, i_to.imag], axis=1),
+            tiny=closed & (mag < _CURRENT_FLOOR),
+            safe_mag=np.where(mag < _CURRENT_FLOOR, 1.0, mag),
+            p_from=(vf * np.conj(i_from)).real,
+        )
 
     @property
     def p_inj(self) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .case_io import GridCase
-from .errors import IslandingError, PowerFlowError
+from .errors import PowerFlowError
 from .powerflow import (
     LinearizedSystem,
     PowerFlowOptions,
@@ -24,12 +24,7 @@ from .powerflow import (
     linearize_at_solution,
     solve_ac_powerflow,
 )
-from .sensitivity import (
-    SEVERITY_METRICS,
-    _build_baseline,
-    evaluate_outage,
-    severity_from_deltas,
-)
+from .sensitivity import SEVERITY_METRICS, _outage_severities, severity_from_deltas
 
 logger = logging.getLogger(__name__)
 
@@ -303,9 +298,12 @@ def screen(
     """Rank all single closed-branch outages of ``case`` by predicted severity.
 
     Islanding outages (graph bridges) are flagged rather than evaluated and
-    sort above every finite severity.  With ``with_oracle`` every outage is
-    additionally re-solved nonlinearly, one outage after another, and the
-    report carries per-entry oracle severities plus a rank-agreement summary.
+    sort above every finite severity.  The other outages go through the
+    outage engine in blocks; each severity equals the one computed from
+    :func:`evaluate_outage` for the same outage.  With ``with_oracle`` every
+    outage is additionally re-solved nonlinearly, one outage after another,
+    and the report carries per-entry oracle severities plus a rank-agreement
+    summary.
     """
     if metric not in SEVERITY_METRICS:
         raise ValueError(f"unknown severity metric {metric!r}; choose from {SEVERITY_METRICS}")
@@ -313,9 +311,10 @@ def screen(
         sol = solve_ac_powerflow(case)
     if lin is None:
         lin = linearize_at_solution(sol, mode)
-    baseline = _build_baseline(sol)
-    closed = baseline.closed
+    closed = np.array([br.closed for br in case.branches])
     bridges = find_bridges(case)
+    outages = [idx for idx, br in enumerate(case.branches) if br.closed and idx not in bridges]
+    severities = _outage_severities(sol, lin, outages, metric)
 
     entries: list[ScreenEntry] = []
     for idx, br in enumerate(case.branches):
@@ -330,15 +329,11 @@ def screen(
         )
         if idx in bridges:
             entry.note = "islands the network"
+        elif idx in severities:
+            entry.severity = severities[idx]
+            entry.islanding = False
         else:
-            try:
-                impact = evaluate_outage(sol, lin, idx, baseline)
-                entry.severity = severity_from_deltas(
-                    metric, impact.delta_vmag, impact.delta_imag, impact.delta_p, idx, closed
-                )
-                entry.islanding = False
-            except IslandingError:
-                entry.note = "singular transfer matrix"
+            entry.note = "singular transfer matrix"
         entries.append(entry)
 
     if with_oracle:

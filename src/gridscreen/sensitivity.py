@@ -10,10 +10,16 @@ cannot absorb the branch's current elsewhere.
 All first-order monitored quantities (voltage magnitudes, branch current
 magnitudes, branch active-power flows) follow from the resulting voltage
 change by the chain rule.
+
+One engine evaluates outages in blocks: each block solves the linear model
+once per distinct terminal bus, then stacks the transfer matrices, the
+injections and the monitors.  A single-outage query is a block of one, so
+every caller gets the same arithmetic for the same outage.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,6 +27,7 @@ import numpy as np
 from .case_io import GridCase, branch_admittances, build_ybus
 from .errors import IslandingError, SingularSystemError
 from .powerflow import (
+    _CURRENT_FLOOR,
     BranchTerminalCurrents,
     LinearizedSystem,
     PowerFlowSolution,
@@ -53,16 +60,15 @@ __all__ = [
 # transfer matrices above this condition number are treated as singular
 COND_LIMIT = 1e12
 
-# below this current magnitude the directional derivative of |I| is undefined
-# and the Euclidean norm of the current change is reported instead
-_CURRENT_FLOOR = 1e-9
+# outages per block of the outage engine; a block solves at most 4 * _CHUNK
+# columns of the linear model
+_CHUNK = 32
 
-SEVERITY_METRICS = ("vmag_inf", "vmag_2", "imag_inf", "pline_inf")
+# monitored quantity each severity metric reads
+_METRIC_QUANTITY = {"vmag_inf": "vmag", "vmag_2": "vmag", "imag_inf": "imag", "pline_inf": "pline"}
+_QUANTITIES = ("vmag", "imag", "pline")
 
-
-def _complex_block(y: complex) -> np.ndarray:
-    """2x2 real form of multiplication by a complex number."""
-    return np.array([[y.real, -y.imag], [y.imag, y.real]])
+SEVERITY_METRICS = tuple(_METRIC_QUANTITY)
 
 
 @dataclass
@@ -80,29 +86,45 @@ class InjectionSensitivity:
     full: np.ndarray  # (size, 4) response of the complete linear system
 
 
+def _terminal_solve(lin: LinearizedSystem, term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Responses of ``lin`` to unit current injections at branch terminals.
+
+    ``term`` (c, 2) holds the from and to bus of each branch.  Every
+    distinct bus is solved once, in two columns (real and imaginary
+    injection); slack terminals share one zero column, because the slack
+    absorbs any injected current without a voltage response.  Returns
+    ``(resp, cols)``: ``resp`` (size, k) and ``cols`` (c, 4), the column of
+    each branch's directions ``[from_real, from_imag, to_real, to_imag]``.
+    """
+    buses = sorted(set(term.ravel().tolist()))
+    free = [b for b in buses if not lin.is_slack(b)]
+    zero = 2 * len(free)
+    rhs = np.zeros((lin.size, zero + (len(free) < len(buses))))
+    pos = {}
+    for p, b in enumerate(free):
+        pos[b] = (2 * p, 2 * p + 1)
+        (r0, r1) = lin.kcl_rows(b)
+        rhs[r0, 2 * p] = rhs[r1, 2 * p + 1] = 1.0
+    resp = lin.solve(rhs)
+    resp[:, zero:] = 0.0  # exact zeros, whatever the solve's signed zeros
+    cols = np.array([pos.get(f, (zero, zero)) + pos.get(t, (zero, zero)) for f, t in term.tolist()])
+    return resp, cols
+
+
 def injection_sensitivity(lin: LinearizedSystem, branch_idx: int) -> InjectionSensitivity:
     """Solve the linear model for the four terminal injection directions."""
     case = lin.case
     if not 0 <= branch_idx < case.n_branch:
         raise ValueError(f"branch index {branch_idx} out of range")
     br = case.branches[branch_idx]
-    f = case.bus_index(br.from_bus)
-    t = case.bus_index(br.to_bus)
-
+    term = np.array([[case.bus_index(br.from_bus), case.bus_index(br.to_bus)]])
+    resp, cols = _terminal_solve(lin, term)
     rows = np.full(4, -1, dtype=np.int64)
-    for pos, bus in ((0, f), (2, t)):
-        pair = lin.kcl_rows(bus)
+    for pos, bus in enumerate(term[0]):
+        pair = lin.kcl_rows(int(bus))
         if pair is not None:
-            rows[pos], rows[pos + 1] = pair
-
-    rhs = np.zeros((lin.size, 4))
-    for j in range(4):
-        if rows[j] >= 0:
-            rhs[rows[j], j] = 1.0
-    full = lin.solve(rhs)
-    for j in range(4):
-        if rows[j] < 0:
-            full[:, j] = 0.0
+            rows[2 * pos], rows[2 * pos + 1] = pair
+    full = resp[:, cols[0]]
     return InjectionSensitivity(branch=branch_idx, rows=rows, dv=full[: 2 * lin.n, :], full=full)
 
 
@@ -133,11 +155,15 @@ def branch_current_jacobian(
     if not br.closed:
         raise ValueError(f"branch {branch_idx} is open")
     yff, yft, ytf, ytt = branch_admittances(br, include_charging)
-    block = np.zeros((4, 4))
-    block[0:2, 0:2] = _complex_block(yff)
-    block[0:2, 2:4] = _complex_block(yft)
-    block[2:4, 0:2] = _complex_block(ytf)
-    block[2:4, 2:4] = _complex_block(ytt)
+    # each admittance as the 2x2 real form of multiplication by it
+    block = np.array(
+        [
+            [yff.real, -yff.imag, yft.real, -yft.imag],
+            [yff.imag, yff.real, yft.imag, yft.real],
+            [ytf.real, -ytf.imag, ytt.real, -ytt.imag],
+            [ytf.imag, ytf.real, ytt.imag, ytt.real],
+        ]
+    )
     f = case.bus_index(br.from_bus)
     t = case.bus_index(br.to_bus)
     rows = np.array([2 * f, 2 * f + 1, 2 * t, 2 * t + 1], dtype=np.int64)
@@ -157,7 +183,22 @@ class OutageTransferMatrix:
 
     @property
     def singular(self) -> bool:
-        return not np.isfinite(self.cond) or self.cond > COND_LIMIT
+        return bool(_singular(self.cond))
+
+
+def _singular(cond):
+    """The singularity rule for transfer-matrix condition numbers (scalar or array).
+
+    Infinite and NaN condition numbers count as singular.
+    """
+    return np.logical_not(cond <= COND_LIMIT)
+
+
+def _islanding_error(branch: int, cond: float) -> IslandingError:
+    return IslandingError(
+        f"outage transfer matrix of branch {branch} is singular "
+        f"(cond {cond:.3e}); the outage islands part of the network"
+    )
 
 
 def outage_transfer_matrix(sens: InjectionSensitivity, jac: BranchCurrentJacobian) -> OutageTransferMatrix:
@@ -182,10 +223,7 @@ def solve_outage_injection(
     the rest of the network.
     """
     if tm.singular:
-        raise IslandingError(
-            f"outage transfer matrix of branch {tm.branch} is singular "
-            f"(cond {tm.cond:.3e}); the outage islands part of the network"
-        )
+        raise _islanding_error(tm.branch, tm.cond)
     pre = i_pre.vector if isinstance(i_pre, BranchTerminalCurrents) else np.asarray(i_pre, dtype=float)
     return np.linalg.solve(tm.t, pre)
 
@@ -194,11 +232,13 @@ def solve_outage_injection(
 
 
 def delta_voltage_magnitude(dv_state: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-bus first-order change of |V| for a voltage state change."""
-    vmag = np.abs(v)
-    if np.any(vmag < 1e-12):
+    """Per-bus first-order change of |V| for a voltage state change (or rows of them)."""
+    return _vmag_change(state_to_complex(dv_state), v, np.abs(v))
+
+
+def _vmag_change(dv: np.ndarray, v: np.ndarray, vmag: np.ndarray) -> np.ndarray:
+    if (vmag < 1e-12).any():
         raise ValueError("voltage magnitude is zero at some bus; |V| is not differentiable")
-    dv = state_to_complex(dv_state)
     return (v.real * dv.real + v.imag * dv.imag) / vmag
 
 
@@ -254,35 +294,155 @@ def delta_line_power(
     return float((dv * np.conj(i0)).real + (v0 * np.conj(di)).real)
 
 
-# -- full per-outage evaluation --------------------------------------------------
+# -- the outage engine -------------------------------------------------------------
+
+
+def _transfer_chunks(
+    lin: LinearizedSystem, case: GridCase, outages: Iterable[int], include_charging: bool = True
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Transfer matrices of ``outages``, in blocks that share terminal solves.
+
+    Outages are sorted by terminal buses, so that neighbours in a block of
+    up to ``_CHUNK`` share terminals, and each block solves ``lin`` once per
+    distinct terminal.  Yields ``(idx, resp, cols, t, cond)`` per block:
+    the outages (c,), the block's responses and each outage's four columns
+    of them (see :func:`_terminal_solve`), the transfer matrices (c, 4, 4)
+    and their condition numbers (c,).
+    """
+    jacs = [branch_current_jacobian(case, k, include_charging) for k in outages]
+    jacs.sort(key=lambda jac: (min(jac.rows[0], jac.rows[2]), max(jac.rows[0], jac.rows[2])))
+    for start in range(0, len(jacs), _CHUNK):
+        block = jacs[start : start + _CHUNK]
+        rows = np.concatenate([jac.rows for jac in block]).reshape(-1, 4)
+        resp, cols = _terminal_solve(lin, rows[:, 0::2] // 2)
+        at_terminals = resp[rows[:, :, None], cols[:, None, :]]  # dv[rows, :] of each outage
+        t = np.eye(4) - np.concatenate([jac.block for jac in block]).reshape(-1, 4, 4) @ at_terminals
+        yield np.array([jac.branch for jac in block]), resp, cols, t, np.linalg.cond(t)
 
 
 @dataclass
-class _BranchBaseline:
-    """Pre-outage branch quantities shared by every outage evaluation."""
+class _ImpactChunk:
+    """Engine results for a block of outages; row ``i`` describes ``outages[i]``.
 
-    closed: np.ndarray  # bool (m,)
-    i_from: np.ndarray  # complex (m,)
-    i_to: np.ndarray
-    p_from: np.ndarray
-    p_to: np.ndarray
+    Rows of singular outages hold NaN.  Monitors that were not asked for
+    are None.
+    """
+
+    outages: np.ndarray  # (c,)
+    cond: np.ndarray  # (c,)
+    singular: np.ndarray  # bool (c,)
+    i_pre: np.ndarray  # (c, 4)
+    injection: np.ndarray  # (c, 4)
+    delta_state: np.ndarray  # (c, 2n)
+    delta_vmag: np.ndarray | None  # (c, n)
+    delta_imag: np.ndarray | None  # (c, m)
+    delta_p: np.ndarray | None  # (c, m)
+    imag_fallback: np.ndarray  # bool (m,)
+
+    def impact(self, i: int) -> OutageImpact:
+        if self.singular[i]:
+            raise _islanding_error(int(self.outages[i]), float(self.cond[i]))
+        return OutageImpact(
+            outage=int(self.outages[i]),
+            injection=self.injection[i],
+            i_pre=self.i_pre[i],
+            cond=float(self.cond[i]),
+            delta_state=self.delta_state[i],
+            delta_vmag=self.delta_vmag[i],
+            delta_imag=self.delta_imag[i],
+            delta_p=self.delta_p[i],
+            imag_fallback=self.imag_fallback.copy(),
+        )
+
+    def severity(self, metric: str, i: int, closed: np.ndarray) -> float:
+        def row(deltas):
+            return None if deltas is None else deltas[i]
+
+        deltas = (row(self.delta_vmag), row(self.delta_imag), row(self.delta_p))
+        return severity_from_deltas(metric, *deltas, int(self.outages[i]), closed)
 
 
-def _build_baseline(sol: PowerFlowSolution) -> _BranchBaseline:
+def _impact_chunks(
+    sol: PowerFlowSolution,
+    lin: LinearizedSystem,
+    outages: Iterable[int],
+    quantities: tuple[str, ...] = _QUANTITIES,
+) -> Iterator[_ImpactChunk]:
+    """First-order impacts of ``outages`` block by block, monitoring only ``quantities``.
+
+    The pre-outage currents of a block solve its stacked transfer matrices
+    for the equivalent injections; singular matrices are replaced by the
+    identity for that solve and their rows set to NaN.
+    """
+    base = sol._baseline
     yb = sol.ybus
-    v = sol.v_complex
-    vf = v[yb.from_idx]
-    vt = v[yb.to_idx]
-    i_from = yb.yff * vf + yb.yft * vt
-    i_to = yb.ytf * vf + yb.ytt * vt
-    closed = np.array([br.closed for br in sol.case.branches])
-    return _BranchBaseline(
-        closed=closed,
-        i_from=i_from,
-        i_to=i_to,
-        p_from=(vf * np.conj(i_from)).real,
-        p_to=(vt * np.conj(i_to)).real,
-    )
+    n2 = 2 * sol.n
+    for idx, resp, cols, t, cond in _transfer_chunks(lin, sol.case, outages):
+        singular = _singular(cond)
+        i_pre = base.i_terminal[idx]
+        masked = singular.any()
+        if masked:
+            t = np.where(singular[:, None, None], np.eye(4), t)
+        injection = np.linalg.solve(t, i_pre[..., None])[..., 0]
+        if masked:
+            injection[singular] = np.nan
+        delta_state = np.array([resp[:n2, c] @ x for c, x in zip(cols, injection)])
+
+        dvc = state_to_complex(delta_state)
+        delta_vmag = _vmag_change(dvc, base.v, base.v_mag) if "vmag" in quantities else None
+        delta_imag = delta_p = None
+        if "imag" in quantities or "pline" in quantities:
+            dv_from = dvc[:, yb.from_idx]
+            di_from = yb.yff * dv_from + yb.yft * dvc[:, yb.to_idx]
+            # removed-branch convention for the outaged line itself
+            di_from[np.arange(len(idx)), idx] = -base.i_from[idx]
+            if "imag" in quantities:
+                aligned = (base.i_from.real * di_from.real + base.i_from.imag * di_from.imag) / base.safe_mag
+                delta_imag = np.where(base.tiny, np.abs(di_from), aligned)
+                delta_imag[:, base.opened] = 0.0
+            if "pline" in quantities:
+                delta_p = (dv_from * base.i_from_conj).real + (base.v_from * np.conj(di_from)).real
+                delta_p[:, base.opened] = 0.0
+
+        yield _ImpactChunk(
+            outages=idx,
+            cond=cond,
+            singular=singular,
+            i_pre=i_pre,
+            injection=injection,
+            delta_state=delta_state,
+            delta_vmag=delta_vmag,
+            delta_imag=delta_imag,
+            delta_p=delta_p,
+            imag_fallback=base.tiny,
+        )
+
+
+def _outage_impacts(
+    sol: PowerFlowSolution, lin: LinearizedSystem, outages: Iterable[int]
+) -> dict[int, OutageImpact | None]:
+    """Impacts by outage index; None where the transfer matrix is singular."""
+    return {
+        int(k): None if chunk.singular[i] else chunk.impact(i)
+        for chunk in _impact_chunks(sol, lin, outages)
+        for i, k in enumerate(chunk.outages)
+    }
+
+
+def _outage_severities(
+    sol: PowerFlowSolution, lin: LinearizedSystem, outages: Iterable[int], metric: str
+) -> dict[int, float]:
+    """Severities by outage index under ``metric``, monitoring only what it reads.
+
+    Outages with a singular transfer matrix are left out.
+    """
+    closed = sol._baseline.closed
+    return {
+        int(k): chunk.severity(metric, i, closed)
+        for chunk in _impact_chunks(sol, lin, outages, (_METRIC_QUANTITY[metric],))
+        for i, k in enumerate(chunk.outages)
+        if not chunk.singular[i]
+    }
 
 
 @dataclass
@@ -306,65 +466,13 @@ class OutageImpact:
     imag_fallback: np.ndarray  # bool (m,)
 
 
-def evaluate_outage(
-    sol: PowerFlowSolution,
-    lin: LinearizedSystem,
-    outage: int,
-    baseline: _BranchBaseline | None = None,
-) -> OutageImpact:
+def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) -> OutageImpact:
     """Predict the impact of removing one closed branch.
 
     Raises :class:`IslandingError` when the outage would disconnect the
     network (singular transfer matrix).
     """
-    case = sol.case
-    if baseline is None:
-        baseline = _build_baseline(sol)
-    sens = injection_sensitivity(lin, outage)
-    jac = branch_current_jacobian(case, outage)
-    tm = outage_transfer_matrix(sens, jac)
-    i_pre = np.array(
-        [
-            baseline.i_from[outage].real,
-            baseline.i_from[outage].imag,
-            baseline.i_to[outage].real,
-            baseline.i_to[outage].imag,
-        ]
-    )
-    injection = solve_outage_injection(tm, i_pre)
-    dv_state = sens.dv @ injection
-
-    v = sol.v_complex
-    delta_vmag = delta_voltage_magnitude(dv_state, v)
-
-    yb = sol.ybus
-    dvc = state_to_complex(dv_state)
-    di_from = yb.yff * dvc[yb.from_idx] + yb.yft * dvc[yb.to_idx]
-    # removed-branch convention for the outaged line itself
-    di_from[outage] = -baseline.i_from[outage]
-
-    mag = np.abs(baseline.i_from)
-    tiny = baseline.closed & (mag < _CURRENT_FLOOR)
-    safe_mag = np.where(mag < _CURRENT_FLOOR, 1.0, mag)
-    aligned = (baseline.i_from.real * di_from.real + baseline.i_from.imag * di_from.imag) / safe_mag
-    delta_imag = np.where(tiny, np.abs(di_from), aligned)
-    delta_imag[~baseline.closed] = 0.0
-
-    vf = v[yb.from_idx]
-    delta_p = (dvc[yb.from_idx] * np.conj(baseline.i_from)).real + (vf * np.conj(di_from)).real
-    delta_p[~baseline.closed] = 0.0
-
-    return OutageImpact(
-        outage=outage,
-        injection=injection,
-        i_pre=i_pre,
-        cond=tm.cond,
-        delta_state=dv_state,
-        delta_vmag=delta_vmag,
-        delta_imag=delta_imag,
-        delta_p=delta_p,
-        imag_fallback=tiny,
-    )
+    return next(_impact_chunks(sol, lin, [outage])).impact(0)
 
 
 def severity_from_deltas(
@@ -409,22 +517,16 @@ class CircuitLodfResult:
     p_pre: np.ndarray
 
 
-def circuit_lodf(
-    sol: PowerFlowSolution,
-    lin: LinearizedSystem,
-    outage: int,
-    baseline: _BranchBaseline | None = None,
-) -> CircuitLodfResult:
-    if baseline is None:
-        baseline = _build_baseline(sol)
-    impact = evaluate_outage(sol, lin, outage, baseline)
-    p_ref = baseline.p_from[outage]
+def circuit_lodf(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) -> CircuitLodfResult:
+    base = sol._baseline
+    impact = evaluate_outage(sol, lin, outage)
+    p_ref = base.p_from[outage]
     if abs(p_ref) < 1e-12:
         ratio = np.full(len(impact.delta_p), np.nan)
     else:
         ratio = impact.delta_p / p_ref
-        ratio[~baseline.closed] = np.nan
-    return CircuitLodfResult(outage=outage, dp=impact.delta_p, ratio=ratio, p_pre=baseline.p_from)
+        ratio[~base.closed] = np.nan
+    return CircuitLodfResult(outage=outage, dp=impact.delta_p, ratio=ratio, p_pre=base.p_from)
 
 
 # -- islanding detection via transfer-matrix rank --------------------------------
@@ -439,9 +541,9 @@ def singular_outage_branches(case: GridCase) -> set[int]:
     exactly when the branch is a cut of the connected network.  Shunt and
     device stamps, and the circulating current of a transformer loop whose
     ratios do not multiply to one, can keep an islanded block invertible, so
-    this topology question is asked of the topology-only model.  Each branch
-    goes through the same injection, Jacobian and transfer-matrix chain as
-    an outage evaluation.
+    this topology question is asked of the topology-only model.  The outage
+    engine builds the transfer matrices, and the singularity rule is that of
+    :class:`OutageTransferMatrix`.
     """
     case.validate()
     nominal = replace(case, branches=tuple(replace(br, tap=1.0, shift=0.0) for br in case.branches))
@@ -452,12 +554,9 @@ def singular_outage_branches(case: GridCase) -> set[int]:
         raise SingularSystemError(
             "series connection network is singular; the case is likely disconnected"
         ) from exc
+    closed = [idx for idx, br in enumerate(nominal.branches) if br.closed]
     return {
-        idx
-        for idx, br in enumerate(nominal.branches)
-        if br.closed
-        and outage_transfer_matrix(
-            injection_sensitivity(lin, idx),
-            branch_current_jacobian(nominal, idx, include_charging=False),
-        ).singular
+        int(k)
+        for idx, _, _, _, cond in _transfer_chunks(lin, nominal, closed, include_charging=False)
+        for k in idx[_singular(cond)]
     }

@@ -19,7 +19,7 @@ from gridscreen.screening import (
     oracle_outage,
     screen,
 )
-from gridscreen.sensitivity import evaluate_outage
+from gridscreen.sensitivity import _CHUNK, SEVERITY_METRICS, evaluate_outage, severity_from_deltas
 
 from gridbuild import RING5_BRIDGE, parallel_pair, radial_chain, ring5, triangle
 
@@ -229,3 +229,41 @@ def test_compare_severities_drops_nonfinite_and_disjoint():
     assert comp.n_compared == 2
     assert comp.insufficient
     assert comp.spearman is None and comp.max_abs_error is None
+
+
+def _assert_screen_equals_evaluate_outage(case, sol, mode):
+    lin = linearize_at_solution(sol, mode)
+    closed = np.array([br.closed for br in case.branches])
+    bridges = find_bridges(case)
+    impacts = {
+        idx: evaluate_outage(sol, lin, idx)
+        for idx in np.flatnonzero(closed)
+        if idx not in bridges
+    }
+    for metric in SEVERITY_METRICS:
+        report = screen(case, sol, lin, metric=metric)
+        finite = [e for e in report.entries if not e.islanding]
+        assert len(finite) == len(impacts)
+        for e in finite:
+            impact = impacts[e.branch]
+            expected = severity_from_deltas(
+                metric, impact.delta_vmag, impact.delta_imag, impact.delta_p, e.branch, closed
+            )
+            assert e.severity == expected, (metric, e.branch)
+
+
+@pytest.mark.parametrize("mode", ["full", "network"])
+def test_screen_equals_evaluate_outage_case118(case118, sol118, mode):
+    """Blocked screen severities are exactly the single-outage ones, across block boundaries."""
+    non_bridges = [
+        idx for idx, br in enumerate(case118.branches) if br.closed and idx not in find_bridges(case118)
+    ]
+    assert len(non_bridges) > _CHUNK
+    _assert_screen_equals_evaluate_outage(case118, sol118, mode)
+
+
+@pytest.mark.parametrize("mode", ["full", "network"])
+def test_screen_equals_evaluate_outage_with_open_branches(case14, mode):
+    # branches 0 and 1 leave the slack bus; branch 2 is open
+    case = case14.with_branch_open(2)
+    _assert_screen_equals_evaluate_outage(case, solve_ac_powerflow(case), mode)

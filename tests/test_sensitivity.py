@@ -13,7 +13,11 @@ from gridscreen.powerflow import (
     state_to_complex,
 )
 from gridscreen.sensitivity import (
+    _CHUNK,
     COND_LIMIT,
+    _impact_chunks,
+    _terminal_solve,
+    _transfer_chunks,
     branch_current_jacobian,
     circuit_lodf,
     delta_current_magnitude,
@@ -407,3 +411,79 @@ def test_severity_from_deltas_direct():
         closed=closed,
     )
     assert val == pytest.approx(0.3)
+
+
+# -- the outage engine -----------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(2, 20),
+    n_chords=st.integers(0, 8),
+    n_parallel=st.integers(0, 3),
+    n_spurs=st.integers(0, 8),
+    n_open=st.integers(0, 2),
+)
+def test_engine_blocks_equal_single_outage_chain(seed, n_core, n_chords, n_parallel, n_spurs, n_open):
+    """Blocked transfer matrices, flags and voltage changes equal the per-branch chain."""
+    case = random_meshed(seed, n_core, n_chords, n_parallel, n_spurs, n_open)
+    sol = solve_ac_powerflow(case)
+    lin = linearize_at_solution(sol)
+    closed = [idx for idx, br in enumerate(case.branches) if br.closed]
+    seen = []
+    for chunk in _impact_chunks(sol, lin, closed):
+        for i, k in enumerate(chunk.outages):
+            k = int(k)
+            seen.append(k)
+            sens = injection_sensitivity(lin, k)
+            tm = outage_transfer_matrix(sens, branch_current_jacobian(case, k))
+            assert chunk.cond[i] == tm.cond
+            assert chunk.singular[i] == tm.singular
+            if tm.singular:
+                assert np.all(np.isnan(chunk.delta_state[i]))
+                continue
+            # the block's currents come from whole-array products; a scalar
+            # product may round differently
+            assert np.allclose(chunk.i_pre[i], branch_terminal_currents(sol, k).vector, rtol=0.0, atol=1e-12)
+            injection = solve_outage_injection(tm, chunk.i_pre[i])
+            assert np.array_equal(chunk.injection[i], injection)
+            assert np.array_equal(chunk.delta_state[i], sens.dv @ injection)
+    assert sorted(seen) == closed
+
+
+def test_engine_slack_terminal_outage_uses_zero_columns(sol14, lin14):
+    case = sol14.case
+    # branch 0 of the bundled 14-bus case leaves the slack bus
+    slack = case.bus_index(case.branches[0].from_bus)
+    assert lin14.is_slack(slack)
+    term = np.array([[slack, case.bus_index(case.branches[0].to_bus)]])
+    resp, cols = _terminal_solve(lin14, term)
+    assert resp.shape[1] == 3  # two columns for the far terminal, one zero column
+    assert cols[0, 0] == cols[0, 1] == 2 and np.all(resp[:, 2] == 0.0)
+
+    impact = evaluate_outage(sol14, lin14, 0)
+    jac = branch_current_jacobian(case, 0)
+    residual = impact.i_pre + jac.apply_state(impact.delta_state) - impact.injection
+    assert np.max(np.abs(residual)) < 1e-10
+    assert np.array_equal(impact.delta_state, injection_sensitivity(lin14, 0).dv @ impact.injection)
+
+
+def test_engine_rejects_open_outage(case14):
+    opened = case14.with_branch_open(2)
+    sol = solve_ac_powerflow(opened)
+    lin = linearize_at_solution(sol)
+    with pytest.raises(ValueError, match="open"):
+        evaluate_outage(sol, lin, 2)
+    with pytest.raises(ValueError, match="open"):
+        list(_transfer_chunks(lin, opened, [1, 2]))
+
+
+def test_engine_blocks_cover_case118(sol118, lin118):
+    """The 118-bus case spans several blocks; every outage lands in exactly one."""
+    case = sol118.case
+    closed = [idx for idx, br in enumerate(case.branches) if br.closed]
+    assert len(closed) > 2 * _CHUNK
+    blocks = [idx for idx, *_ in _transfer_chunks(lin118, case, closed)]
+    assert len(blocks) > 2 and max(map(len, blocks)) == _CHUNK
+    assert sorted(int(k) for idx in blocks for k in idx) == closed
