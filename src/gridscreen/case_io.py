@@ -534,7 +534,33 @@ def build_ybus(
     y_shunt = np.array(
         [complex(b.g_shunt, b.b_shunt) if include_shunts else 0j for b in case.buses]
     )
+    return _assemble_ybus(n, from_idx, to_idx, yff, yft, ytf, ytt, y_shunt)
 
+
+def _without_branch(ybus: AdmittanceMatrix, branch_idx: int) -> AdmittanceMatrix:
+    """``ybus`` with the stamp of one branch zeroed, as if the branch were open.
+
+    The zeroed entries stay explicit, so the matrix keeps the sparsity
+    pattern of ``ybus`` and equals ``build_ybus`` of the case with that
+    branch open.
+    """
+    stamps = [s.copy() for s in (ybus.yff, ybus.yft, ybus.ytf, ybus.ytt)]
+    for s in stamps:
+        s[branch_idx] = 0j
+    return _assemble_ybus(ybus.n, ybus.from_idx, ybus.to_idx, *stamps, ybus.y_shunt)
+
+
+def _assemble_ybus(
+    n: int,
+    from_idx: np.ndarray,
+    to_idx: np.ndarray,
+    yff: np.ndarray,
+    yft: np.ndarray,
+    ytf: np.ndarray,
+    ytt: np.ndarray,
+    y_shunt: np.ndarray,
+) -> AdmittanceMatrix:
+    """Sum the branch stamps and bus shunts into the sparse admittance matrix."""
     rows = np.concatenate([from_idx, from_idx, to_idx, to_idx, np.arange(n)])
     cols = np.concatenate([from_idx, to_idx, from_idx, to_idx, np.arange(n)])
     vals = np.concatenate([yff, yft, ytf, ytt, y_shunt])

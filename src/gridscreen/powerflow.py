@@ -14,6 +14,7 @@ packages it behind a reusable LU factorization.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -103,6 +104,38 @@ def _pinned_network(ybus: sp.spmatrix, slack: int) -> sp.coo_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=net.shape)
 
 
+class _CscPattern:
+    """The compressed-column layout of a fixed list of entry positions.
+
+    :meth:`matrix` scatters entry values straight into that layout.  The
+    result equals ``coo_matrix((vals, (rows, cols))).tocsc()`` bit for bit,
+    explicit zeros included, as long as no position holds more than two
+    entries: a sum of two floats does not depend on their order.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, size: int):
+        key = cols * size + rows
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        count = np.diff(np.r_[start, len(key)])
+        if count.max(initial=0) > 2:
+            raise ValueError("more than two entries share a position")
+        position = key[start]
+        index_dtype = np.int32 if max(size, len(key)) < 2**31 else np.int64
+        self.shape = (size, size)
+        self._indices = (position % size).astype(index_dtype)
+        self._indptr = np.searchsorted(position // size, np.arange(size + 1)).astype(index_dtype)
+        self._first = order[start]
+        self._pair = np.flatnonzero(count == 2)
+        self._second = order[start[self._pair] + 1]
+
+    def matrix(self, vals: np.ndarray) -> sp.csc_matrix:
+        data = vals[self._first]
+        data[self._pair] += vals[self._second]
+        return sp.csc_matrix((data, self._indices.copy(), self._indptr.copy()), shape=self.shape)
+
+
 @dataclass
 class PowerFlowOptions:
     """Newton solver settings.
@@ -180,6 +213,18 @@ class _NewtonProblem:
         self.size = 2 * n + len(self.pv)
         self._device_idx = np.array([k for k in range(n) if k != self.slack], dtype=np.int64)
         self._static = _pinned_network(ybus.matrix, self.slack)
+        self._pattern = _CscPattern(*self._entry_positions(), self.size)
+
+    def with_ybus(self, ybus: AdmittanceMatrix) -> "_NewtonProblem":
+        """This layout over another admittance matrix with the same sparsity pattern.
+
+        The bus roles, the device data and the Jacobian pattern are shared;
+        only the network entries change.
+        """
+        problem = copy.copy(self)
+        problem.ybus = ybus
+        problem._static = _pinned_network(ybus.matrix, self.slack)
+        return problem
 
     # -- state handling -------------------------------------------------------
 
@@ -248,7 +293,25 @@ class _NewtonProblem:
             f[2 * n :] = vp.real**2 + vp.imag**2 - self.pv_vset**2
         return f
 
-    def jacobian(self, x: np.ndarray) -> sp.csc_matrix:
+    def _entry_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the Jacobian entries, in the order of :meth:`_entries`."""
+        n = self.n
+        k = self._device_idx
+        rows = [self._static.row, np.repeat(2 * k, 4) + np.tile([0, 0, 1, 1], len(k))]
+        cols = [self._static.col, np.repeat(2 * k, 4) + np.tile([0, 1, 0, 1], len(k))]
+        if len(self.pv):
+            kp = self.pv
+            aug = 2 * n + np.arange(len(kp))
+            # reactive-injection columns
+            rows.append(np.concatenate([2 * kp, 2 * kp + 1]))
+            cols.append(np.concatenate([aug, aug]))
+            # magnitude rows
+            rows.append(np.concatenate([aug, aug]))
+            cols.append(np.concatenate([2 * kp, 2 * kp + 1]))
+        return np.concatenate(rows), np.concatenate(cols)
+
+    def _entries(self, x: np.ndarray) -> np.ndarray:
+        """Jacobian entry values at state ``x``, at the positions of :meth:`_entry_positions`."""
         n = self.n
         v = state_to_complex(x, n)
         q_bus = self.q_fix.copy()
@@ -266,32 +329,18 @@ class _NewtonProblem:
         di[1::4] = (q - 2 * vi * ir) / d
         di[2::4] = (-q - 2 * vr * ii) / d
         di[3::4] = (p - 2 * vi * ii) / d
-        dev_rows = np.repeat(2 * k, 4) + np.tile([0, 0, 1, 1], len(k))
-        dev_cols = np.repeat(2 * k, 4) + np.tile([0, 1, 0, 1], len(k))
-
-        rows = [self._static.row, dev_rows]
-        cols = [self._static.col, dev_cols]
         vals = [self._static.data, -di]
 
         if len(self.pv):
             kp = self.pv
             vpr, vpi = v.real[kp], v.imag[kp]
             dp = vpr * vpr + vpi * vpi
-            aug = 2 * n + np.arange(len(kp))
-            # reactive-injection columns
-            rows.append(np.concatenate([2 * kp, 2 * kp + 1]))
-            cols.append(np.concatenate([aug, aug]))
             vals.append(np.concatenate([-vpi / dp, vpr / dp]))
-            # magnitude rows
-            rows.append(np.concatenate([aug, aug]))
-            cols.append(np.concatenate([2 * kp, 2 * kp + 1]))
             vals.append(np.concatenate([2 * vpr, 2 * vpi]))
+        return np.concatenate(vals)
 
-        j = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.size, self.size),
-        )
-        return j.tocsc()
+    def jacobian(self, x: np.ndarray) -> sp.csc_matrix:
+        return self._pattern.matrix(self._entries(x))
 
     def factorize(self, x: np.ndarray):
         try:
@@ -396,11 +445,12 @@ class PowerFlowSolution:
 def _solve_round(problem: _NewtonProblem, x: np.ndarray, options: PowerFlowOptions) -> tuple[np.ndarray, int, float]:
     mismatch_prev: float | None = None
     growth = 0
+    f = problem.residual(x)
     for iteration in range(1, options.max_iter + 1):
-        f = problem.residual(x)
         lu = problem.factorize(x)
         x = x + lu.solve(-f)
-        mismatch = float(np.max(np.abs(problem.residual(x))))
+        f = problem.residual(x)
+        mismatch = float(np.max(np.abs(f)))
         if not math.isfinite(mismatch):
             raise DivergenceError("power flow mismatch is not finite")
         if mismatch <= options.tol:
@@ -420,23 +470,17 @@ def _solve_round(problem: _NewtonProblem, x: np.ndarray, options: PowerFlowOptio
     )
 
 
-def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) -> PowerFlowSolution:
-    """Solve the AC power flow of ``case`` by Newton iteration.
+def _newton(
+    problem: _NewtonProblem, x: np.ndarray, options: PowerFlowOptions
+) -> tuple[_NewtonProblem, np.ndarray, int]:
+    """Newton rounds from ``x`` with the reactive-limit passes of :func:`solve_ac_powerflow`.
 
-    Reactive generator limits are checked after convergence; violating PV
-    buses are converted to PQ at the binding limit and the problem re-solved,
-    for at most ``q_limit_rounds`` passes.  Raises a
-    :class:`~gridscreen.errors.PowerFlowError` subclass on numerical failure.
+    Returns the final problem (with its reactive pins), its converged state
+    and the total iteration count.
     """
-    options = options or PowerFlowOptions()
-    case.validate()
-    ybus = build_ybus(case)
-
-    q_pinned: dict[int, float] = {}
+    case, ybus = problem.case, problem.ybus
+    q_pinned = dict(problem.q_pinned)
     total_iterations = 0
-    problem = _NewtonProblem(case, ybus, q_pinned)
-    x = problem.initial_state(options)
-
     rounds_allowed = options.q_limit_rounds if options.enforce_q_limits else 0
     round_no = 0
     while True:
@@ -462,6 +506,23 @@ def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) 
         state = x[: 2 * problem.n]
         problem = _NewtonProblem(case, ybus, q_pinned)
         x = problem.initial_state(PowerFlowOptions(start="state", initial_state=state))
+    return problem, x, total_iterations
+
+
+def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) -> PowerFlowSolution:
+    """Solve the AC power flow of ``case`` by Newton iteration.
+
+    Reactive generator limits are checked after convergence; violating PV
+    buses are converted to PQ at the binding limit and the problem re-solved,
+    for at most ``q_limit_rounds`` passes.  Raises a
+    :class:`~gridscreen.errors.PowerFlowError` subclass on numerical failure.
+    """
+    options = options or PowerFlowOptions()
+    case.validate()
+    ybus = build_ybus(case)
+    problem = _NewtonProblem(case, ybus)
+    problem, x, total_iterations = _newton(problem, problem.initial_state(options), options)
+    q_pinned = problem.q_pinned
 
     n = case.n
     v = state_to_complex(x, n)

@@ -9,20 +9,22 @@ flow per outage to measure how faithful the ranking is.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import spearmanr
 
-from .case_io import GridCase
+from .case_io import GridCase, _without_branch, build_ybus
 from .errors import PowerFlowError
 from .powerflow import (
     LinearizedSystem,
     PowerFlowOptions,
     PowerFlowSolution,
-    branch_power_flows,
+    _newton,
+    _NewtonProblem,
     linearize_at_solution,
     solve_ac_powerflow,
+    state_to_complex,
 )
 from .sensitivity import SEVERITY_METRICS, _outage_severities, severity_from_deltas
 
@@ -134,6 +136,72 @@ class OracleOutcome:
     detail: str = ""
 
 
+class _Oracle:
+    """Post-outage nonlinear re-solves of one case that share its base network.
+
+    The case is validated and its admittance matrix and Newton layout are
+    built once.  Each outage then zeroes the branch stamp in a copy of the
+    admittance matrix, swaps it into the shared layout (the pattern, and so
+    the Jacobian pattern, stays the same) and runs the Newton driver from
+    the base state.  The result is bitwise the one of
+    ``solve_ac_powerflow(case.with_branch_open(k), ...)`` started from
+    ``base.state``.  ``islands`` holds the outages known to disconnect the
+    network; they are reported without a solve.
+    """
+
+    def __init__(
+        self,
+        case: GridCase,
+        base: PowerFlowSolution,
+        islands: set[int],
+        options: PowerFlowOptions | None = None,
+    ):
+        if options is None:
+            options = PowerFlowOptions(
+                tol=base.options.tol,
+                max_iter=2 * base.options.max_iter,
+                enforce_q_limits=base.options.enforce_q_limits,
+                q_limit_rounds=base.options.q_limit_rounds,
+            )
+        self._options = replace(options, start="state", initial_state=base.state)
+        case.validate()
+        self._case = case
+        self._islands = islands
+        self._ybus = build_ybus(case)
+        self._layout = _NewtonProblem(case, self._ybus)
+        baseline = base._baseline
+        self._v_mag = baseline.v_mag
+        self._i_mag = np.abs(baseline.i_from)
+        self._p_from = baseline.p_from
+
+    def problem(self, branch_idx: int) -> _NewtonProblem:
+        """The Newton system of the case with branch ``branch_idx`` open."""
+        return self._layout.with_ybus(_without_branch(self._ybus, branch_idx))
+
+    def outcome(self, branch_idx: int) -> OracleOutcome:
+        if not self._case.branches[branch_idx].closed:
+            raise ValueError(f"branch {branch_idx} is open")
+        if branch_idx in self._islands:
+            return OracleOutcome(branch=branch_idx, islanded=True, converged=False, detail="islands the network")
+        problem = self.problem(branch_idx)
+        try:
+            _, x, _ = _newton(problem, problem.initial_state(self._options), self._options)
+        except PowerFlowError as exc:
+            return OracleOutcome(branch=branch_idx, islanded=False, converged=False, detail=str(exc))
+        yb = problem.ybus
+        v = state_to_complex(x, problem.n)
+        v_from = v[yb.from_idx]
+        i_from = yb.yff * v_from + yb.yft * v[yb.to_idx]
+        return OracleOutcome(
+            branch=branch_idx,
+            islanded=False,
+            converged=True,
+            delta_vmag=np.abs(v) - self._v_mag,
+            delta_imag=np.abs(i_from) - self._i_mag,
+            delta_p=(v_from * np.conj(i_from)).real - self._p_from,
+        )
+
+
 def oracle_outage(
     case: GridCase,
     branch_idx: int,
@@ -142,55 +210,17 @@ def oracle_outage(
 ) -> OracleOutcome:
     """Ground-truth outage impact by a warm-started nonlinear re-solve.
 
-    Non-convergence is reported as an outcome, not raised: a contingency
-    whose post-outage power flow fails to solve is itself a finding.
+    The post-outage power flow of ``case`` with branch ``branch_idx`` open
+    is solved by Newton iteration from ``base.state``; the deltas are
+    post-outage minus ``base`` values.  The outcome equals the one from
+    ``solve_ac_powerflow(case.with_branch_open(branch_idx), ...)`` bit for
+    bit.  ``options`` defaults to the base tolerance and Q-limit settings
+    with twice the iteration budget.  Non-convergence is reported as an
+    outcome, not raised: a contingency whose post-outage power flow fails to
+    solve is itself a finding.  Raises ``ValueError`` for an open branch.
     """
-    if not case.branches[branch_idx].closed:
-        raise ValueError(f"branch {branch_idx} is open")
-    if not is_connected(case, skip_branch=branch_idx):
-        return OracleOutcome(branch=branch_idx, islanded=True, converged=False, detail="islands the network")
-
-    if options is None:
-        options = PowerFlowOptions(
-            tol=base.options.tol,
-            max_iter=2 * base.options.max_iter,
-            enforce_q_limits=base.options.enforce_q_limits,
-            q_limit_rounds=base.options.q_limit_rounds,
-        )
-    post_case = case.with_branch_open(branch_idx)
-    try:
-        post = solve_ac_powerflow(
-            post_case,
-            PowerFlowOptions(
-                tol=options.tol,
-                max_iter=options.max_iter,
-                start="state",
-                initial_state=base.state,
-                enforce_q_limits=options.enforce_q_limits,
-                q_limit_rounds=options.q_limit_rounds,
-            ),
-        )
-    except PowerFlowError as exc:
-        return OracleOutcome(branch=branch_idx, islanded=False, converged=False, detail=str(exc))
-
-    base_flows = branch_power_flows(base)
-    post_flows = branch_power_flows(post)
-    base_imag = _from_side_current_magnitudes(base)
-    post_imag = _from_side_current_magnitudes(post)
-    return OracleOutcome(
-        branch=branch_idx,
-        islanded=False,
-        converged=True,
-        delta_vmag=post.v_mag - base.v_mag,
-        delta_imag=post_imag - base_imag,
-        delta_p=post_flows.p_from - base_flows.p_from,
-    )
-
-
-def _from_side_current_magnitudes(sol: PowerFlowSolution) -> np.ndarray:
-    yb = sol.ybus
-    v = sol.v_complex
-    return np.abs(yb.yff * v[yb.from_idx] + yb.yft * v[yb.to_idx])
+    islands = set() if is_connected(case, skip_branch=branch_idx) else {branch_idx}
+    return _Oracle(case, base, islands, options).outcome(branch_idx)
 
 
 # -- screening ---------------------------------------------------------------------
@@ -222,6 +252,9 @@ class ComparisonSummary:
     max_abs_error: float | None
     mean_abs_error: float | None
     insufficient: bool
+    # non-islanding outages whose oracle solve did not converge; they are
+    # left out of every other field
+    n_diverged: int = 0
 
 
 @dataclass
@@ -303,7 +336,11 @@ def screen(
     :func:`evaluate_outage` for the same outage.  With ``with_oracle`` every
     outage is additionally re-solved nonlinearly, one outage after another,
     and the report carries per-entry oracle severities plus a rank-agreement
-    summary.
+    summary whose ``n_diverged`` counts the non-islanding outages whose
+    re-solve did not converge.  The re-solves validate the case and build
+    its admittance matrix and Newton layout once; each outage zeroes its
+    branch stamp in a copy of that matrix and reuses the layout and the
+    bridge set, and gives the :func:`oracle_outage` result bit for bit.
     """
     if metric not in SEVERITY_METRICS:
         raise ValueError(f"unknown severity metric {metric!r}; choose from {SEVERITY_METRICS}")
@@ -337,8 +374,11 @@ def screen(
         entries.append(entry)
 
     if with_oracle:
+        # in a connected case exactly the bridges island it; in a disconnected one, every outage
+        islands = bridges if is_connected(case) else set(range(case.n_branch))
+        oracle = _Oracle(case, sol, islands, oracle_options)
         for entry in entries:
-            o = oracle_outage(case, entry.branch, sol, oracle_options)
+            o = oracle.outcome(entry.branch)
             entry.oracle_islanded = o.islanded
             entry.oracle_converged = o.converged
             if o.islanded:
@@ -365,6 +405,9 @@ def screen(
             if e.oracle_severity is not None and not e.islanding and e.oracle_converged
         }
         comparison = compare_severities(predicted, reference)
+        comparison.n_diverged = sum(
+            1 for e in entries if e.oracle_converged is False and not e.oracle_islanded
+        )
 
     return ScreeningReport(
         case_name=case.name,

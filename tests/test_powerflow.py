@@ -1,15 +1,20 @@
 """Newton solver, linear model extraction and branch quantity tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridscreen.case_io import Bus, BusKind, GridCase
+from gridscreen.case_io import Bus, BusKind, Generator, GridCase, _without_branch, build_ybus
 from gridscreen.errors import DivergenceError, PowerFlowError, SingularSystemError
 from gridscreen.powerflow import (
     PowerFlowOptions,
+    _CscPattern,
+    _NewtonProblem,
     branch_power_flows,
     branch_terminal_currents,
     complex_to_state,
@@ -21,7 +26,7 @@ from gridscreen.powerflow import (
 )
 
 import reference
-from gridbuild import parallel_pair, pv_case, radial_chain, ring5, triangle, two_bus
+from gridbuild import parallel_pair, pv_case, radial_chain, random_meshed, ring5, triangle, two_bus
 
 # solved IEEE 14-bus voltages as published with the case
 CASE14_VMAG = [
@@ -301,3 +306,76 @@ def test_radial_chain_voltage_drop_monotone():
     sol = solve_ac_powerflow(radial_chain(n=5, p=0.1))
     vmag = sol.v_mag
     assert np.all(np.diff(vmag) < 0)
+
+
+# -- the fixed-pattern Jacobian ----------------------------------------------------
+
+
+def _with_devices(case: GridCase, rng: np.random.Generator) -> GridCase:
+    """``case`` with constant-power loads on its PQ buses and generators on about a third of them."""
+    buses, gens = [], []
+    for bus in case.buses:
+        if bus.kind == BusKind.SLACK:
+            buses.append(bus)
+            gens.append(Generator(bus.id, p_set=0.0, v_set=1.02))
+            continue
+        bus = replace(bus, p_load=float(rng.uniform(0.0, 0.3)), q_load=float(rng.uniform(-0.05, 0.1)))
+        if rng.random() < 0.35:
+            bus = replace(bus, kind=BusKind.PV)
+            p_set, v_set = float(rng.uniform(0.0, 0.4)), float(rng.uniform(0.97, 1.05))
+            gens.append(Generator(bus.id, p_set=p_set, v_set=v_set))
+        buses.append(bus)
+    return GridCase(case.name, case.base_mva, tuple(buses), case.branches, tuple(gens))
+
+
+def _bits(matrix: sp.csc_matrix) -> tuple[bytes, bytes, bytes]:
+    return (
+        matrix.indptr.astype(np.int64).tobytes(),
+        matrix.indices.astype(np.int64).tobytes(),
+        matrix.data.tobytes(),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(1, 16),
+    n_chords=st.integers(0, 6),
+    n_parallel=st.integers(0, 3),
+    n_spurs=st.integers(0, 6),
+    n_open=st.integers(0, 2),
+    pin_share=st.sampled_from([0.0, 0.5]),
+)
+def test_fixed_pattern_jacobian_equals_coo_assembly(
+    seed, n_core, n_chords, n_parallel, n_spurs, n_open, pin_share
+):
+    """The scatter into the precomputed pattern equals ``coo_matrix(...).tocsc()`` bit for bit.
+
+    Random networks carry parallel circuits, off-nominal taps and open
+    branches (explicit zeros in the admittance matrix); some PV buses are
+    pinned at a reactive injection; states are perturbed away from flat.
+    The layout reused over a post-outage admittance matrix is checked too.
+    """
+    rng = np.random.default_rng(seed)
+    case = _with_devices(random_meshed(seed, n_core, n_chords, n_parallel, n_spurs, n_open), rng)
+    ybus = build_ybus(case)
+    pv = [k for k, bus in enumerate(case.buses) if bus.kind == BusKind.PV]
+    q_pinned = {k: float(rng.uniform(-0.2, 0.2)) for k in pv if rng.random() < pin_share}
+    problem = _NewtonProblem(case, ybus, q_pinned)
+    closed = [k for k, br in enumerate(case.branches) if br.closed]
+    problems = [problem]
+    if closed:
+        problems.append(problem.with_ybus(_without_branch(ybus, closed[int(rng.integers(len(closed)))])))
+    rows, cols = problem._entry_positions()
+    for p in problems:
+        for _ in range(2):
+            x = p.initial_state(PowerFlowOptions())
+            x[: 2 * case.n] += rng.normal(scale=0.05, size=2 * case.n)
+            x[2 * case.n :] += rng.normal(scale=0.1, size=len(p.pv))
+            expected = sp.coo_matrix((p._entries(x), (rows, cols)), shape=(p.size, p.size)).tocsc()
+            assert _bits(p.jacobian(x)) == _bits(expected)
+
+
+def test_fixed_pattern_rejects_three_entries_at_one_position():
+    with pytest.raises(ValueError, match="more than two"):
+        _CscPattern(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64), 1)

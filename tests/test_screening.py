@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from gridscreen.case_io import Branch, Bus, BusKind, GridCase
+from gridscreen.case_io import Branch, Bus, BusKind, GridCase, build_ybus
+from gridscreen.errors import PowerFlowError
 from gridscreen.powerflow import (
+    PowerFlowOptions,
     branch_power_flows,
     linearize_at_solution,
     solve_ac_powerflow,
     state_to_complex,
 )
 from gridscreen.screening import (
+    _Oracle,
     compare_severities,
     find_bridges,
     is_connected,
@@ -204,6 +207,8 @@ def test_screen_nonconverged_oracle_excluded_from_comparison():
     assert entry.oracle_severity is None
     assert report.comparison.insufficient
     assert report.comparison.n_compared < 3
+    # both circuits are non-bridges and neither carries the load alone
+    assert report.comparison.n_diverged == 2
 
 
 def test_compare_severities_identical_maps():
@@ -267,3 +272,71 @@ def test_screen_equals_evaluate_outage_with_open_branches(case14, mode):
     # branches 0 and 1 leave the slack bus; branch 2 is open
     case = case14.with_branch_open(2)
     _assert_screen_equals_evaluate_outage(case, solve_ac_powerflow(case), mode)
+
+
+# -- the oracle against a fresh re-solve --------------------------------------------
+
+
+def _open_and_double_circuit(case14: GridCase) -> GridCase:
+    """case14 with branch 2 open and a second circuit beside branch 5."""
+    branches = case14.with_branch_open(2).branches + (case14.branches[5],)
+    return GridCase("case14_open_double", case14.base_mva, case14.buses, branches, case14.generators)
+
+
+def _assert_oracle_equals_fresh_resolve(case, sol):
+    bridges = find_bridges(case)
+    oracle = _Oracle(case, sol, bridges)
+    options = PowerFlowOptions(
+        tol=sol.options.tol,
+        max_iter=2 * sol.options.max_iter,
+        start="state",
+        initial_state=sol.state,
+        enforce_q_limits=sol.options.enforce_q_limits,
+        q_limit_rounds=sol.options.q_limit_rounds,
+    )
+    base_flows = branch_power_flows(sol)
+
+    def from_current_magnitudes(s):
+        v = s.v_complex
+        return np.abs(s.ybus.yff * v[s.ybus.from_idx] + s.ybus.yft * v[s.ybus.to_idx])
+
+    base_i = from_current_magnitudes(sol)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    for k in outages:
+        post_case = case.with_branch_open(k)
+        expected = build_ybus(post_case).matrix
+        got = oracle.problem(k).ybus.matrix
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(expected, attr)), (k, attr)
+
+        outcome = oracle.outcome(k)
+        try:
+            post = solve_ac_powerflow(post_case, options)
+        except PowerFlowError as exc:
+            assert not outcome.converged and not outcome.islanded and outcome.detail == str(exc)
+            continue
+        assert outcome.converged and not outcome.islanded
+        assert np.array_equal(outcome.delta_vmag, post.v_mag - sol.v_mag), k
+        assert np.array_equal(outcome.delta_imag, from_current_magnitudes(post) - base_i), k
+        assert np.array_equal(outcome.delta_p, branch_power_flows(post).p_from - base_flows.p_from), k
+    return outages
+
+
+def test_oracle_equals_fresh_resolve_case14(case14, sol14):
+    assert len(_assert_oracle_equals_fresh_resolve(case14, sol14)) == 19
+
+
+def test_oracle_equals_fresh_resolve_case118(case118, sol118):
+    assert len(_assert_oracle_equals_fresh_resolve(case118, sol118)) == 177
+
+
+def test_oracle_equals_fresh_resolve_open_and_double_circuit(case14):
+    case = _open_and_double_circuit(case14)
+    assert len(_assert_oracle_equals_fresh_resolve(case, solve_ac_powerflow(case))) == 19
+
+
+def test_oracle_equals_fresh_resolve_with_q_limits(case118):
+    """Every post-outage solve starts unpinned, so its Q-limit rounds run in the shared driver."""
+    sol = solve_ac_powerflow(case118, PowerFlowOptions(enforce_q_limits=True))
+    assert sol.q_limited
+    _assert_oracle_equals_fresh_resolve(case118, sol)
