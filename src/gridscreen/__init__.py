@@ -63,9 +63,6 @@ from .sensitivity import (
     OutageTransferMatrix,
     branch_current_jacobian,
     circuit_lodf,
-    delta_current_magnitude,
-    delta_line_power,
-    delta_voltage_magnitude,
     evaluate_outage,
     injection_sensitivity,
     outage_transfer_matrix,
@@ -116,9 +113,6 @@ __all__ = [
     "compare_severities",
     "dc_lodf",
     "dc_ptdf",
-    "delta_current_magnitude",
-    "delta_line_power",
-    "delta_voltage_magnitude",
     "evaluate_outage",
     "find_bridges",
     "injection_sensitivity",

@@ -69,10 +69,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise CaseError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _powerflow_options(args) -> PowerFlowOptions:
     return PowerFlowOptions(
         tol=args.tol,
-        max_iter=args.max_iter,
+        max_iter=_at_least_one("--max-iter", args.max_iter),
         start="file" if args.warm else "flat",
         enforce_q_limits=args.q_limits,
     )
@@ -368,6 +374,7 @@ def _report_json(report) -> dict:
 
 
 def _cmd_screen(args) -> int:
+    top_k = _at_least_one("--top", args.top)
     case = load_case(args.case)
     sol = solve_ac_powerflow(case, _powerflow_options(args))
     report = screen(
@@ -375,7 +382,7 @@ def _cmd_screen(args) -> int:
         sol,
         metric=args.metric,
         mode=args.mode,
-        top_k=args.top,
+        top_k=top_k,
         with_oracle=args.with_oracle,
     )
 

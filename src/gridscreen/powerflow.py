@@ -464,9 +464,10 @@ def _solve_round(problem: _NewtonProblem, x: np.ndarray, options: PowerFlowOptio
         else:
             growth = 0
         mismatch_prev = mismatch
+    # f is the residual at the last iterate, the starting one when max_iter is 0
     raise PowerFlowError(
         f"power flow did not converge within {options.max_iter} iterations "
-        f"(final mismatch {mismatch:.3e})"
+        f"(final mismatch {float(np.max(np.abs(f))):.3e})"
     )
 
 

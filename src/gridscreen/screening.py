@@ -9,7 +9,7 @@ flow per outage to measure how faithful the ranking is.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import spearmanr
@@ -149,21 +149,15 @@ class _Oracle:
     network; they are reported without a solve.
     """
 
-    def __init__(
-        self,
-        case: GridCase,
-        base: PowerFlowSolution,
-        islands: set[int],
-        options: PowerFlowOptions | None = None,
-    ):
-        if options is None:
-            options = PowerFlowOptions(
-                tol=base.options.tol,
-                max_iter=2 * base.options.max_iter,
-                enforce_q_limits=base.options.enforce_q_limits,
-                q_limit_rounds=base.options.q_limit_rounds,
-            )
-        self._options = replace(options, start="state", initial_state=base.state)
+    def __init__(self, case: GridCase, base: PowerFlowSolution, islands: set[int]):
+        self._options = PowerFlowOptions(
+            tol=base.options.tol,
+            max_iter=2 * base.options.max_iter,
+            start="state",
+            initial_state=base.state,
+            enforce_q_limits=base.options.enforce_q_limits,
+            q_limit_rounds=base.options.q_limit_rounds,
+        )
         case.validate()
         self._case = case
         self._islands = islands
@@ -202,25 +196,20 @@ class _Oracle:
         )
 
 
-def oracle_outage(
-    case: GridCase,
-    branch_idx: int,
-    base: PowerFlowSolution,
-    options: PowerFlowOptions | None = None,
-) -> OracleOutcome:
+def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> OracleOutcome:
     """Ground-truth outage impact by a warm-started nonlinear re-solve.
 
     The post-outage power flow of ``case`` with branch ``branch_idx`` open
     is solved by Newton iteration from ``base.state``; the deltas are
     post-outage minus ``base`` values.  The outcome equals the one from
     ``solve_ac_powerflow(case.with_branch_open(branch_idx), ...)`` bit for
-    bit.  ``options`` defaults to the base tolerance and Q-limit settings
-    with twice the iteration budget.  Non-convergence is reported as an
-    outcome, not raised: a contingency whose post-outage power flow fails to
-    solve is itself a finding.  Raises ``ValueError`` for an open branch.
+    bit.  The solve uses the base tolerance and Q-limit settings with twice
+    the iteration budget.  Non-convergence is reported as an outcome, not
+    raised: a contingency whose post-outage power flow fails to solve is
+    itself a finding.  Raises ``ValueError`` for an open branch.
     """
     islands = set() if is_connected(case, skip_branch=branch_idx) else {branch_idx}
-    return _Oracle(case, base, islands, options).outcome(branch_idx)
+    return _Oracle(case, base, islands).outcome(branch_idx)
 
 
 # -- screening ---------------------------------------------------------------------
@@ -326,7 +315,6 @@ def screen(
     mode: str = "full",
     top_k: int = 5,
     with_oracle: bool = False,
-    oracle_options: PowerFlowOptions | None = None,
 ) -> ScreeningReport:
     """Rank all single closed-branch outages of ``case`` by predicted severity.
 
@@ -341,6 +329,8 @@ def screen(
     its admittance matrix and Newton layout once; each outage zeroes its
     branch stamp in a copy of that matrix and reuses the layout and the
     bridge set, and gives the :func:`oracle_outage` result bit for bit.
+    They use the tolerance and Q-limit settings of ``sol`` with twice its
+    iteration budget.
     """
     if metric not in SEVERITY_METRICS:
         raise ValueError(f"unknown severity metric {metric!r}; choose from {SEVERITY_METRICS}")
@@ -376,7 +366,7 @@ def screen(
     if with_oracle:
         # in a connected case exactly the bridges island it; in a disconnected one, every outage
         islands = bridges if is_connected(case) else set(range(case.n_branch))
-        oracle = _Oracle(case, sol, islands, oracle_options)
+        oracle = _Oracle(case, sol, islands)
         for entry in entries:
             o = oracle.outcome(entry.branch)
             entry.oracle_islanded = o.islanded
@@ -394,20 +384,20 @@ def screen(
 
     comparison = None
     if with_oracle:
-        predicted = {
-            e.branch: e.severity
-            for e in entries
-            if not e.islanding and e.oracle_converged and not e.oracle_islanded
-        }
-        reference = {
-            e.branch: e.oracle_severity
-            for e in entries
-            if e.oracle_severity is not None and not e.islanding and e.oracle_converged
-        }
+        # a converged oracle outcome is never islanded and has a severity
+        predicted: dict[int, float] = {}
+        reference: dict[int, float] = {}
+        n_diverged = 0
+        for e in entries:
+            if e.oracle_islanded:
+                continue
+            if not e.oracle_converged:
+                n_diverged += 1
+            elif not e.islanding:
+                predicted[e.branch] = e.severity
+                reference[e.branch] = e.oracle_severity
         comparison = compare_severities(predicted, reference)
-        comparison.n_diverged = sum(
-            1 for e in entries if e.oracle_converged is False and not e.oracle_islanded
-        )
+        comparison.n_diverged = n_diverged
 
     return ScreeningReport(
         case_name=case.name,

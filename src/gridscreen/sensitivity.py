@@ -27,12 +27,10 @@ import numpy as np
 from .case_io import GridCase, branch_admittances, build_ybus
 from .errors import IslandingError, SingularSystemError
 from .powerflow import (
-    _CURRENT_FLOOR,
     BranchTerminalCurrents,
     LinearizedSystem,
     PowerFlowSolution,
     _network_system,
-    branch_terminal_currents,
     state_to_complex,
 )
 
@@ -48,9 +46,6 @@ __all__ = [
     "branch_current_jacobian",
     "outage_transfer_matrix",
     "solve_outage_injection",
-    "delta_voltage_magnitude",
-    "delta_current_magnitude",
-    "delta_line_power",
     "evaluate_outage",
     "circuit_lodf",
     "severity_from_deltas",
@@ -228,72 +223,6 @@ def solve_outage_injection(
     return np.linalg.solve(tm.t, pre)
 
 
-# -- chain-rule monitors --------------------------------------------------------
-
-
-def delta_voltage_magnitude(dv_state: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-bus first-order change of |V| for a voltage state change (or rows of them)."""
-    return _vmag_change(state_to_complex(dv_state), v, np.abs(v))
-
-
-def _vmag_change(dv: np.ndarray, v: np.ndarray, vmag: np.ndarray) -> np.ndarray:
-    if (vmag < 1e-12).any():
-        raise ValueError("voltage magnitude is zero at some bus; |V| is not differentiable")
-    return (v.real * dv.real + v.imag * dv.imag) / vmag
-
-
-def _side_slice(side: str) -> slice:
-    if side == "from":
-        return slice(0, 2)
-    if side == "to":
-        return slice(2, 4)
-    raise ValueError(f"side must be 'from' or 'to', got {side!r}")
-
-
-def delta_current_magnitude(
-    dv_state: np.ndarray,
-    sol: PowerFlowSolution,
-    branch_idx: int,
-    side: str = "from",
-) -> tuple[float, bool]:
-    """First-order change of a branch's terminal current magnitude.
-
-    Returns ``(delta, used_fallback)``.  When the branch carries (almost) no
-    current the directional derivative of the magnitude is undefined; the
-    Euclidean norm of the current change is returned instead and the flag
-    set.
-    """
-    jac = branch_current_jacobian(sol.case, branch_idx)
-    di4 = jac.apply_state(dv_state)
-    s = _side_slice(side)
-    di = di4[s]
-    pre = branch_terminal_currents(sol, branch_idx)
-    i0 = pre.vector[s]
-    mag = float(np.hypot(i0[0], i0[1]))
-    if mag < _CURRENT_FLOOR:
-        return float(np.hypot(di[0], di[1])), True
-    return float((i0 @ di) / mag), False
-
-
-def delta_line_power(
-    dv_state: np.ndarray,
-    sol: PowerFlowSolution,
-    branch_idx: int,
-    side: str = "from",
-) -> float:
-    """First-order change of a branch's terminal active power by the product rule."""
-    jac = branch_current_jacobian(sol.case, branch_idx)
-    di4 = jac.apply_state(dv_state)
-    s = _side_slice(side)
-    di = di4[s][0] + 1j * di4[s][1]
-    pre = branch_terminal_currents(sol, branch_idx)
-    i0 = pre.i_from if side == "from" else pre.i_to
-    k = jac.rows[s][0] // 2
-    v0 = sol.v_complex[k]
-    dv = dv_state[jac.rows[s][0]] + 1j * dv_state[jac.rows[s][1]]
-    return float((dv * np.conj(i0)).real + (v0 * np.conj(di)).real)
-
-
 # -- the outage engine -------------------------------------------------------------
 
 
@@ -362,6 +291,45 @@ class _ImpactChunk:
         return severity_from_deltas(metric, *deltas, int(self.outages[i]), closed)
 
 
+def _monitors(
+    sol: PowerFlowSolution,
+    delta_state: np.ndarray,
+    outages: np.ndarray,
+    quantities: tuple[str, ...],
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """Chain-rule changes of the monitors for rows of voltage state changes.
+
+    Row ``i`` of ``delta_state`` (c, 2n) is the voltage change of removing
+    branch ``outages[i]``.  Returns ``(delta_vmag, delta_imag, delta_p)``,
+    (c, n), (c, m) and (c, m), the branch ones on the from side; a quantity
+    not in ``quantities`` is None.  Each row's own outage column follows the
+    removed-branch convention: its current change is the negated pre-outage
+    current.  A closed branch that carries (almost) no current has no
+    directional derivative of |I|; its |I| change is the magnitude of its
+    current change instead.  Open branches read 0.
+    """
+    base = sol._baseline
+    yb = sol.ybus
+    dvc = state_to_complex(delta_state)
+    delta_vmag = delta_imag = delta_p = None
+    if "vmag" in quantities:
+        if (base.v_mag < 1e-12).any():
+            raise ValueError("voltage magnitude is zero at some bus; |V| is not differentiable")
+        delta_vmag = (base.v.real * dvc.real + base.v.imag * dvc.imag) / base.v_mag
+    if "imag" in quantities or "pline" in quantities:
+        dv_from = dvc[:, yb.from_idx]
+        di_from = yb.yff * dv_from + yb.yft * dvc[:, yb.to_idx]
+        di_from[np.arange(len(outages)), outages] = -base.i_from[outages]
+        if "imag" in quantities:
+            aligned = (base.i_from.real * di_from.real + base.i_from.imag * di_from.imag) / base.safe_mag
+            delta_imag = np.where(base.tiny, np.abs(di_from), aligned)
+            delta_imag[:, base.opened] = 0.0
+        if "pline" in quantities:
+            delta_p = (dv_from * base.i_from_conj).real + (base.v_from * np.conj(di_from)).real
+            delta_p[:, base.opened] = 0.0
+    return delta_vmag, delta_imag, delta_p
+
+
 def _impact_chunks(
     sol: PowerFlowSolution,
     lin: LinearizedSystem,
@@ -375,7 +343,6 @@ def _impact_chunks(
     identity for that solve and their rows set to NaN.
     """
     base = sol._baseline
-    yb = sol.ybus
     n2 = 2 * sol.n
     for idx, resp, cols, t, cond in _transfer_chunks(lin, sol.case, outages):
         singular = _singular(cond)
@@ -387,23 +354,7 @@ def _impact_chunks(
         if masked:
             injection[singular] = np.nan
         delta_state = np.array([resp[:n2, c] @ x for c, x in zip(cols, injection)])
-
-        dvc = state_to_complex(delta_state)
-        delta_vmag = _vmag_change(dvc, base.v, base.v_mag) if "vmag" in quantities else None
-        delta_imag = delta_p = None
-        if "imag" in quantities or "pline" in quantities:
-            dv_from = dvc[:, yb.from_idx]
-            di_from = yb.yff * dv_from + yb.yft * dvc[:, yb.to_idx]
-            # removed-branch convention for the outaged line itself
-            di_from[np.arange(len(idx)), idx] = -base.i_from[idx]
-            if "imag" in quantities:
-                aligned = (base.i_from.real * di_from.real + base.i_from.imag * di_from.imag) / base.safe_mag
-                delta_imag = np.where(base.tiny, np.abs(di_from), aligned)
-                delta_imag[:, base.opened] = 0.0
-            if "pline" in quantities:
-                delta_p = (dv_from * base.i_from_conj).real + (base.v_from * np.conj(di_from)).real
-                delta_p[:, base.opened] = 0.0
-
+        delta_vmag, delta_imag, delta_p = _monitors(sol, delta_state, idx, quantities)
         yield _ImpactChunk(
             outages=idx,
             cond=cond,

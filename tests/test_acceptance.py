@@ -26,10 +26,8 @@ from gridscreen.powerflow import (
 )
 from gridscreen.screening import find_bridges, is_connected, screen
 from gridscreen.sensitivity import (
+    _monitors,
     branch_current_jacobian,
-    delta_current_magnitude,
-    delta_line_power,
-    delta_voltage_magnitude,
     evaluate_outage,
     injection_sensitivity,
     outage_transfer_matrix,
@@ -113,20 +111,29 @@ def test_c2_injection_consistency(case14, sol14, lin14):
 
 
 def test_c3_gradient_suite(case14, sol14):
-    """Chain-rule impact factors match central finite differences."""
+    """Chain-rule impact factors of the screen's monitor stage match central finite differences."""
     rng = np.random.default_rng(20260819)
     v = sol14.v_complex
     n2 = 2 * case14.n
     closed = closed_branches(case14)
     h = 1e-6
 
+    directions = []
+    for _ in range(100):
+        d = rng.standard_normal(n2)
+        directions.append(d / np.linalg.norm(d))
+    directions = np.array(directions)
+    monitored = [closed[k % len(closed)] for k in range(100)]
+    # each row removes a branch other than the one it monitors, as every
+    # branch severity reads the other branches of an outage's row
+    outages = np.array([closed[(k + 1) % len(closed)] for k in range(100)])
+    dvmag, dimag, dp = _monitors(sol14, directions, outages, ("vmag", "imag", "pline"))
+    assert not sol14._baseline.tiny[monitored].any()
+
     worst_linear = 0.0  # branch terminal currents, an exactly linear map
     worst_chain = 0.0  # |V|, |I|, P monitors
-    for k in range(100):
-        d = rng.standard_normal(n2)
-        d /= np.linalg.norm(d)
+    for k, (d, branch) in enumerate(zip(directions, monitored)):
         dc = d[0::2] + 1j * d[1::2]
-        branch = closed[k % len(closed)]
 
         jac = branch_current_jacobian(case14, branch)
         fd_i = (
@@ -138,8 +145,7 @@ def test_c3_gradient_suite(case14, sol14):
         worst_linear = max(worst_linear, float(rel))
 
         fd_vmag = (np.abs(v + h * dc) - np.abs(v - h * dc)) / (2 * h)
-        pred_vmag = delta_voltage_magnitude(d, v)
-        rel = np.max(np.abs(fd_vmag - pred_vmag)) / max(np.max(np.abs(fd_vmag)), 1e-9)
+        rel = np.max(np.abs(fd_vmag - dvmag[k])) / max(np.max(np.abs(fd_vmag)), 1e-9)
         worst_chain = max(worst_chain, float(rel))
 
         def imag_at(vv):
@@ -147,17 +153,14 @@ def test_c3_gradient_suite(case14, sol14):
             return abs(complex(ifr, ifi))
 
         fd_imag = (imag_at(v + h * dc) - imag_at(v - h * dc)) / (2 * h)
-        pred_imag, fallback = delta_current_magnitude(d, sol14, branch, side="from")
-        assert not fallback
-        rel = abs(fd_imag - pred_imag) / max(abs(fd_imag), 1e-9)
+        rel = abs(fd_imag - dimag[k, branch]) / max(abs(fd_imag), 1e-9)
         worst_chain = max(worst_chain, float(rel))
 
         fd_p = (
             from_side_power(case14, v + h * dc, branch)
             - from_side_power(case14, v - h * dc, branch)
         ) / (2 * h)
-        pred_p = delta_line_power(d, sol14, branch, side="from")
-        rel = abs(fd_p - pred_p) / max(abs(fd_p), 1e-9)
+        rel = abs(fd_p - dp[k, branch]) / max(abs(fd_p), 1e-9)
         worst_chain = max(worst_chain, float(rel))
 
     ok = worst_linear < 1e-8 and worst_chain < 1e-6

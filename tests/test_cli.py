@@ -223,6 +223,20 @@ def test_screen_summary_file(tmp_path, capsys):
     assert len(doc["entries"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", CASE14, "--max-iter", "0"), ("screen", CASE14, "--top", "-2", "--summary", "{summary}")],
+    ids=["max-iter", "top"],
+)
+def test_counts_below_one_rejected(tmp_path, capsys, argv):
+    summary = tmp_path / "summary.json"
+    code, out, err = run(capsys, *(a.format(summary=summary) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {argv[2]} must be at least 1, got {argv[3]}\n"
+    assert not summary.exists()
+
+
 def test_screen_with_oracle_json(capsys):
     code, out, _ = run(capsys, "screen", CASE14, "--with-oracle", "--json")
     assert code == 0

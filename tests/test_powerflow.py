@@ -143,6 +143,13 @@ def test_iteration_budget_exhaustion_raises(case14):
         solve_ac_powerflow(case14, PowerFlowOptions(max_iter=2))
 
 
+def test_zero_iteration_budget_reports_starting_mismatch(case14):
+    problem = _NewtonProblem(case14, build_ybus(case14))
+    start = float(np.max(np.abs(problem.residual(problem.initial_state(PowerFlowOptions())))))
+    with pytest.raises(PowerFlowError, match=f"within 0 iterations \\(final mismatch {start:.3e}\\)"):
+        solve_ac_powerflow(case14, PowerFlowOptions(max_iter=0))
+
+
 def test_infeasible_loading_diverges():
     # far beyond the loadability limit of the corridor
     with pytest.raises(DivergenceError):

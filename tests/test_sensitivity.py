@@ -1,5 +1,7 @@
 """Outage sensitivity machinery tests: injections, transfer matrices, monitors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,11 @@ from gridscreen.sensitivity import (
     _CHUNK,
     COND_LIMIT,
     _impact_chunks,
+    _monitors,
     _terminal_solve,
     _transfer_chunks,
     branch_current_jacobian,
     circuit_lodf,
-    delta_current_magnitude,
-    delta_line_power,
-    delta_voltage_magnitude,
     evaluate_outage,
     injection_sensitivity,
     outage_transfer_matrix,
@@ -179,8 +179,52 @@ def test_bridge_outage_raises_islanding(mode):
         evaluate_outage(sol, lin, RING5_BRIDGE)
 
 
+def phase_shifted_case14(case14):
+    """case14 with phase-shifting, off-nominal branches, so that yft != ytf."""
+    shifted = {2: (1.03, -0.04), 7: (0.978, 0.05), 8: (0.969, -0.03), 9: (0.932, 0.06), 16: (1.02, 0.04)}
+    branches = tuple(
+        replace(br, tap=shifted[k][0], shift=shifted[k][1]) if k in shifted else br
+        for k, br in enumerate(case14.branches)
+    )
+    return replace(case14, name="case14_shifted", branches=branches)
+
+
+@pytest.mark.parametrize("variant", ["case14", "phase_shifted"])
+def test_monitors_match_fd(case14, variant):
+    """The engine's monitor stage matches central differences of |V|, |I| and P."""
+    case = case14 if variant == "case14" else phase_shifted_case14(case14)
+    sol = solve_ac_powerflow(case)
+    closed = [k for k, br in enumerate(case.branches) if br.closed]
+    rng = np.random.default_rng(37)
+    d = rng.normal(size=2 * case.n)
+    # two rows of the same direction, removing different branches, so that
+    # every branch can be read from a row whose outage is another branch
+    outages = np.array(closed[:2])
+    dvmag, dimag, dp = _monitors(sol, np.stack([d, d]), outages, ("vmag", "imag", "pline"))
+    assert not sol._baseline.tiny.any()
+
+    def vmag(x):
+        return np.abs(state_to_complex(x))
+
+    fd = reference.directional_derivative(vmag, sol.state, d)
+    assert np.allclose(dvmag, fd, rtol=0.0, atol=1e-7)
+    for k in closed:
+        row = 1 if k == outages[0] else 0
+
+        def imag_of(x):
+            cur = reference.terminal_currents(case, state_to_complex(x), k)
+            return float(np.hypot(cur[0], cur[1]))
+
+        def pline(x):
+            return reference.from_side_power(case, state_to_complex(x), k)
+
+        fd_imag = reference.directional_derivative(imag_of, sol.state, d)
+        fd_p = reference.directional_derivative(pline, sol.state, d)
+        assert dimag[row, k] == pytest.approx(float(fd_imag), rel=1e-6, abs=1e-7)
+        assert dp[row, k] == pytest.approx(float(fd_p), rel=1e-6, abs=1e-7)
+
+
 def test_delta_voltage_magnitude_matches_fd(sol14):
-    v = sol14.v_complex
     rng = np.random.default_rng(5)
     d = rng.normal(size=2 * sol14.n)
 
@@ -188,16 +232,12 @@ def test_delta_voltage_magnitude_matches_fd(sol14):
         return np.abs(state_to_complex(x))
 
     fd = reference.directional_derivative(vmag, sol14.state, d)
-    assert np.allclose(delta_voltage_magnitude(d, v), fd, atol=1e-7)
+    dvmag, _, _ = _monitors(sol14, d[None, :], np.array([0]), ("vmag",))
+    assert np.allclose(dvmag[0], fd, atol=1e-7)
 
 
-def test_delta_voltage_magnitude_rejects_zero_voltage():
-    v = np.array([1.0 + 0j, 0.0 + 0j])
-    with pytest.raises(ValueError, match="zero"):
-        delta_voltage_magnitude(np.zeros(4), v)
-
-
-@pytest.mark.parametrize("side", ["from", "to"])
+# the monitor stage reads branch currents on the from side only
+@pytest.mark.parametrize("side", ["from"])
 def test_delta_current_magnitude_matches_fd(sol14, side):
     case = sol14.case
     rng = np.random.default_rng(29)
@@ -205,28 +245,12 @@ def test_delta_current_magnitude_matches_fd(sol14, side):
 
     def imag_of(x):
         cur = reference.terminal_currents(case, state_to_complex(x), 7)
-        pair = cur[0:2] if side == "from" else cur[2:4]
-        return float(np.hypot(pair[0], pair[1]))
+        return float(np.hypot(cur[0], cur[1]))
 
     fd = reference.directional_derivative(imag_of, sol14.state, d)
-    got, fallback = delta_current_magnitude(d, sol14, 7, side=side)
-    assert not fallback
-    assert got == pytest.approx(float(fd), abs=1e-7)
-
-
-def test_delta_current_magnitude_fallback_on_dead_branch():
-    case = parallel_pair(i_load=0j)
-    sol = solve_ac_powerflow(case)
-    d = np.zeros(2 * case.n)
-    d[2] = 1e-3  # push the load bus voltage
-    got, fallback = delta_current_magnitude(d, sol, 0)
-    assert fallback
-    assert got > 0.0
-
-
-def test_delta_current_magnitude_rejects_bad_side(sol14):
-    with pytest.raises(ValueError, match="side"):
-        delta_current_magnitude(np.zeros(2 * sol14.n), sol14, 0, side="both")
+    _, dimag, _ = _monitors(sol14, d[None, :], np.array([0]), ("imag",))
+    assert not sol14._baseline.tiny[7]
+    assert dimag[0, 7] == pytest.approx(float(fd), abs=1e-7)
 
 
 def test_delta_line_power_matches_fd(sol14):
@@ -238,8 +262,29 @@ def test_delta_line_power_matches_fd(sol14):
         return reference.from_side_power(case, state_to_complex(x), 3)
 
     fd = reference.directional_derivative(pline, sol14.state, d)
-    got = delta_line_power(d, sol14, 3, side="from")
-    assert got == pytest.approx(float(fd), abs=1e-7)
+    _, _, dp = _monitors(sol14, d[None, :], np.array([0]), ("pline",))
+    assert dp[0, 3] == pytest.approx(float(fd), abs=1e-7)
+
+
+def test_monitors_imag_fallback_on_dead_branch():
+    """A branch without current reads the magnitude of its current change."""
+    case = parallel_pair(i_load=0j)
+    sol = solve_ac_powerflow(case)
+    assert sol._baseline.tiny[0]
+    d = np.zeros(2 * case.n)
+    d[2] = 1e-3  # push the load bus voltage
+    _, dimag, _ = _monitors(sol, d[None, :], np.array([1]), ("imag",))
+    di = branch_current_jacobian(case, 0).apply_state(d)
+    assert dimag[0, 0] > 0.0
+    assert dimag[0, 0] == pytest.approx(float(np.hypot(di[0], di[1])), rel=1e-12)
+
+
+def test_monitors_reject_zero_voltage(sol14):
+    state = sol14.state.copy()
+    state[6:8] = 0.0  # bus 4 at zero voltage
+    sol = replace(sol14, state=state)
+    with pytest.raises(ValueError, match="zero"):
+        _monitors(sol, np.zeros((1, 2 * sol.n)), np.array([0]), ("vmag",))
 
 
 def test_removed_branch_conventions(sol14, lin14):
