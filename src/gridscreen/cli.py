@@ -369,6 +369,7 @@ def _report_json(report) -> dict:
             "max_abs_error": _round12(c.max_abs_error) if c.max_abs_error is not None else None,
             "mean_abs_error": _round12(c.mean_abs_error) if c.mean_abs_error is not None else None,
             "insufficient": c.insufficient,
+            "n_diverged": c.n_diverged,
         }
     return doc
 

@@ -256,6 +256,11 @@ class _NewtonProblem:
             return x
         raise PowerFlowError(f"unknown start mode {options.start!r}")
 
+    def q_violations(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """PV buses whose reactive injection at state ``x`` is below / above its limits."""
+        q = x[2 * self.n :]
+        return q < self.pv_qmin - _Q_LIMIT_MARGIN, q > self.pv_qmax + _Q_LIMIT_MARGIN
+
     def _estimate_reactive(self, v: np.ndarray) -> np.ndarray:
         if len(self.pv) == 0:
             return np.zeros(0)
@@ -489,9 +494,7 @@ def _newton(
         total_iterations += iterations
         if len(problem.pv) == 0:
             break
-        q = x[2 * problem.n :]
-        low = q < problem.pv_qmin - _Q_LIMIT_MARGIN
-        high = q > problem.pv_qmax + _Q_LIMIT_MARGIN
+        low, high = problem.q_violations(x)
         if not (low.any() or high.any()):
             break
         if round_no >= rounds_allowed:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .case_io import GridCase, _without_branch, build_ybus
-from .errors import PowerFlowError
+from .errors import DivergenceError, PowerFlowError, SingularSystemError
 from .powerflow import (
     LinearizedSystem,
     PowerFlowOptions,
@@ -26,7 +26,13 @@ from .powerflow import (
     solve_ac_powerflow,
     state_to_complex,
 )
-from .sensitivity import SEVERITY_METRICS, _outage_severities, severity_from_deltas
+from .sensitivity import (
+    SEVERITY_METRICS,
+    _outage_severities,
+    _singular,
+    branch_current_jacobian,
+    severity_from_deltas,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -136,17 +142,35 @@ class OracleOutcome:
     detail: str = ""
 
 
-class _Oracle:
-    """Post-outage nonlinear re-solves of one case that share its base network.
+# a chord step must at least halve the mismatch; otherwise the outage is
+# re-solved by the full Newton path
+_CHORD_RATIO = 0.5
 
-    The case is validated and its admittance matrix and Newton layout are
-    built once.  Each outage then zeroes the branch stamp in a copy of the
-    admittance matrix, swaps it into the shared layout (the pattern, and so
-    the Jacobian pattern, stays the same) and runs the Newton driver from
-    the base state.  The result is bitwise the one of
+
+class _Oracle:
+    """Post-outage nonlinear re-solves of one case that share its base network and Jacobian.
+
+    The case is validated, and its admittance matrix, its Newton layout (no
+    Q pins) and the layout's Jacobian ``J0`` at the base state ``x0`` are
+    built and factorized once.  Removing branch ``k`` changes that Jacobian
+    only by the branch's 4x4 stamp ``B_k`` in its terminal rows (none in
+    the rows of a slack terminal, which hold the voltage pins), so the
+    post-outage Jacobian at ``x0`` is ``M_k = J0 - E_k B_k E_k^T``.  Its
+    inverse is the base LU with a rank-4 compensation (see :meth:`_inverse`).
+
+    Each outage runs the chord iteration ``x <- x - M_k^-1 F_k(x)`` from
+    ``x0`` on the true post-outage residual ``F_k`` until the mismatch is at
+    most ``tol``; the first step is the Newton step.  Where ``J0`` or
+    ``M_k`` is singular, a step does not halve the mismatch (a non-finite
+    one never does), a voltage collapses, the iteration budget runs out or,
+    with Q-limit enforcement, the result violates a reactive limit, the
+    outage is re-solved by ``_newton`` on its own admittance matrix
+    instead, exactly as
     ``solve_ac_powerflow(case.with_branch_open(k), ...)`` started from
-    ``base.state``.  ``islands`` holds the outages known to disconnect the
-    network; they are reported without a solve.
+    ``base.state``.  Either way the converged flag and the failure detail
+    are those of that re-solve, and a converged state has a post-outage
+    residual of at most ``tol``.  ``islands`` holds the outages known to
+    disconnect the network; they are reported without a solve.
     """
 
     def __init__(self, case: GridCase, base: PowerFlowSolution, islands: set[int]):
@@ -163,6 +187,11 @@ class _Oracle:
         self._islands = islands
         self._ybus = build_ybus(case)
         self._layout = _NewtonProblem(case, self._ybus)
+        self._x0 = self._layout.initial_state(self._options)
+        try:
+            self._lu = self._layout.factorize(self._x0)
+        except SingularSystemError:
+            self._lu = None  # every outage goes to the full Newton path (``_newton``)
         baseline = base._baseline
         self._v_mag = baseline.v_mag
         self._i_mag = np.abs(baseline.i_from)
@@ -172,20 +201,95 @@ class _Oracle:
         """The Newton system of the case with branch ``branch_idx`` open."""
         return self._layout.with_ybus(_without_branch(self._ybus, branch_idx))
 
+    def _stamp(self, branch_idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """Terminal state rows of the branch and its stamp ``B_k`` in the Jacobian at those rows."""
+        jac = branch_current_jacobian(self._case, branch_idx)
+        block = jac.block.copy()
+        block[jac.rows // 2 == self._layout.slack] = 0.0
+        return jac.rows, block
+
+    def _inverse(self, rows: np.ndarray, block: np.ndarray):
+        """``r -> M_k^-1 r`` for the stamp ``block`` at ``rows``; None where ``M_k`` is singular.
+
+        With ``W = J0^-1 E_k`` and the transfer matrix ``T_k = I - B_k W[rows]``,
+        ``M_k^-1 r = y + W T_k^-1 B_k y[rows]`` where ``y = J0^-1 r``.
+        """
+        e = np.zeros((self._layout.size, 4))
+        e[rows, np.arange(4)] = 1.0
+        w = self._lu.solve(e)
+        t = np.eye(4) - block @ w[rows]
+        if _singular(np.linalg.cond(t)):
+            return None
+        compensation = w @ np.linalg.solve(t, block)
+
+        def inverse(r: np.ndarray) -> np.ndarray:
+            y = self._lu.solve(r)
+            return y + compensation @ y[rows]
+
+        return inverse
+
+    def _chord(self, branch_idx: int) -> np.ndarray | None:
+        """Converged post-outage state by chord iteration; None where the full Newton path decides."""
+        if self._lu is None:
+            return None
+        rows, block = self._stamp(branch_idx)
+        inverse = self._inverse(rows, block)
+        if inverse is None:
+            return None
+        layout, options = self._layout, self._options
+
+        def residual(x: np.ndarray) -> np.ndarray:
+            f = layout.residual(x)
+            f[rows] -= block @ x[rows]  # less the removed branch's terminal currents
+            return f
+
+        x = self._x0
+        try:
+            f = residual(x)
+            mismatch = float(np.max(np.abs(f)))
+            for _ in range(options.max_iter):
+                x = x - inverse(f)
+                f = residual(x)
+                previous, mismatch = mismatch, float(np.max(np.abs(f)))
+                if mismatch <= options.tol:
+                    break
+                if not mismatch <= _CHORD_RATIO * previous:  # NaN fails too
+                    return None
+            else:
+                return None
+        except DivergenceError:  # a voltage collapsed
+            return None
+        if options.enforce_q_limits and any(v.any() for v in layout.q_violations(x)):
+            return None
+        return x
+
+    def solve(self, branch_idx: int) -> tuple[dict[int, float], np.ndarray]:
+        """Reactive pins and converged state of the post-outage power flow of a non-islanding outage.
+
+        The state belongs to the post-outage Newton system with those pins.
+        Raises :class:`PowerFlowError` where the full Newton path fails.
+        """
+        x = self._chord(branch_idx)
+        if x is not None:
+            return {}, x
+        problem = self.problem(branch_idx)
+        problem, x, _ = _newton(problem, problem.initial_state(self._options), self._options)
+        return problem.q_pinned, x
+
     def outcome(self, branch_idx: int) -> OracleOutcome:
         if not self._case.branches[branch_idx].closed:
             raise ValueError(f"branch {branch_idx} is open")
         if branch_idx in self._islands:
             return OracleOutcome(branch=branch_idx, islanded=True, converged=False, detail="islands the network")
-        problem = self.problem(branch_idx)
         try:
-            _, x, _ = _newton(problem, problem.initial_state(self._options), self._options)
+            _, x = self.solve(branch_idx)
         except PowerFlowError as exc:
             return OracleOutcome(branch=branch_idx, islanded=False, converged=False, detail=str(exc))
-        yb = problem.ybus
-        v = state_to_complex(x, problem.n)
+        yb = self._ybus
+        v = state_to_complex(x, self._case.n)
         v_from = v[yb.from_idx]
         i_from = yb.yff * v_from + yb.yft * v[yb.to_idx]
+        i_from[branch_idx] = 0.0  # the open branch carries no current
         return OracleOutcome(
             branch=branch_idx,
             islanded=False,
@@ -200,13 +304,18 @@ def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> O
     """Ground-truth outage impact by a warm-started nonlinear re-solve.
 
     The post-outage power flow of ``case`` with branch ``branch_idx`` open
-    is solved by Newton iteration from ``base.state``; the deltas are
-    post-outage minus ``base`` values.  The outcome equals the one from
-    ``solve_ac_powerflow(case.with_branch_open(branch_idx), ...)`` bit for
-    bit.  The solve uses the base tolerance and Q-limit settings with twice
-    the iteration budget.  Non-convergence is reported as an outcome, not
-    raised: a contingency whose post-outage power flow fails to solve is
-    itself a finding.  Raises ``ValueError`` for an open branch.
+    is solved from ``base.state``, by chord iteration on the base Jacobian
+    with a rank-4 compensation for the removed branch, or by Newton
+    iteration where the chord does not settle it; the deltas are
+    post-outage minus ``base`` values.  The converged flag, and the detail
+    of a failed solve, are those of
+    ``solve_ac_powerflow(case.with_branch_open(branch_idx), ...)`` started
+    from ``base.state``; a converged post-outage state lies within about
+    ``10 tol`` of that solve's and meets the post-outage residual tolerance
+    ``tol``.  The solve uses the base tolerance and Q-limit settings with
+    twice the iteration budget.  Non-convergence is reported as an outcome,
+    not raised: a contingency whose post-outage power flow fails to solve
+    is itself a finding.  Raises ``ValueError`` for an open branch.
     """
     islands = set() if is_connected(case, skip_branch=branch_idx) else {branch_idx}
     return _Oracle(case, base, islands).outcome(branch_idx)
@@ -325,15 +434,17 @@ def screen(
     outage is additionally re-solved nonlinearly, one outage after another,
     and the report carries per-entry oracle severities plus a rank-agreement
     summary whose ``n_diverged`` counts the non-islanding outages whose
-    re-solve did not converge.  The re-solves validate the case and build
-    its admittance matrix and Newton layout once; each outage zeroes its
-    branch stamp in a copy of that matrix and reuses the layout and the
-    bridge set, and gives the :func:`oracle_outage` result bit for bit.
-    They use the tolerance and Q-limit settings of ``sol`` with twice its
-    iteration budget.
+    re-solve did not converge.  The re-solves validate the case, build its
+    admittance matrix and Newton layout and factorize the base Jacobian
+    once; each outage reuses them and the bridge set, and gives the
+    :func:`oracle_outage` result bit for bit.  They use the tolerance and
+    Q-limit settings of ``sol`` with twice its iteration budget.
+    ``top_k`` below 1 raises ``ValueError``.
     """
     if metric not in SEVERITY_METRICS:
         raise ValueError(f"unknown severity metric {metric!r}; choose from {SEVERITY_METRICS}")
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     if sol is None:
         sol = solve_ac_powerflow(case)
     if lin is None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from gridscreen.case_io import Branch, Bus, BusKind, Generator, GridCase
@@ -65,6 +67,17 @@ def triangle(
             Branch(1, 3, r, x, b_charging),
             Branch(3, 2, r, x, b_charging),
         ),
+        (),
+    )
+
+
+def overload_pair(p: float = 8.0) -> GridCase:
+    """Two circuits whose single-circuit loadability is below the demand."""
+    return GridCase(
+        "overload_pair",
+        100.0,
+        (Bus(1, BusKind.SLACK), Bus(2, BusKind.PQ, p_load=p)),
+        (Branch(1, 2, 0.0, 0.1), Branch(1, 2, 0.0, 0.1)),
         (),
     )
 
@@ -218,3 +231,20 @@ def random_meshed(
             buses.append(Bus(k, BusKind.PQ, i_load_r=i_load.real, i_load_i=i_load.imag))
     order = rng.permutation(len(branches))
     return GridCase(f"random_meshed_{seed}", 100.0, tuple(buses), tuple(branches[i] for i in order), ())
+
+
+def with_devices(case: GridCase, rng: np.random.Generator) -> GridCase:
+    """``case`` with constant-power loads on its PQ buses and generators on about a third of them."""
+    buses, gens = [], []
+    for bus in case.buses:
+        if bus.kind == BusKind.SLACK:
+            buses.append(bus)
+            gens.append(Generator(bus.id, p_set=0.0, v_set=1.02))
+            continue
+        bus = replace(bus, p_load=float(rng.uniform(0.0, 0.3)), q_load=float(rng.uniform(-0.05, 0.1)))
+        if rng.random() < 0.35:
+            bus = replace(bus, kind=BusKind.PV)
+            p_set, v_set = float(rng.uniform(0.0, 0.4)), float(rng.uniform(0.97, 1.05))
+            gens.append(Generator(bus.id, p_set=p_set, v_set=v_set))
+        buses.append(bus)
+    return GridCase(case.name, case.base_mva, tuple(buses), case.branches, tuple(gens))

@@ -5,10 +5,11 @@ import json
 import pytest
 
 from gridscreen.case_io import bundled_case_path, case_from_json, case_to_json
-from gridscreen.cli import main
+from gridscreen.cli import _report_json, main
 from gridscreen.dcmodel import build_dc_model, dc_lodf
+from gridscreen.screening import screen
 
-from gridbuild import two_bus
+from gridbuild import overload_pair, two_bus
 
 CASE14 = str(bundled_case_path("case14"))
 
@@ -249,9 +250,22 @@ def test_screen_with_oracle_json(capsys):
     assert entry["oracle_islanded"] is True and entry["oracle_severity"] is None
 
 
+def test_screen_json_counts_diverged_oracle_solves():
+    # neither circuit of the pair carries the load alone
+    doc = _report_json(screen(overload_pair(p=8.0), with_oracle=True))
+    assert doc["comparison"]["n_diverged"] == 2
+    assert all(e["oracle_converged"] is False for e in doc["entries"])
+
+
 def test_screen_reruns_are_byte_identical(capsys):
     _, first, _ = run(capsys, "screen", CASE14, "--json")
     _, second, _ = run(capsys, "screen", CASE14, "--json")
+    assert first == second
+
+
+def test_screen_with_oracle_reruns_are_byte_identical(capsys):
+    _, first, _ = run(capsys, "screen", CASE14, "--with-oracle", "--json")
+    _, second, _ = run(capsys, "screen", CASE14, "--with-oracle", "--json")
     assert first == second
 
 

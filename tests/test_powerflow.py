@@ -1,7 +1,6 @@
 """Newton solver, linear model extraction and branch quantity tests."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridscreen.case_io import Bus, BusKind, Generator, GridCase, _without_branch, build_ybus
+from gridscreen.case_io import Bus, BusKind, GridCase, _without_branch, build_ybus
 from gridscreen.errors import DivergenceError, PowerFlowError, SingularSystemError
 from gridscreen.powerflow import (
     PowerFlowOptions,
@@ -26,7 +25,7 @@ from gridscreen.powerflow import (
 )
 
 import reference
-from gridbuild import parallel_pair, pv_case, radial_chain, random_meshed, ring5, triangle, two_bus
+from gridbuild import parallel_pair, pv_case, radial_chain, random_meshed, ring5, triangle, two_bus, with_devices
 
 # solved IEEE 14-bus voltages as published with the case
 CASE14_VMAG = [
@@ -318,23 +317,6 @@ def test_radial_chain_voltage_drop_monotone():
 # -- the fixed-pattern Jacobian ----------------------------------------------------
 
 
-def _with_devices(case: GridCase, rng: np.random.Generator) -> GridCase:
-    """``case`` with constant-power loads on its PQ buses and generators on about a third of them."""
-    buses, gens = [], []
-    for bus in case.buses:
-        if bus.kind == BusKind.SLACK:
-            buses.append(bus)
-            gens.append(Generator(bus.id, p_set=0.0, v_set=1.02))
-            continue
-        bus = replace(bus, p_load=float(rng.uniform(0.0, 0.3)), q_load=float(rng.uniform(-0.05, 0.1)))
-        if rng.random() < 0.35:
-            bus = replace(bus, kind=BusKind.PV)
-            p_set, v_set = float(rng.uniform(0.0, 0.4)), float(rng.uniform(0.97, 1.05))
-            gens.append(Generator(bus.id, p_set=p_set, v_set=v_set))
-        buses.append(bus)
-    return GridCase(case.name, case.base_mva, tuple(buses), case.branches, tuple(gens))
-
-
 def _bits(matrix: sp.csc_matrix) -> tuple[bytes, bytes, bytes]:
     return (
         matrix.indptr.astype(np.int64).tobytes(),
@@ -364,7 +346,7 @@ def test_fixed_pattern_jacobian_equals_coo_assembly(
     The layout reused over a post-outage admittance matrix is checked too.
     """
     rng = np.random.default_rng(seed)
-    case = _with_devices(random_meshed(seed, n_core, n_chords, n_parallel, n_spurs, n_open), rng)
+    case = with_devices(random_meshed(seed, n_core, n_chords, n_parallel, n_spurs, n_open), rng)
     ybus = build_ybus(case)
     pv = [k for k, bus in enumerate(case.buses) if bus.kind == BusKind.PV]
     q_pinned = {k: float(rng.uniform(-0.2, 0.2)) for k in pv if rng.random() < pin_share}

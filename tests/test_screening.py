@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridscreen.case_io import Branch, Bus, BusKind, GridCase, build_ybus
 from gridscreen.errors import PowerFlowError
 from gridscreen.powerflow import (
     PowerFlowOptions,
+    _NewtonProblem,
     branch_power_flows,
     linearize_at_solution,
     solve_ac_powerflow,
@@ -24,7 +27,16 @@ from gridscreen.screening import (
 )
 from gridscreen.sensitivity import _CHUNK, SEVERITY_METRICS, evaluate_outage, severity_from_deltas
 
-from gridbuild import RING5_BRIDGE, parallel_pair, radial_chain, ring5, triangle
+from gridbuild import (
+    RING5_BRIDGE,
+    overload_pair,
+    parallel_pair,
+    radial_chain,
+    random_meshed,
+    ring5,
+    triangle,
+    with_devices,
+)
 
 
 def double_circuit_spur() -> GridCase:
@@ -42,17 +54,6 @@ def double_circuit_spur() -> GridCase:
             Branch(1, 2, 0.01, 0.05),
             Branch(2, 3, 0.02, 0.08),
         ),
-        (),
-    )
-
-
-def overload_pair(p: float = 8.0) -> GridCase:
-    """Two circuits whose single-circuit loadability is below the demand."""
-    return GridCase(
-        "overload_pair",
-        100.0,
-        (Bus(1, BusKind.SLACK), Bus(2, BusKind.PQ, p_load=p)),
-        (Branch(1, 2, 0.0, 0.1), Branch(1, 2, 0.0, 0.1)),
         (),
     )
 
@@ -159,6 +160,12 @@ def test_screen_skips_open_branches(case14):
 def test_screen_rejects_unknown_metric(case14):
     with pytest.raises(ValueError, match="metric"):
         screen(case14, metric="worst_case")
+
+
+@pytest.mark.parametrize("top_k", [0, -2])
+def test_screen_rejects_top_k_below_one(case14, sol14, top_k):
+    with pytest.raises(ValueError, match="top_k must be at least 1"):
+        screen(case14, sol14, top_k=top_k)
 
 
 def test_screen_accepts_prebuilt_solution(case14, sol14, lin14):
@@ -284,8 +291,26 @@ def _open_and_double_circuit(case14: GridCase) -> GridCase:
 
 
 def _assert_oracle_equals_fresh_resolve(case, sol):
+    """The oracle agrees with a fresh full Newton re-solve of every non-bridge outage.
+
+    The post-outage admittance matrix of the Newton path is bitwise the
+    fresh one.  The converged and islanded flags are equal, and so is the
+    failure detail of a diverged outage.  A converged state lies within
+    ``10 tol`` of the fresh solve's, its residual under a fresh post-outage
+    Newton system with the same reactive pins is at most ``tol``, and the
+    outcome's deltas are those of that state.
+    """
     bridges = find_bridges(case)
     oracle = _Oracle(case, sol, bridges)
+    # record the pins and state each outcome is built from
+    solved = {}
+    solve = oracle.solve
+
+    def recording_solve(k):
+        solved[k] = solve(k)
+        return solved[k]
+
+    oracle.solve = recording_solve
     options = PowerFlowOptions(
         tol=sol.options.tol,
         max_iter=2 * sol.options.max_iter,
@@ -296,18 +321,17 @@ def _assert_oracle_equals_fresh_resolve(case, sol):
     )
     base_flows = branch_power_flows(sol)
 
-    def from_current_magnitudes(s):
-        v = s.v_complex
-        return np.abs(s.ybus.yff * v[s.ybus.from_idx] + s.ybus.yft * v[s.ybus.to_idx])
+    def from_currents(ybus, v):
+        return ybus.yff * v[ybus.from_idx] + ybus.yft * v[ybus.to_idx]
 
-    base_i = from_current_magnitudes(sol)
+    base_i = np.abs(from_currents(sol.ybus, sol.v_complex))
     outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
     for k in outages:
         post_case = case.with_branch_open(k)
-        expected = build_ybus(post_case).matrix
+        post_ybus = build_ybus(post_case)
         got = oracle.problem(k).ybus.matrix
         for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(expected, attr)), (k, attr)
+            assert np.array_equal(getattr(got, attr), getattr(post_ybus.matrix, attr)), (k, attr)
 
         outcome = oracle.outcome(k)
         try:
@@ -316,9 +340,18 @@ def _assert_oracle_equals_fresh_resolve(case, sol):
             assert not outcome.converged and not outcome.islanded and outcome.detail == str(exc)
             continue
         assert outcome.converged and not outcome.islanded
-        assert np.array_equal(outcome.delta_vmag, post.v_mag - sol.v_mag), k
-        assert np.array_equal(outcome.delta_imag, from_current_magnitudes(post) - base_i), k
-        assert np.array_equal(outcome.delta_p, branch_power_flows(post).p_from - base_flows.p_from), k
+        pins, x = solved[k]
+        assert pins == post.q_limited, k
+        assert np.max(np.abs(x[: 2 * case.n] - post.state)) <= 10 * options.tol, k
+        residual = _NewtonProblem(post_case, post_ybus, pins).residual(x)
+        assert np.max(np.abs(residual)) <= options.tol, k
+
+        v = state_to_complex(x, case.n)
+        i_from = from_currents(post_ybus, v)
+        assert np.array_equal(outcome.delta_vmag, np.abs(v) - sol.v_mag), k
+        assert np.array_equal(outcome.delta_imag, np.abs(i_from) - base_i), k
+        p_from = (v[post_ybus.from_idx] * np.conj(i_from)).real
+        assert np.array_equal(outcome.delta_p, p_from - base_flows.p_from), k
     return outages
 
 
@@ -340,3 +373,59 @@ def test_oracle_equals_fresh_resolve_with_q_limits(case118):
     sol = solve_ac_powerflow(case118, PowerFlowOptions(enforce_q_limits=True))
     assert sol.q_limited
     _assert_oracle_equals_fresh_resolve(case118, sol)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(2, 12),
+    n_chords=st.integers(0, 5),
+    n_parallel=st.integers(0, 3),
+    n_spurs=st.integers(0, 4),
+    n_open=st.integers(0, 2),
+)
+def test_oracle_equals_fresh_resolve_on_random_networks(seed, n_core, n_chords, n_parallel, n_spurs, n_open):
+    """Random meshed networks with constant-power loads and PV generators, every non-bridge outage."""
+    case = with_devices(random_meshed(seed, n_core, n_chords, n_parallel, n_spurs, n_open), np.random.default_rng(seed))
+    _assert_oracle_equals_fresh_resolve(case, solve_ac_powerflow(case))
+
+
+# -- the chord iteration ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["case14", "open_double", "case118"])
+def test_compensated_inverse_solves_the_post_outage_jacobian(case14, sol14, case118, sol118, which):
+    """The base LU with the rank-4 compensation inverts each post-outage Jacobian at the base state.
+
+    Branches 0 and 1 of case14 leave the slack bus, whose rows keep their pins.
+    """
+    if which == "case118":
+        case, sol = case118, sol118
+    elif which == "case14":
+        case, sol = case14, sol14
+    else:
+        case = _open_and_double_circuit(case14)
+        sol = solve_ac_powerflow(case)
+    bridges = find_bridges(case)
+    oracle = _Oracle(case, sol, bridges)
+    rng = np.random.default_rng(7)
+    for k, br in enumerate(case.branches):
+        if not br.closed or k in bridges:
+            continue
+        post_case = case.with_branch_open(k)
+        jacobian = _NewtonProblem(post_case, build_ybus(post_case)).jacobian(oracle._x0)
+        inverse = oracle._inverse(*oracle._stamp(k))
+        r = rng.normal(size=jacobian.shape[0])
+        assert np.max(np.abs(jacobian @ inverse(r) - r)) <= 1e-9, k
+
+
+def test_chord_iteration_carries_most_outages(case118, sol118):
+    """On the constant-current ring every non-bridge outage converges by chord
+    iteration; on case118, all but a few do without the full Newton path."""
+    case = ring5()
+    oracle = _Oracle(case, solve_ac_powerflow(case), {RING5_BRIDGE})
+    assert all(oracle._chord(k) is not None for k in range(case.n_branch) if k != RING5_BRIDGE)
+    bridges = find_bridges(case118)
+    oracle = _Oracle(case118, sol118, bridges)
+    outages = [k for k, br in enumerate(case118.branches) if br.closed and k not in bridges]
+    assert sum(oracle._chord(k) is not None for k in outages) >= 150
