@@ -468,9 +468,7 @@ def case_from_json(text: str) -> GridCase:
 
 # -- admittance assembly ------------------------------------------------------
 
-def branch_admittances(
-    branch: Branch, include_charging: bool = True
-) -> tuple[complex, complex, complex, complex]:
+def branch_admittances(branch: Branch) -> tuple[complex, complex, complex, complex]:
     """Two-port admittance parameters ``(yff, yft, ytf, ytt)`` of one branch.
 
     Terminal currents follow from the terminal voltages as
@@ -480,7 +478,7 @@ def branch_admittances(
     if not branch.closed:
         return 0j, 0j, 0j, 0j
     ys = 1.0 / complex(branch.r, branch.x)
-    bc = 1j * branch.b_charging / 2.0 if include_charging else 0j
+    bc = 1j * branch.b_charging / 2.0
     tap = branch.tap * complex(math.cos(branch.shift), math.sin(branch.shift))
     yff = (ys + bc) / (branch.tap * branch.tap)
     yft = -ys / tap.conjugate()
@@ -509,16 +507,12 @@ class AdmittanceMatrix:
     y_shunt: np.ndarray
 
 
-def build_ybus(
-    case: GridCase,
-    include_charging: bool = True,
-    include_shunts: bool = True,
-) -> AdmittanceMatrix:
-    """Assemble the complex bus admittance matrix of all closed branches.
+def build_ybus(case: GridCase) -> AdmittanceMatrix:
+    """Assemble the complex bus admittance matrix of all closed branches and bus shunts.
 
-    The optional flags drop line charging and bus shunts, which yields the
-    pure series connection network (every row then sums to zero when all
-    taps are 1).
+    The pure series connection network is the matrix of a copy of the case
+    without line charging, bus shunts, off-nominal taps and phase shifts;
+    every row of it sums to zero.
     """
     n = case.n
     m = len(case.branches)
@@ -529,11 +523,9 @@ def build_ybus(
     ytf = np.zeros(m, dtype=complex)
     ytt = np.zeros(m, dtype=complex)
     for i, br in enumerate(case.branches):
-        yff[i], yft[i], ytf[i], ytt[i] = branch_admittances(br, include_charging)
+        yff[i], yft[i], ytf[i], ytt[i] = branch_admittances(br)
 
-    y_shunt = np.array(
-        [complex(b.g_shunt, b.b_shunt) if include_shunts else 0j for b in case.buses]
-    )
+    y_shunt = np.array([complex(b.g_shunt, b.b_shunt) for b in case.buses])
     return _assemble_ybus(n, from_idx, to_idx, yff, yft, ytf, ytt, y_shunt)
 
 

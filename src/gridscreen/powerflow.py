@@ -666,13 +666,8 @@ def branch_terminal_currents(sol: PowerFlowSolution, branch_idx: int) -> BranchT
         raise ValueError(f"branch index {branch_idx} out of range")
     if not case.branches[branch_idx].closed:
         raise ValueError(f"branch {branch_idx} is open")
-    yb = sol.ybus
-    v = sol.v_complex
-    vf = v[yb.from_idx[branch_idx]]
-    vt = v[yb.to_idx[branch_idx]]
-    i_from = yb.yff[branch_idx] * vf + yb.yft[branch_idx] * vt
-    i_to = yb.ytf[branch_idx] * vf + yb.ytt[branch_idx] * vt
-    return BranchTerminalCurrents(branch_idx, complex(i_from), complex(i_to))
+    ifr, ifi, itr, iti = sol._baseline.i_terminal[branch_idx]
+    return BranchTerminalCurrents(branch_idx, complex(ifr, ifi), complex(itr, iti))
 
 
 @dataclass

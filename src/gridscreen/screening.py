@@ -20,6 +20,7 @@ from .powerflow import (
     LinearizedSystem,
     PowerFlowOptions,
     PowerFlowSolution,
+    _factorized_system,
     _newton,
     _NewtonProblem,
     linearize_at_solution,
@@ -30,7 +31,7 @@ from .sensitivity import (
     SEVERITY_METRICS,
     _outage_severities,
     _singular,
-    branch_current_jacobian,
+    _transfer_chunks,
     severity_from_deltas,
 )
 
@@ -152,11 +153,13 @@ class _Oracle:
 
     The case is validated, and its admittance matrix, its Newton layout (no
     Q pins) and the layout's Jacobian ``J0`` at the base state ``x0`` are
-    built and factorized once.  Removing branch ``k`` changes that Jacobian
-    only by the branch's 4x4 stamp ``B_k`` in its terminal rows (none in
-    the rows of a slack terminal, which hold the voltage pins), so the
-    post-outage Jacobian at ``x0`` is ``M_k = J0 - E_k B_k E_k^T``.  Its
-    inverse is the base LU with a rank-4 compensation (see :meth:`_inverse`).
+    built once; ``J0`` is factorized once, as a linear model of the outage
+    engine.  Removing branch ``k`` changes that Jacobian only by the
+    branch's 4x4 stamp ``B_k`` in its terminal rows (none in the rows of a
+    slack terminal, which hold the voltage pins), so the post-outage
+    Jacobian at ``x0`` is ``M_k = J0 - E_k B_k E_k^T``.  Its inverse is the
+    base LU with a rank-4 compensation through the engine's transfer matrix
+    of ``k`` on ``J0`` (see :meth:`_compensated_inverse`).
 
     Each outage runs the chord iteration ``x <- x - M_k^-1 F_k(x)`` from
     ``x0`` on the true post-outage residual ``F_k`` until the mismatch is at
@@ -188,10 +191,11 @@ class _Oracle:
         self._ybus = build_ybus(case)
         self._layout = _NewtonProblem(case, self._ybus)
         self._x0 = self._layout.initial_state(self._options)
+        jacobian = self._layout.jacobian(self._x0)
         try:
-            self._lu = self._layout.factorize(self._x0)
+            self._lin = _factorized_system("full", case, jacobian, self._x0, self._layout.slack, self._layout.pv)
         except SingularSystemError:
-            self._lu = None  # every outage goes to the full Newton path (``_newton``)
+            self._lin = None  # every outage goes to the full Newton path (``_newton``)
         baseline = base._baseline
         self._v_mag = baseline.v_mag
         self._i_mag = np.abs(baseline.i_from)
@@ -201,46 +205,44 @@ class _Oracle:
         """The Newton system of the case with branch ``branch_idx`` open."""
         return self._layout.with_ybus(_without_branch(self._ybus, branch_idx))
 
-    def _stamp(self, branch_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """Terminal state rows of the branch and its stamp ``B_k`` in the Jacobian at those rows."""
-        jac = branch_current_jacobian(self._case, branch_idx)
-        block = jac.block.copy()
-        block[jac.rows // 2 == self._layout.slack] = 0.0
-        return jac.rows, block
+    def _compensated_inverse(self, branch_idx: int):
+        """Terminal state rows and block ``B_k`` of the branch, and ``r -> M_k^-1 r``.
 
-    def _inverse(self, rows: np.ndarray, block: np.ndarray):
-        """``r -> M_k^-1 r`` for the stamp ``block`` at ``rows``; None where ``M_k`` is singular.
-
-        With ``W = J0^-1 E_k`` and the transfer matrix ``T_k = I - B_k W[rows]``,
-        ``M_k^-1 r = y + W T_k^-1 B_k y[rows]`` where ``y = J0^-1 r``.
+        None where ``J0`` or the transfer matrix is singular.  The outage
+        engine, run on ``J0`` for a block of one outage, gives the responses
+        ``W`` of ``J0`` to unit currents at the branch terminals (zero at a
+        slack terminal) and the transfer matrix ``T_k = I - B_k W[rows]``;
+        then ``M_k^-1 r = y + W T_k^-1 B_k y[rows]`` where ``y = J0^-1 r``.
+        The zero columns of ``W`` make this the compensation with the slack
+        rows of ``B_k`` zeroed.
         """
-        e = np.zeros((self._layout.size, 4))
-        e[rows, np.arange(4)] = 1.0
-        w = self._lu.solve(e)
-        t = np.eye(4) - block @ w[rows]
-        if _singular(np.linalg.cond(t)):
+        if self._lin is None:
             return None
-        compensation = w @ np.linalg.solve(t, block)
+        _, rows, blocks, resp, cols, t, cond = next(_transfer_chunks(self._lin, self._case, [branch_idx]))
+        if _singular(cond[0]):
+            return None
+        rows, block = rows[0], blocks[0]
+        compensation = resp[:, cols[0]] @ np.linalg.solve(t[0], block)
 
         def inverse(r: np.ndarray) -> np.ndarray:
-            y = self._lu.solve(r)
+            y = self._lin.solve(r)
             return y + compensation @ y[rows]
 
-        return inverse
+        return rows, block, inverse
 
     def _chord(self, branch_idx: int) -> np.ndarray | None:
         """Converged post-outage state by chord iteration; None where the full Newton path decides."""
-        if self._lu is None:
+        found = self._compensated_inverse(branch_idx)
+        if found is None:
             return None
-        rows, block = self._stamp(branch_idx)
-        inverse = self._inverse(rows, block)
-        if inverse is None:
-            return None
+        rows, block, inverse = found
         layout, options = self._layout, self._options
+        stamp = block.copy()
+        stamp[rows // 2 == layout.slack] = 0.0  # the slack rows hold the voltage pins
 
         def residual(x: np.ndarray) -> np.ndarray:
             f = layout.residual(x)
-            f[rows] -= block @ x[rows]  # less the removed branch's terminal currents
+            f[rows] -= stamp @ x[rows]  # less the removed branch's terminal currents
             return f
 
         x = self._x0
@@ -430,9 +432,11 @@ def screen(
     Islanding outages (graph bridges) are flagged rather than evaluated and
     sort above every finite severity.  The other outages go through the
     outage engine in blocks; each severity equals the one computed from
-    :func:`evaluate_outage` for the same outage.  With ``with_oracle`` every
-    outage is additionally re-solved nonlinearly, one outage after another,
-    and the report carries per-entry oracle severities plus a rank-agreement
+    :func:`evaluate_outage` for the same outage.  A non-bridge outage whose
+    transfer matrix is singular is not flagged as islanding; it gets the
+    severity +inf and the note "singular transfer matrix".  With
+    ``with_oracle`` every outage is additionally re-solved nonlinearly, one
+    outage after another, and the report carries per-entry oracle severities plus a rank-agreement
     summary whose ``n_diverged`` counts the non-islanding outages whose
     re-solve did not converge.  The re-solves validate the case, build its
     admittance matrix and Newton layout and factorize the base Jacobian
@@ -463,13 +467,12 @@ def screen(
             from_bus=br.from_bus,
             to_bus=br.to_bus,
             severity=float("inf"),
-            islanding=True,
+            islanding=idx in bridges,
         )
         if idx in bridges:
             entry.note = "islands the network"
         elif idx in severities:
             entry.severity = severities[idx]
-            entry.islanding = False
         else:
             entry.note = "singular transfer matrix"
         entries.append(entry)

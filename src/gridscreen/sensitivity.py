@@ -141,15 +141,13 @@ class BranchCurrentJacobian:
         return self.block @ dv_state[self.rows]
 
 
-def branch_current_jacobian(
-    case: GridCase, branch_idx: int, include_charging: bool = True
-) -> BranchCurrentJacobian:
+def branch_current_jacobian(case: GridCase, branch_idx: int) -> BranchCurrentJacobian:
     if not 0 <= branch_idx < case.n_branch:
         raise ValueError(f"branch index {branch_idx} out of range")
     br = case.branches[branch_idx]
     if not br.closed:
         raise ValueError(f"branch {branch_idx} is open")
-    yff, yft, ytf, ytt = branch_admittances(br, include_charging)
+    yff, yft, ytf, ytt = branch_admittances(br)
     # each admittance as the 2x2 real form of multiplication by it
     block = np.array(
         [
@@ -227,26 +225,29 @@ def solve_outage_injection(
 
 
 def _transfer_chunks(
-    lin: LinearizedSystem, case: GridCase, outages: Iterable[int], include_charging: bool = True
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    lin: LinearizedSystem, case: GridCase, outages: Iterable[int]
+) -> Iterator[tuple[np.ndarray, ...]]:
     """Transfer matrices of ``outages``, in blocks that share terminal solves.
 
     Outages are sorted by terminal buses, so that neighbours in a block of
     up to ``_CHUNK`` share terminals, and each block solves ``lin`` once per
-    distinct terminal.  Yields ``(idx, resp, cols, t, cond)`` per block:
-    the outages (c,), the block's responses and each outage's four columns
-    of them (see :func:`_terminal_solve`), the transfer matrices (c, 4, 4)
-    and their condition numbers (c,).
+    distinct terminal.  Yields ``(idx, rows, blocks, resp, cols, t, cond)``
+    per block: the outages (c,), their terminal state rows (c, 4) and
+    branch blocks ``B_k`` (c, 4, 4) (see :class:`BranchCurrentJacobian`),
+    the block's responses and each outage's four columns of them (see
+    :func:`_terminal_solve`), the transfer matrices ``I - B_k dv[rows]``
+    (c, 4, 4) and their condition numbers (c,).
     """
-    jacs = [branch_current_jacobian(case, k, include_charging) for k in outages]
+    jacs = [branch_current_jacobian(case, k) for k in outages]
     jacs.sort(key=lambda jac: (min(jac.rows[0], jac.rows[2]), max(jac.rows[0], jac.rows[2])))
     for start in range(0, len(jacs), _CHUNK):
         block = jacs[start : start + _CHUNK]
         rows = np.concatenate([jac.rows for jac in block]).reshape(-1, 4)
+        blocks = np.concatenate([jac.block for jac in block]).reshape(-1, 4, 4)
         resp, cols = _terminal_solve(lin, rows[:, 0::2] // 2)
         at_terminals = resp[rows[:, :, None], cols[:, None, :]]  # dv[rows, :] of each outage
-        t = np.eye(4) - np.concatenate([jac.block for jac in block]).reshape(-1, 4, 4) @ at_terminals
-        yield np.array([jac.branch for jac in block]), resp, cols, t, np.linalg.cond(t)
+        t = np.eye(4) - blocks @ at_terminals
+        yield np.array([jac.branch for jac in block]), rows, blocks, resp, cols, t, np.linalg.cond(t)
 
 
 @dataclass
@@ -344,7 +345,7 @@ def _impact_chunks(
     """
     base = sol._baseline
     n2 = 2 * sol.n
-    for idx, resp, cols, t, cond in _transfer_chunks(lin, sol.case, outages):
+    for idx, _, _, resp, cols, t, cond in _transfer_chunks(lin, sol.case, outages):
         singular = _singular(cond)
         i_pre = base.i_terminal[idx]
         masked = singular.any()
@@ -486,28 +487,28 @@ def circuit_lodf(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) -> 
 def singular_outage_branches(case: GridCase) -> set[int]:
     """Closed branches whose removal makes the series connection network singular.
 
-    The test runs on the pure series network at nominal ratios (no shunts,
-    no line charging, no off-nominal taps or phase shifts, devices absent,
-    slack voltage pinned), where the transfer matrix of a branch loses rank
-    exactly when the branch is a cut of the connected network.  Shunt and
-    device stamps, and the circulating current of a transformer loop whose
-    ratios do not multiply to one, can keep an islanded block invertible, so
-    this topology question is asked of the topology-only model.  The outage
-    engine builds the transfer matrices, and the singularity rule is that of
+    The test runs on the pure series network at nominal ratios, where the
+    transfer matrix of a branch loses rank exactly when the branch is a cut
+    of the connected network.  That network is a copy of the case without
+    bus shunts, line charging, off-nominal taps or phase shifts, in network
+    mode (devices absent, slack voltage pinned).  Shunt and device stamps,
+    and the circulating current of a transformer loop whose ratios do not
+    multiply to one, can keep an islanded block invertible, so this topology
+    question is asked of the topology-only model.  The outage engine builds
+    the transfer matrices, and the singularity rule is that of
     :class:`OutageTransferMatrix`.
     """
     case.validate()
-    nominal = replace(case, branches=tuple(replace(br, tap=1.0, shift=0.0) for br in case.branches))
-    yb = build_ybus(nominal, include_charging=False, include_shunts=False)
+    series = replace(
+        case,
+        buses=tuple(replace(bus, g_shunt=0.0, b_shunt=0.0) for bus in case.buses),
+        branches=tuple(replace(br, b_charging=0.0, tap=1.0, shift=0.0) for br in case.branches),
+    )
     try:
-        lin = _network_system(nominal, yb.matrix, nominal.slack_index(), np.zeros(2 * nominal.n))
+        lin = _network_system(series, build_ybus(series).matrix, series.slack_index(), np.zeros(2 * series.n))
     except SingularSystemError as exc:
         raise SingularSystemError(
             "series connection network is singular; the case is likely disconnected"
         ) from exc
-    closed = [idx for idx, br in enumerate(nominal.branches) if br.closed]
-    return {
-        int(k)
-        for idx, _, _, _, cond in _transfer_chunks(lin, nominal, closed, include_charging=False)
-        for k in idx[_singular(cond)]
-    }
+    closed = [idx for idx, br in enumerate(series.branches) if br.closed]
+    return {int(k) for idx, *_, cond in _transfer_chunks(lin, series, closed) for k in idx[_singular(cond)]}

@@ -14,12 +14,12 @@ from gridscreen.case_io import BusKind, GridCase
 from gridscreen.powerflow import PowerFlowSolution
 
 
-def branch_pi_admittances(branch, include_charging: bool = True):
+def branch_pi_admittances(branch):
     """Two-port admittances of one branch from the series/shunt data."""
     if not branch.closed:
         return 0j, 0j, 0j, 0j
     ys = 1.0 / complex(branch.r, branch.x)
-    bc = 1j * branch.b_charging / 2.0 if include_charging else 0j
+    bc = 1j * branch.b_charging / 2.0
     tap = branch.tap * cmath.exp(1j * branch.shift)
     yff = (ys + bc) / (branch.tap * branch.tap)
     yft = -ys / tap.conjugate()
@@ -28,20 +28,19 @@ def branch_pi_admittances(branch, include_charging: bool = True):
     return yff, yft, ytf, ytt
 
 
-def dense_ybus(case: GridCase, include_charging: bool = True, include_shunts: bool = True) -> np.ndarray:
+def dense_ybus(case: GridCase) -> np.ndarray:
     n = case.n
     y = np.zeros((n, n), dtype=complex)
     for br in case.branches:
-        yff, yft, ytf, ytt = branch_pi_admittances(br, include_charging)
+        yff, yft, ytf, ytt = branch_pi_admittances(br)
         f = case.bus_index(br.from_bus)
         t = case.bus_index(br.to_bus)
         y[f, f] += yff
         y[f, t] += yft
         y[t, f] += ytf
         y[t, t] += ytt
-    if include_shunts:
-        for k, bus in enumerate(case.buses):
-            y[k, k] += complex(bus.g_shunt, bus.b_shunt)
+    for k, bus in enumerate(case.buses):
+        y[k, k] += complex(bus.g_shunt, bus.b_shunt)
     return y
 
 

@@ -1,6 +1,7 @@
 """Parser, validation, serialization and admittance construction tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -316,7 +317,7 @@ def test_branch_admittances_transformer():
     assert yft == pytest.approx(-ys / np.conj(tap))
     assert ytf == pytest.approx(-ys / tap)
     assert ytt == pytest.approx(ys + 0.05j)
-    assert branch_admittances(br, include_charging=False)[0] == pytest.approx(ys / 0.95**2)
+    assert branch_admittances(replace(br, b_charging=0.0))[0] == pytest.approx(ys / 0.95**2)
 
 
 def test_branch_admittances_open_branch_is_zero():
@@ -340,8 +341,12 @@ def test_build_ybus_shunt_and_charging_toggles():
     case.buses[1].g_shunt = 0.03
     case.buses[1].b_shunt = -0.02
     full = build_ybus(case).matrix.toarray()
-    no_shunt = build_ybus(case, include_shunts=False).matrix.toarray()
-    no_chg = build_ybus(case, include_charging=False).matrix.toarray()
+    no_shunt = build_ybus(
+        replace(case, buses=tuple(replace(b, g_shunt=0.0, b_shunt=0.0) for b in case.buses))
+    ).matrix.toarray()
+    no_chg = build_ybus(
+        replace(case, branches=tuple(replace(br, b_charging=0.0) for br in case.branches))
+    ).matrix.toarray()
     assert full[1, 1] - no_shunt[1, 1] == pytest.approx(0.03 - 0.02j)
     assert full[0, 0] - no_chg[0, 0] == pytest.approx(0.02j)
     assert full[0, 1] == pytest.approx(no_chg[0, 1])

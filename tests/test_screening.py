@@ -25,6 +25,7 @@ from gridscreen.screening import (
     oracle_outage,
     screen,
 )
+from gridscreen import sensitivity
 from gridscreen.sensitivity import _CHUNK, SEVERITY_METRICS, evaluate_outage, severity_from_deltas
 
 from gridbuild import (
@@ -149,6 +150,18 @@ def test_screen_ranks_islanding_first():
     finite = [e.severity for e in report.entries[1:]]
     assert finite == sorted(finite, reverse=True)
     assert len(report.top()) == 3
+
+
+def test_screen_singular_non_bridge_is_not_islanding(monkeypatch, case14, sol14):
+    """A non-bridge outage with a singular transfer matrix ranks at +inf but does not claim islanding."""
+    monkeypatch.setattr(sensitivity, "COND_LIMIT", 1.0)  # every transfer matrix reads singular
+    bridges = find_bridges(case14)
+    report = screen(case14, sol14)
+    assert len(report.entries) == 20 and len(bridges) == 1
+    for e in report.entries:
+        assert math.isinf(e.severity)
+        assert e.islanding == (e.branch in bridges)
+        assert e.note == ("islands the network" if e.branch in bridges else "singular transfer matrix")
 
 
 def test_screen_skips_open_branches(case14):
@@ -414,7 +427,7 @@ def test_compensated_inverse_solves_the_post_outage_jacobian(case14, sol14, case
             continue
         post_case = case.with_branch_open(k)
         jacobian = _NewtonProblem(post_case, build_ybus(post_case)).jacobian(oracle._x0)
-        inverse = oracle._inverse(*oracle._stamp(k))
+        _, _, inverse = oracle._compensated_inverse(k)
         r = rng.normal(size=jacobian.shape[0])
         assert np.max(np.abs(jacobian @ inverse(r) - r)) <= 1e-9, k
 
