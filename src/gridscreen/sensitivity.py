@@ -14,12 +14,20 @@ change by the chain rule.
 One engine evaluates outages in blocks: each block solves the linear model
 once per distinct terminal bus, then stacks the transfer matrices, the
 injections and the monitors.  A single-outage query is a block of one, so
-every caller gets the same arithmetic for the same outage.
+every caller gets the same arithmetic for the same outage.  The blocks'
+terminal solves release the interpreter lock and run ahead on a small
+thread pool (one worker per usable CPU; none for a single block); the rest
+of each block runs on the calling thread, in block order, so results do not
+depend on the number of workers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import os
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -224,6 +232,42 @@ def solve_outage_injection(
 # -- the outage engine -------------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _ordered_map(fn: Callable, items: list) -> Iterator:
+    """``map(fn, items)`` in order, with the calls running ahead on a thread pool.
+
+    The pool has one worker per usable CPU, at most one per item, and at
+    most one result more than it has workers is in flight (submitted and not
+    yet taken).  With one item or one usable CPU the calls run inline and no
+    pool is made; one item does not even ask for the CPU count, a system
+    call.  An exception, or a consumer that stops early, cancels the calls
+    not yet started, and the pool waits for the running ones.
+    """
+    workers = min(_usable_cpus(), len(items)) if len(items) > 1 else 1
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        try:
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) > workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def _transfer_chunks(
     lin: LinearizedSystem, case: GridCase, outages: Iterable[int]
 ) -> Iterator[tuple[np.ndarray, ...]]:
@@ -231,23 +275,28 @@ def _transfer_chunks(
 
     Outages are sorted by terminal buses, so that neighbours in a block of
     up to ``_CHUNK`` share terminals, and each block solves ``lin`` once per
-    distinct terminal.  Yields ``(idx, rows, blocks, resp, cols, t, cond)``
-    per block: the outages (c,), their terminal state rows (c, 4) and
-    branch blocks ``B_k`` (c, 4, 4) (see :class:`BranchCurrentJacobian`),
-    the block's responses and each outage's four columns of them (see
-    :func:`_terminal_solve`), the transfer matrices ``I - B_k dv[rows]``
-    (c, 4, 4) and their condition numbers (c,).
+    distinct terminal.  ``SuperLU.solve`` releases the interpreter lock, so
+    the blocks' terminal solves run ahead on a thread pool of one worker per
+    usable CPU (inline for one block or one CPU); the blocks are yielded in
+    order and the results do not depend on the worker count.  Yields
+    ``(idx, rows, blocks, resp, cols, t, cond)`` per block: the outages
+    (c,), their terminal state rows (c, 4) and branch blocks ``B_k``
+    (c, 4, 4) (see :class:`BranchCurrentJacobian`), the block's responses
+    and each outage's four columns of them (see :func:`_terminal_solve`),
+    the transfer matrices ``I - B_k dv[rows]`` (c, 4, 4) and their condition
+    numbers (c,).
     """
     jacs = [branch_current_jacobian(case, k) for k in outages]
     jacs.sort(key=lambda jac: (min(jac.rows[0], jac.rows[2]), max(jac.rows[0], jac.rows[2])))
-    for start in range(0, len(jacs), _CHUNK):
-        block = jacs[start : start + _CHUNK]
-        rows = np.concatenate([jac.rows for jac in block]).reshape(-1, 4)
-        blocks = np.concatenate([jac.block for jac in block]).reshape(-1, 4, 4)
-        resp, cols = _terminal_solve(lin, rows[:, 0::2] // 2)
-        at_terminals = resp[rows[:, :, None], cols[:, None, :]]  # dv[rows, :] of each outage
-        t = np.eye(4) - blocks @ at_terminals
-        yield np.array([jac.branch for jac in block]), rows, blocks, resp, cols, t, np.linalg.cond(t)
+    chunks = [jacs[start : start + _CHUNK] for start in range(0, len(jacs), _CHUNK)]
+    terminals = [np.concatenate([jac.rows for jac in block]).reshape(-1, 4) for block in chunks]
+    solves = _ordered_map(lambda rows: _terminal_solve(lin, rows[:, 0::2] // 2), terminals)
+    with closing(solves):
+        for block, rows, (resp, cols) in zip(chunks, terminals, solves):
+            blocks = np.concatenate([jac.block for jac in block]).reshape(-1, 4, 4)
+            at_terminals = resp[rows[:, :, None], cols[:, None, :]]  # dv[rows, :] of each outage
+            t = np.eye(4) - blocks @ at_terminals
+            yield np.array([jac.branch for jac in block]), rows, blocks, resp, cols, t, np.linalg.cond(t)
 
 
 @dataclass
@@ -307,15 +356,14 @@ def _monitors(
     removed-branch convention: its current change is the negated pre-outage
     current.  A closed branch that carries (almost) no current has no
     directional derivative of |I|; its |I| change is the magnitude of its
-    current change instead.  Open branches read 0.
+    current change instead.  Open branches read 0.  With ``"vmag"`` asked
+    for, no bus voltage may be zero; :func:`_impact_chunks` checks that.
     """
     base = sol._baseline
     yb = sol.ybus
     dvc = state_to_complex(delta_state)
     delta_vmag = delta_imag = delta_p = None
     if "vmag" in quantities:
-        if (base.v_mag < 1e-12).any():
-            raise ValueError("voltage magnitude is zero at some bus; |V| is not differentiable")
         delta_vmag = (base.v.real * dvc.real + base.v.imag * dvc.imag) / base.v_mag
     if "imag" in quantities or "pline" in quantities:
         dv_from = dvc[:, yb.from_idx]
@@ -341,33 +389,39 @@ def _impact_chunks(
 
     The pre-outage currents of a block solve its stacked transfer matrices
     for the equivalent injections; singular matrices are replaced by the
-    identity for that solve and their rows set to NaN.
+    identity for that solve and their rows set to NaN.  Monitoring
+    ``"vmag"`` at a zero-voltage bus, where |V| is not differentiable,
+    raises ``ValueError`` before any solve.
     """
     base = sol._baseline
+    if "vmag" in quantities and (base.v_mag < 1e-12).any():
+        raise ValueError("voltage magnitude is zero at some bus; |V| is not differentiable")
     n2 = 2 * sol.n
-    for idx, _, _, resp, cols, t, cond in _transfer_chunks(lin, sol.case, outages):
-        singular = _singular(cond)
-        i_pre = base.i_terminal[idx]
-        masked = singular.any()
-        if masked:
-            t = np.where(singular[:, None, None], np.eye(4), t)
-        injection = np.linalg.solve(t, i_pre[..., None])[..., 0]
-        if masked:
-            injection[singular] = np.nan
-        delta_state = np.array([resp[:n2, c] @ x for c, x in zip(cols, injection)])
-        delta_vmag, delta_imag, delta_p = _monitors(sol, delta_state, idx, quantities)
-        yield _ImpactChunk(
-            outages=idx,
-            cond=cond,
-            singular=singular,
-            i_pre=i_pre,
-            injection=injection,
-            delta_state=delta_state,
-            delta_vmag=delta_vmag,
-            delta_imag=delta_imag,
-            delta_p=delta_p,
-            imag_fallback=base.tiny,
-        )
+    with closing(_transfer_chunks(lin, sol.case, outages)) as chunks:
+        for idx, _, _, resp, cols, t, cond in chunks:
+            singular = _singular(cond)
+            i_pre = base.i_terminal[idx]
+            masked = singular.any()
+            if masked:
+                t = np.where(singular[:, None, None], np.eye(4), t)
+            injection = np.linalg.solve(t, i_pre[..., None])[..., 0]
+            if masked:
+                injection[singular] = np.nan
+            # each outage's four response columns times its injection, stacked
+            delta_state = np.matmul(resp[:n2, cols].transpose(1, 0, 2), injection[..., None])[..., 0]
+            delta_vmag, delta_imag, delta_p = _monitors(sol, delta_state, idx, quantities)
+            yield _ImpactChunk(
+                outages=idx,
+                cond=cond,
+                singular=singular,
+                i_pre=i_pre,
+                injection=injection,
+                delta_state=delta_state,
+                delta_vmag=delta_vmag,
+                delta_imag=delta_imag,
+                delta_p=delta_p,
+                imag_fallback=base.tiny,
+            )
 
 
 def _outage_impacts(

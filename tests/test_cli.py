@@ -12,6 +12,7 @@ from gridscreen.screening import screen
 from gridbuild import overload_pair, two_bus
 
 CASE14 = str(bundled_case_path("case14"))
+CASE118 = str(bundled_case_path("case118"))
 
 
 def run(capsys, *argv):
@@ -257,9 +258,18 @@ def test_screen_json_counts_diverged_oracle_solves():
     assert all(e["oracle_converged"] is False for e in doc["entries"])
 
 
-def test_screen_reruns_are_byte_identical(capsys):
-    _, first, _ = run(capsys, "screen", CASE14, "--json")
-    _, second, _ = run(capsys, "screen", CASE14, "--json")
+@pytest.mark.parametrize(
+    "args",
+    [
+        (CASE14, "--json"),  # one engine block
+        (CASE118, "--json"),  # several blocks: the thread pool, given two usable CPUs
+        (CASE118, "--mode", "network", "--metric", "imag_inf", "--json"),
+    ],
+    ids=["case14-json", "case118-json", "case118-network-imag-json"],
+)
+def test_screen_reruns_are_byte_identical(capsys, args):
+    _, first, _ = run(capsys, "screen", *args)
+    _, second, _ = run(capsys, "screen", *args)
     assert first == second
 
 

@@ -1,6 +1,8 @@
 """Connectivity analysis, nonlinear oracle and end-to-end screening tests."""
 
 import math
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from gridscreen.case_io import Branch, Bus, BusKind, GridCase, build_ybus
 from gridscreen.errors import PowerFlowError
 from gridscreen.powerflow import (
+    LinearizedSystem,
     PowerFlowOptions,
     _NewtonProblem,
     branch_power_flows,
@@ -162,6 +165,24 @@ def test_screen_singular_non_bridge_is_not_islanding(monkeypatch, case14, sol14)
         assert math.isinf(e.severity)
         assert e.islanding == (e.branch in bridges)
         assert e.note == ("islands the network" if e.branch in bridges else "singular transfer matrix")
+
+
+def test_screen_zero_voltage_raises_before_any_solve(monkeypatch, case118, sol118, lin118):
+    """|V| is not differentiable at a zero-voltage bus; the screen fails before it solves or starts a pool."""
+    state = sol118.state.copy()
+    state[6:8] = 0.0  # bus 4 at zero voltage
+    sol = replace(sol118, state=state)
+    calls = []
+    solve = LinearizedSystem.solve
+    monkeypatch.setattr(LinearizedSystem, "solve", lambda lin, rhs: calls.append(rhs) or solve(lin, rhs))
+    monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="voltage magnitude is zero"):
+        screen(case118, sol, lin118, metric="vmag_inf")
+    assert not calls
+    assert threading.active_count() == before
+    screen(case118, sol, lin118, metric="imag_inf")  # |V| is not monitored
+    assert calls
 
 
 def test_screen_skips_open_branches(case14):

@@ -1,6 +1,7 @@
 """Outage sensitivity machinery tests: injections, transfer matrices, monitors."""
 
-from dataclasses import replace
+import threading
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from gridscreen.sensitivity import (
     singular_outage_branches,
     solve_outage_injection,
 )
-from gridscreen.screening import find_bridges, is_connected
+from gridscreen.screening import _Oracle, find_bridges, is_connected
 from gridscreen.case_io import scale_loading
+from gridscreen import sensitivity
 
 import reference
 from gridbuild import (
@@ -280,12 +282,12 @@ def test_monitors_imag_fallback_on_dead_branch():
     assert dimag[0, 0] == pytest.approx(float(np.hypot(di[0], di[1])), rel=1e-12)
 
 
-def test_monitors_reject_zero_voltage(sol14):
+def test_monitors_reject_zero_voltage(sol14, lin14):
     state = sol14.state.copy()
     state[6:8] = 0.0  # bus 4 at zero voltage
     sol = replace(sol14, state=state)
     with pytest.raises(ValueError, match="zero"):
-        _monitors(sol, np.zeros((1, 2 * sol.n)), np.array([0]), ("vmag",))
+        next(_impact_chunks(sol, lin14, [0], ("vmag",)))
 
 
 def test_removed_branch_conventions(sol14, lin14):
@@ -531,3 +533,107 @@ def test_engine_blocks_cover_case118(sol118, lin118):
     blocks = [idx for idx, *_ in _transfer_chunks(lin118, case, closed)]
     assert len(blocks) > 2 and max(map(len, blocks)) == _CHUNK
     assert sorted(int(k) for idx in blocks for k in idx) == closed
+
+
+# -- the thread pool of the terminal solves ------------------------------------------
+
+
+def _engine_bytes(sol, lin, outages):
+    """Every array the engine's two stages yield, as (dtype, shape, bytes), in order."""
+    out = []
+
+    def add(value):
+        if value is not None:
+            value = np.asarray(value)
+            out.append((value.dtype.str, value.shape, value.tobytes()))
+
+    for arrays in _transfer_chunks(lin, sol.case, outages):
+        for value in arrays:
+            add(value)
+    for chunk in _impact_chunks(sol, lin, outages):
+        for f in fields(chunk):
+            add(getattr(chunk, f.name))
+    return out
+
+
+@pytest.mark.parametrize("which", ["case118", "random_meshed"])
+def test_engine_results_do_not_depend_on_worker_count(sol118, lin118, which, monkeypatch):
+    """One worker solves inline, two run the pool; every yielded array is byte-equal."""
+    if which == "case118":
+        sol, lin = sol118, lin118
+    else:
+        case = random_meshed(3, n_core=70, n_chords=25, n_spurs=5)
+        sol = solve_ac_powerflow(case)
+        lin = linearize_at_solution(sol)
+    outages = [idx for idx, br in enumerate(sol.case.branches) if br.closed]
+    assert len(outages) > 3 * _CHUNK
+
+    pools = []
+
+    class CountingPool(sensitivity.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 1)
+    inline = _engine_bytes(sol, lin, outages)
+    assert not pools
+    monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
+    pooled = _engine_bytes(sol, lin, outages)
+    assert len(pools) == 2  # one pool per _transfer_chunks call
+    assert pooled == inline
+
+
+def test_single_outage_queries_make_no_pool(case118, sol118, lin118, monkeypatch):
+    """A block of one solves inline, whatever the number of usable CPUs."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sensitivity, "ThreadPoolExecutor", no_pool)
+    evaluate_outage(sol118, lin118, 10)
+    assert _Oracle(case118, sol118, find_bridges(case118))._compensated_inverse(10) is not None
+
+
+def test_pool_shuts_down_on_error_and_early_close(sol118, lin118, monkeypatch):
+    """A failed solve in block 2, a failed monitor stage in block 2, or a
+    consumer that stops after block 1 leaves no worker thread."""
+    case = sol118.case
+    outages = [idx for idx, br in enumerate(case.branches) if br.closed]
+    second = list(_transfer_chunks(lin118, case, outages))[1][1][:, 0::2] // 2
+    solve, monitors = sensitivity._terminal_solve, sensitivity._monitors
+    monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+
+    chunks = _transfer_chunks(lin118, case, outages)
+    next(chunks)
+    assert threading.active_count() > before  # the pool runs
+    chunks.close()
+    assert threading.active_count() == before
+
+    def failing_solve(lin, term):
+        if np.array_equal(term, second):
+            raise RuntimeError("solve failed")
+        return solve(lin, term)
+
+    with monkeypatch.context() as m:
+        m.setattr(sensitivity, "_terminal_solve", failing_solve)
+        for stage in (_transfer_chunks(lin118, case, outages), _impact_chunks(sol118, lin118, outages)):
+            with pytest.raises(RuntimeError, match="solve failed") as failure:
+                list(stage)
+            assert threading.active_count() == before  # while the traceback holds the generators
+
+    calls = []
+
+    def failing_monitors(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("monitors failed")
+        return monitors(*args)
+
+    monkeypatch.setattr(sensitivity, "_monitors", failing_monitors)
+    with pytest.raises(RuntimeError, match="monitors failed") as failure:
+        list(_impact_chunks(sol118, lin118, outages))
+    assert threading.active_count() == before
