@@ -270,32 +270,48 @@ class _NewtonProblem:
 
     # -- residual and Jacobian -------------------------------------------------
 
-    def _injections(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Complex voltages and total device injection currents at state ``x``."""
+    def _injections(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Complex voltages, total device injection currents and voltage collapse at state ``x``.
+
+        ``x`` is one state or a stack of them along a leading axis.  The
+        third result marks the states whose voltage collapsed toward zero at
+        some bus; for a single state that raises :class:`DivergenceError`
+        instead, and for a stack the currents of the marked rows are
+        meaningless.
+        """
         n = self.n
         v = state_to_complex(x, n)
-        q_bus = self.q_fix.copy()
-        q_bus[self.pv] += x[2 * n :]
+        q_bus = np.empty(v.shape)
+        q_bus[...] = self.q_fix
+        q_bus[..., self.pv] += x[..., 2 * n :]
         s = self.p_fix + 1j * q_bus
         d = v.real * v.real + v.imag * v.imag
-        if np.any(d < _VOLTAGE_COLLAPSE):
+        collapsed = np.any(d < _VOLTAGE_COLLAPSE, axis=-1)
+        if x.ndim == 1 and collapsed:
             raise DivergenceError("voltage magnitude collapsed toward zero")
-        i_dev = np.conj(s / v) + self.i_fix
-        return v, i_dev
+        with np.errstate(divide="ignore", invalid="ignore"):
+            i_dev = np.conj(s / v) + self.i_fix
+        return v, i_dev, collapsed
 
     def residual(self, x: np.ndarray) -> np.ndarray:
+        """Residual at state ``x``, or at each row of a stack of states.
+
+        A single state whose voltage collapses raises
+        :class:`DivergenceError`; in a stack, such a row reads NaN.
+        """
         n = self.n
-        v, i_dev = self._injections(x)
-        mis = self.ybus.matrix @ v - i_dev
-        f = np.empty(self.size)
-        f[0 : 2 * n : 2] = mis.real
-        f[1 : 2 * n : 2] = mis.imag
+        v, i_dev, collapsed = self._injections(x)
+        mis = (self.ybus.matrix @ v.T).T - i_dev
+        f = np.empty(x.shape[:-1] + (self.size,))
+        f[..., 0 : 2 * n : 2] = mis.real
+        f[..., 1 : 2 * n : 2] = mis.imag
         s = self.slack
-        f[2 * s] = v[s].real - self.slack_v.real
-        f[2 * s + 1] = v[s].imag - self.slack_v.imag
+        f[..., 2 * s] = v[..., s].real - self.slack_v.real
+        f[..., 2 * s + 1] = v[..., s].imag - self.slack_v.imag
         if len(self.pv):
-            vp = v[self.pv]
-            f[2 * n :] = vp.real**2 + vp.imag**2 - self.pv_vset**2
+            vp = v[..., self.pv]
+            f[..., 2 * n :] = vp.real**2 + vp.imag**2 - self.pv_vset**2
+        f[collapsed] = np.nan
         return f
 
     def _entry_positions(self) -> tuple[np.ndarray, np.ndarray]:

@@ -9,13 +9,15 @@ flow per outage to measure how faithful the ranking is.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import spearmanr
 
 from .case_io import GridCase, _without_branch, build_ybus
-from .errors import DivergenceError, PowerFlowError, SingularSystemError
+from .errors import PowerFlowError, SingularSystemError
 from .powerflow import (
     LinearizedSystem,
     PowerFlowOptions,
@@ -148,6 +150,57 @@ class OracleOutcome:
 _CHORD_RATIO = 0.5
 
 
+@dataclass
+class _ChordBlock:
+    """Post-outage systems of a block of outages at the oracle's base state.
+
+    Row ``i`` describes outage ``outages[i]``: its terminal state rows
+    ``rows[i]``, its branch block ``B_k`` with the rows of a slack terminal
+    zeroed, ``stamps[i]`` (those rows hold the voltage pins), and the
+    rank-4 compensation ``compensation[i] = W_k T_k^-1 B_k`` (size, 4) of
+    the base LU, where ``W_k`` are the responses of ``J0`` to unit currents
+    at the branch terminals (zero at a slack terminal) and ``T_k`` is the
+    transfer matrix of the outage engine on ``J0``.
+    """
+
+    layout: _NewtonProblem
+    lin: LinearizedSystem
+    outages: np.ndarray  # (c,)
+    rows: np.ndarray  # (c, 4)
+    stamps: np.ndarray  # (c, 4, 4)
+    compensation: np.ndarray  # (c, size, 4)
+
+    def take(self, keep: np.ndarray) -> "_ChordBlock":
+        """The rows of the block that ``keep`` selects."""
+        return _ChordBlock(
+            self.layout, self.lin, self.outages[keep], self.rows[keep], self.stamps[keep], self.compensation[keep]
+        )
+
+    def _at_terminals(self, x: np.ndarray) -> np.ndarray:
+        """Each row's entries at its own terminal rows, as (c, 4, 1)."""
+        return x[np.arange(len(x))[:, None], self.rows][..., None]
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """Post-outage residual ``F_k(x_i)`` of each row of ``x`` (c, size).
+
+        The base layout's residual less the removed branch's terminal
+        currents; a row whose voltage collapsed reads NaN.
+        """
+        f = self.layout.residual(x)
+        f[np.arange(len(x))[:, None], self.rows] -= np.matmul(self.stamps, self._at_terminals(x))[..., 0]
+        return f
+
+    def inverse(self, r: np.ndarray) -> np.ndarray:
+        """``M_k^-1 r_i`` per row: ``y + W_k T_k^-1 B_k y[rows]`` with ``y = J0^-1 r_i``.
+
+        ``M_k = J0 - E_k B_k E_k^T`` is the post-outage Jacobian at the base
+        state; the zero columns of ``W_k`` make this the compensation with
+        the slack rows of ``B_k`` zeroed.
+        """
+        y = self.lin.solve(r.T).T
+        return y + np.matmul(self.compensation, self._at_terminals(y))[..., 0]
+
+
 class _Oracle:
     """Post-outage nonlinear re-solves of one case that share its base network and Jacobian.
 
@@ -159,16 +212,20 @@ class _Oracle:
     slack terminal, which hold the voltage pins), so the post-outage
     Jacobian at ``x0`` is ``M_k = J0 - E_k B_k E_k^T``.  Its inverse is the
     base LU with a rank-4 compensation through the engine's transfer matrix
-    of ``k`` on ``J0`` (see :meth:`_compensated_inverse`).
+    of ``k`` on ``J0`` (see :class:`_ChordBlock`).
 
-    Each outage runs the chord iteration ``x <- x - M_k^-1 F_k(x)`` from
-    ``x0`` on the true post-outage residual ``F_k`` until the mismatch is at
-    most ``tol``; the first step is the Newton step.  Where ``J0`` or
+    :meth:`solve` takes the outages in the engine's blocks and runs the
+    chord iteration ``x <- x - M_k^-1 F_k(x)`` from ``x0`` on the true
+    post-outage residual ``F_k`` for a whole block at a time: each step is
+    one stacked residual, one multi-column solve of the base LU and one
+    stacked compensation, and an outage leaves the block as soon as its
+    mismatch is at most ``tol``; the first step is the Newton step.  Each
+    row's arithmetic is that of the outage iterated alone.  Where ``J0`` or
     ``M_k`` is singular, a step does not halve the mismatch (a non-finite
     one never does), a voltage collapses, the iteration budget runs out or,
     with Q-limit enforcement, the result violates a reactive limit, the
     outage is re-solved by ``_newton`` on its own admittance matrix
-    instead, exactly as
+    instead, one outage after another, exactly as
     ``solve_ac_powerflow(case.with_branch_open(k), ...)`` started from
     ``base.state``.  Either way the converged flag and the failure detail
     are those of that re-solve, and a converged state has a post-outage
@@ -205,101 +262,103 @@ class _Oracle:
         """The Newton system of the case with branch ``branch_idx`` open."""
         return self._layout.with_ybus(_without_branch(self._ybus, branch_idx))
 
-    def _compensated_inverse(self, branch_idx: int):
-        """Terminal state rows and block ``B_k`` of the branch, and ``r -> M_k^-1 r``.
+    def _blocks(self, outages: list[int]) -> Iterator[tuple[np.ndarray, _ChordBlock]]:
+        """Per block of the outage engine on ``J0``: its outages with a singular ``T_k``, and the others' systems."""
+        slack = self._layout.slack
+        with closing(_transfer_chunks(self._lin, self._case, outages)) as chunks:
+            for idx, rows, blocks, resp, cols, t, cond in chunks:
+                singular = _singular(cond)
+                ok = ~singular
+                rows, blocks, cols = rows[ok], blocks[ok], cols[ok]
+                compensation = np.matmul(resp[:, cols].transpose(1, 0, 2), np.linalg.solve(t[ok], blocks))
+                stamps = blocks.copy()
+                stamps[rows // 2 == slack] = 0.0  # the slack rows hold the voltage pins
+                yield idx[singular], _ChordBlock(self._layout, self._lin, idx[ok], rows, stamps, compensation)
 
-        None where ``J0`` or the transfer matrix is singular.  The outage
-        engine, run on ``J0`` for a block of one outage, gives the responses
-        ``W`` of ``J0`` to unit currents at the branch terminals (zero at a
-        slack terminal) and the transfer matrix ``T_k = I - B_k W[rows]``;
-        then ``M_k^-1 r = y + W T_k^-1 B_k y[rows]`` where ``y = J0^-1 r``.
-        The zero columns of ``W`` make this the compensation with the slack
-        rows of ``B_k`` zeroed.
+    def _iterate(self, block: _ChordBlock) -> dict[int, np.ndarray]:
+        """Chord iteration of a block from ``x0``: the states of the outages that converge by it."""
+        options = self._options
+        x = np.tile(self._x0, (len(block.outages), 1))
+        f = block.residual(x)
+        mismatch = np.max(np.abs(f), axis=1)
+        converged = {}
+        for _ in range(options.max_iter):
+            if not len(block.outages):
+                break
+            x = x - block.inverse(f)
+            f = block.residual(x)
+            previous, mismatch = mismatch, np.max(np.abs(f), axis=1)
+            done = mismatch <= options.tol
+            for i in np.flatnonzero(done):
+                converged[int(block.outages[i])] = x[i].copy()
+            keep = ~done & (mismatch <= _CHORD_RATIO * previous)  # NaN fails too
+            if not keep.all():
+                block, x, f, mismatch = block.take(keep), x[keep], f[keep], mismatch[keep]
+        if options.enforce_q_limits:
+            converged = {
+                k: x for k, x in converged.items() if not any(v.any() for v in self._layout.q_violations(x))
+            }
+        return converged
+
+    def solve(self, outages: list[int]) -> dict[int, tuple[dict[int, float], np.ndarray] | PowerFlowError]:
+        """Post-outage power flows of non-islanding outages, by outage.
+
+        Each gives its reactive pins and converged state, which belongs to
+        the post-outage Newton system with those pins, or the
+        :class:`PowerFlowError` of the full Newton path where that fails.
         """
+        results: dict[int, tuple[dict[int, float], np.ndarray] | PowerFlowError] = {}
+        fallback: list[int] = []
         if self._lin is None:
-            return None
-        _, rows, blocks, resp, cols, t, cond = next(_transfer_chunks(self._lin, self._case, [branch_idx]))
-        if _singular(cond[0]):
-            return None
-        rows, block = rows[0], blocks[0]
-        compensation = resp[:, cols[0]] @ np.linalg.solve(t[0], block)
-
-        def inverse(r: np.ndarray) -> np.ndarray:
-            y = self._lin.solve(r)
-            return y + compensation @ y[rows]
-
-        return rows, block, inverse
-
-    def _chord(self, branch_idx: int) -> np.ndarray | None:
-        """Converged post-outage state by chord iteration; None where the full Newton path decides."""
-        found = self._compensated_inverse(branch_idx)
-        if found is None:
-            return None
-        rows, block, inverse = found
-        layout, options = self._layout, self._options
-        stamp = block.copy()
-        stamp[rows // 2 == layout.slack] = 0.0  # the slack rows hold the voltage pins
-
-        def residual(x: np.ndarray) -> np.ndarray:
-            f = layout.residual(x)
-            f[rows] -= stamp @ x[rows]  # less the removed branch's terminal currents
-            return f
-
-        x = self._x0
-        try:
-            f = residual(x)
-            mismatch = float(np.max(np.abs(f)))
-            for _ in range(options.max_iter):
-                x = x - inverse(f)
-                f = residual(x)
-                previous, mismatch = mismatch, float(np.max(np.abs(f)))
-                if mismatch <= options.tol:
-                    break
-                if not mismatch <= _CHORD_RATIO * previous:  # NaN fails too
-                    return None
+            fallback = list(outages)
+        else:
+            for singular, block in self._blocks(outages):
+                fallback.extend(int(k) for k in singular)
+                converged = self._iterate(block)
+                results.update((k, ({}, x)) for k, x in converged.items())
+                fallback.extend(int(k) for k in block.outages if k not in converged)
+        for k in sorted(fallback):
+            problem = self.problem(k)
+            try:
+                problem, x, _ = _newton(problem, problem.initial_state(self._options), self._options)
+            except PowerFlowError as exc:
+                results[k] = exc
             else:
-                return None
-        except DivergenceError:  # a voltage collapsed
-            return None
-        if options.enforce_q_limits and any(v.any() for v in layout.q_violations(x)):
-            return None
-        return x
+                results[k] = (problem.q_pinned, x)
+        return results
 
-    def solve(self, branch_idx: int) -> tuple[dict[int, float], np.ndarray]:
-        """Reactive pins and converged state of the post-outage power flow of a non-islanding outage.
+    def outcomes(self, outages: list[int]) -> dict[int, OracleOutcome]:
+        """Outcomes of closed-branch outages by outage; all non-islanding ones are solved together.
 
-        The state belongs to the post-outage Newton system with those pins.
-        Raises :class:`PowerFlowError` where the full Newton path fails.
+        Raises ``ValueError`` for an open branch.
         """
-        x = self._chord(branch_idx)
-        if x is not None:
-            return {}, x
-        problem = self.problem(branch_idx)
-        problem, x, _ = _newton(problem, problem.initial_state(self._options), self._options)
-        return problem.q_pinned, x
-
-    def outcome(self, branch_idx: int) -> OracleOutcome:
-        if not self._case.branches[branch_idx].closed:
-            raise ValueError(f"branch {branch_idx} is open")
-        if branch_idx in self._islands:
-            return OracleOutcome(branch=branch_idx, islanded=True, converged=False, detail="islands the network")
-        try:
-            _, x = self.solve(branch_idx)
-        except PowerFlowError as exc:
-            return OracleOutcome(branch=branch_idx, islanded=False, converged=False, detail=str(exc))
+        for k in outages:
+            if not self._case.branches[k].closed:
+                raise ValueError(f"branch {k} is open")
+        found = {}
+        solved = self.solve([k for k in outages if k not in self._islands])
         yb = self._ybus
-        v = state_to_complex(x, self._case.n)
-        v_from = v[yb.from_idx]
-        i_from = yb.yff * v_from + yb.yft * v[yb.to_idx]
-        i_from[branch_idx] = 0.0  # the open branch carries no current
-        return OracleOutcome(
-            branch=branch_idx,
-            islanded=False,
-            converged=True,
-            delta_vmag=np.abs(v) - self._v_mag,
-            delta_imag=np.abs(i_from) - self._i_mag,
-            delta_p=(v_from * np.conj(i_from)).real - self._p_from,
-        )
+        for k in outages:
+            if k in self._islands:
+                found[k] = OracleOutcome(branch=k, islanded=True, converged=False, detail="islands the network")
+                continue
+            result = solved[k]
+            if isinstance(result, PowerFlowError):
+                found[k] = OracleOutcome(branch=k, islanded=False, converged=False, detail=str(result))
+                continue
+            v = state_to_complex(result[1], self._case.n)
+            v_from = v[yb.from_idx]
+            i_from = yb.yff * v_from + yb.yft * v[yb.to_idx]
+            i_from[k] = 0.0  # the open branch carries no current
+            found[k] = OracleOutcome(
+                branch=k,
+                islanded=False,
+                converged=True,
+                delta_vmag=np.abs(v) - self._v_mag,
+                delta_imag=np.abs(i_from) - self._i_mag,
+                delta_p=(v_from * np.conj(i_from)).real - self._p_from,
+            )
+        return found
 
 
 def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> OracleOutcome:
@@ -307,10 +366,10 @@ def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> O
 
     The post-outage power flow of ``case`` with branch ``branch_idx`` open
     is solved from ``base.state``, by chord iteration on the base Jacobian
-    with a rank-4 compensation for the removed branch, or by Newton
-    iteration where the chord does not settle it; the deltas are
-    post-outage minus ``base`` values.  The converged flag, and the detail
-    of a failed solve, are those of
+    with a rank-4 compensation for the removed branch (a block of one
+    outage), or by Newton iteration where the chord does not settle it; the
+    deltas are post-outage minus ``base`` values.  The converged flag, and
+    the detail of a failed solve, are those of
     ``solve_ac_powerflow(case.with_branch_open(branch_idx), ...)`` started
     from ``base.state``; a converged post-outage state lies within about
     ``10 tol`` of that solve's and meets the post-outage residual tolerance
@@ -320,7 +379,7 @@ def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> O
     is itself a finding.  Raises ``ValueError`` for an open branch.
     """
     islands = set() if is_connected(case, skip_branch=branch_idx) else {branch_idx}
-    return _Oracle(case, base, islands).outcome(branch_idx)
+    return _Oracle(case, base, islands).outcomes([branch_idx])[branch_idx]
 
 
 # -- screening ---------------------------------------------------------------------
@@ -435,14 +494,15 @@ def screen(
     :func:`evaluate_outage` for the same outage.  A non-bridge outage whose
     transfer matrix is singular is not flagged as islanding; it gets the
     severity +inf and the note "singular transfer matrix".  With
-    ``with_oracle`` every outage is additionally re-solved nonlinearly, one
-    outage after another, and the report carries per-entry oracle severities plus a rank-agreement
+    ``with_oracle`` every outage is additionally re-solved nonlinearly, and
+    the report carries per-entry oracle severities plus a rank-agreement
     summary whose ``n_diverged`` counts the non-islanding outages whose
     re-solve did not converge.  The re-solves validate the case, build its
     admittance matrix and Newton layout and factorize the base Jacobian
-    once; each outage reuses them and the bridge set, and gives the
-    :func:`oracle_outage` result bit for bit.  They use the tolerance and
-    Q-limit settings of ``sol`` with twice its iteration budget.
+    once; the non-islanding outages are then iterated together, in the
+    outage engine's blocks, and each gives the :func:`oracle_outage`
+    result bit for bit.  They use the tolerance and Q-limit settings of
+    ``sol`` with twice its iteration budget.
     ``top_k`` below 1 raises ``ValueError``.
     """
     if metric not in SEVERITY_METRICS:
@@ -481,8 +541,9 @@ def screen(
         # in a connected case exactly the bridges island it; in a disconnected one, every outage
         islands = bridges if is_connected(case) else set(range(case.n_branch))
         oracle = _Oracle(case, sol, islands)
+        outcomes = oracle.outcomes([entry.branch for entry in entries])
         for entry in entries:
-            o = oracle.outcome(entry.branch)
+            o = outcomes[entry.branch]
             entry.oracle_islanded = o.islanded
             entry.oracle_converged = o.converged
             if o.islanded:

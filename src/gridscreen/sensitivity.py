@@ -361,11 +361,12 @@ def _monitors(
     """
     base = sol._baseline
     yb = sol.ybus
-    dvc = state_to_complex(delta_state)
     delta_vmag = delta_imag = delta_p = None
     if "vmag" in quantities:
-        delta_vmag = (base.v.real * dvc.real + base.v.imag * dvc.imag) / base.v_mag
+        # the real and imaginary parts straight from the interleaved rows
+        delta_vmag = (base.v.real * delta_state[:, 0::2] + base.v.imag * delta_state[:, 1::2]) / base.v_mag
     if "imag" in quantities or "pline" in quantities:
+        dvc = state_to_complex(delta_state)
         dv_from = dvc[:, yb.from_idx]
         di_from = yb.yff * dv_from + yb.yft * dvc[:, yb.to_idx]
         di_from[np.arange(len(outages)), outages] = -base.i_from[outages]

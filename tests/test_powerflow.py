@@ -368,3 +368,38 @@ def test_fixed_pattern_jacobian_equals_coo_assembly(
 def test_fixed_pattern_rejects_three_entries_at_one_position():
     with pytest.raises(ValueError, match="more than two"):
         _CscPattern(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64), 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(1, 16),
+    n_chords=st.integers(0, 6),
+    n_parallel=st.integers(0, 3),
+    n_spurs=st.integers(0, 6),
+    n_open=st.integers(0, 2),
+    pin_share=st.sampled_from([0.0, 0.5]),
+)
+def test_stacked_residual_rows_equal_single_residuals(seed, n_core, n_chords, n_parallel, n_spurs, n_open, pin_share):
+    """Each row of a stacked residual is the residual of that state alone, bit for bit.
+
+    One row collapses a bus voltage to zero: it reads NaN in the stack, and
+    alone it raises :class:`DivergenceError`.
+    """
+    rng = np.random.default_rng(seed)
+    case = with_devices(random_meshed(seed, n_core, n_chords, n_parallel, n_spurs, n_open), rng)
+    pv = [k for k, bus in enumerate(case.buses) if bus.kind == BusKind.PV]
+    q_pinned = {k: float(rng.uniform(-0.2, 0.2)) for k in pv if rng.random() < pin_share}
+    problem = _NewtonProblem(case, build_ybus(case), q_pinned)
+    x = np.tile(problem.initial_state(PowerFlowOptions()), (4, 1))
+    x[:, : 2 * case.n] += rng.normal(scale=0.05, size=(4, 2 * case.n))
+    x[:, 2 * case.n :] += rng.normal(scale=0.1, size=(4, len(problem.pv)))
+    bus = int(rng.integers(case.n))
+    x[2, 2 * bus : 2 * bus + 2] = 0.0
+    stacked = problem.residual(x)
+    assert stacked.shape == x.shape
+    for i in (0, 1, 3):
+        assert stacked[i].tobytes() == problem.residual(x[i]).tobytes()
+    assert np.isnan(stacked[2]).all()
+    with pytest.raises(DivergenceError, match="collapsed"):
+        problem.residual(x[2])

@@ -29,7 +29,7 @@ from gridscreen.screening import (
     screen,
 )
 from gridscreen import sensitivity
-from gridscreen.sensitivity import _CHUNK, SEVERITY_METRICS, evaluate_outage, severity_from_deltas
+from gridscreen.sensitivity import _CHUNK, SEVERITY_METRICS, _transfer_chunks, evaluate_outage, severity_from_deltas
 
 from gridbuild import (
     RING5_BRIDGE,
@@ -340,9 +340,10 @@ def _assert_oracle_equals_fresh_resolve(case, sol):
     solved = {}
     solve = oracle.solve
 
-    def recording_solve(k):
-        solved[k] = solve(k)
-        return solved[k]
+    def recording_solve(ks):
+        found = solve(ks)
+        solved.update(found)
+        return found
 
     oracle.solve = recording_solve
     options = PowerFlowOptions(
@@ -360,6 +361,7 @@ def _assert_oracle_equals_fresh_resolve(case, sol):
 
     base_i = np.abs(from_currents(sol.ybus, sol.v_complex))
     outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    outcomes = oracle.outcomes(outages)  # one call, as the screen makes it
     for k in outages:
         post_case = case.with_branch_open(k)
         post_ybus = build_ybus(post_case)
@@ -367,7 +369,7 @@ def _assert_oracle_equals_fresh_resolve(case, sol):
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(post_ybus.matrix, attr)), (k, attr)
 
-        outcome = oracle.outcome(k)
+        outcome = outcomes[k]
         try:
             post = solve_ac_powerflow(post_case, options)
         except PowerFlowError as exc:
@@ -431,7 +433,8 @@ def test_oracle_equals_fresh_resolve_on_random_networks(seed, n_core, n_chords, 
 def test_compensated_inverse_solves_the_post_outage_jacobian(case14, sol14, case118, sol118, which):
     """The base LU with the rank-4 compensation inverts each post-outage Jacobian at the base state.
 
-    Branches 0 and 1 of case14 leave the slack bus, whose rows keep their pins.
+    Each row of a block is checked against its own outage.  Branches 0 and
+    1 of case14 leave the slack bus, whose rows keep their pins.
     """
     if which == "case118":
         case, sol = case118, sol118
@@ -442,15 +445,24 @@ def test_compensated_inverse_solves_the_post_outage_jacobian(case14, sol14, case
         sol = solve_ac_powerflow(case)
     bridges = find_bridges(case)
     oracle = _Oracle(case, sol, bridges)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
     rng = np.random.default_rng(7)
-    for k, br in enumerate(case.branches):
-        if not br.closed or k in bridges:
-            continue
-        post_case = case.with_branch_open(k)
-        jacobian = _NewtonProblem(post_case, build_ybus(post_case)).jacobian(oracle._x0)
-        _, _, inverse = oracle._compensated_inverse(k)
-        r = rng.normal(size=jacobian.shape[0])
-        assert np.max(np.abs(jacobian @ inverse(r) - r)) <= 1e-9, k
+    checked = []
+    for singular, block in oracle._blocks(outages):
+        assert len(singular) == 0
+        r = rng.normal(size=(len(block.outages), oracle._x0.size))
+        inverse = block.inverse(r)
+        for i, k in enumerate(block.outages):
+            post_case = case.with_branch_open(int(k))
+            jacobian = _NewtonProblem(post_case, build_ybus(post_case)).jacobian(oracle._x0)
+            assert np.max(np.abs(jacobian @ inverse[i] - r[i])) <= 1e-9, k
+            checked.append(int(k))
+    assert sorted(checked) == outages
+
+
+def _chord_converged(oracle: _Oracle, outages: list[int]) -> set[int]:
+    """The outages whose chord iteration converges, block by block."""
+    return {k for singular, block in oracle._blocks(outages) for k in oracle._iterate(block)}
 
 
 def test_chord_iteration_carries_most_outages(case118, sol118):
@@ -458,8 +470,128 @@ def test_chord_iteration_carries_most_outages(case118, sol118):
     iteration; on case118, all but a few do without the full Newton path."""
     case = ring5()
     oracle = _Oracle(case, solve_ac_powerflow(case), {RING5_BRIDGE})
-    assert all(oracle._chord(k) is not None for k in range(case.n_branch) if k != RING5_BRIDGE)
+    outages = [k for k in range(case.n_branch) if k != RING5_BRIDGE]
+    assert _chord_converged(oracle, outages) == set(outages)
     bridges = find_bridges(case118)
     oracle = _Oracle(case118, sol118, bridges)
     outages = [k for k, br in enumerate(case118.branches) if br.closed and k not in bridges]
-    assert sum(oracle._chord(k) is not None for k in outages) >= 150
+    assert len(outages) == 177
+    assert len(_chord_converged(oracle, outages)) >= 150
+
+
+# -- the oracle's blocks -----------------------------------------------------------
+
+
+def _overload_beside_ring() -> GridCase:
+    """``overload_pair``'s two circuits and a loaded ring, all at the slack.
+
+    Neither circuit alone carries the 8 p.u. load, so the chord iteration of
+    either outage blows up and its Newton re-solve diverges; the ring's
+    outages converge by chord in the same block.
+    """
+    return GridCase(
+        "overload_ring",
+        100.0,
+        (
+            Bus(1, BusKind.SLACK),
+            Bus(2, BusKind.PQ, p_load=8.0),
+            Bus(3, BusKind.PQ, p_load=0.3, q_load=0.1),
+            Bus(4, BusKind.PQ, p_load=0.2, q_load=0.05),
+        ),
+        (
+            Branch(1, 2, 0.0, 0.1),
+            Branch(1, 2, 0.0, 0.1),
+            Branch(1, 3, 0.01, 0.05),
+            Branch(3, 4, 0.02, 0.08),
+            Branch(4, 1, 0.01, 0.06),
+        ),
+        (),
+    )
+
+
+@pytest.mark.parametrize("which", ["case14", "case118", "case118_q_limits", "open_double"])
+def test_screen_oracle_equals_oracle_outage(monkeypatch, case14, sol14, case118, sol118, which):
+    """The screen solves its oracle outages in blocks; each equals :func:`oracle_outage` bit for bit.
+
+    ``oracle_outage`` solves a block of one outage.
+    """
+    if which == "case14":
+        case, sol = case14, sol14
+    elif which == "case118":
+        case, sol = case118, sol118
+    elif which == "case118_q_limits":
+        case, sol = case118, solve_ac_powerflow(case118, PowerFlowOptions(enforce_q_limits=True))
+    else:
+        case = _open_and_double_circuit(case14)
+        sol = solve_ac_powerflow(case)
+    # record the outcomes the screen's oracle builds
+    batched = {}
+    outcomes = _Oracle.outcomes
+
+    def recording_outcomes(oracle, ks):
+        found = outcomes(oracle, ks)
+        batched.update(found)
+        return found
+
+    monkeypatch.setattr(_Oracle, "outcomes", recording_outcomes)
+    report = screen(case, sol, metric="pline_inf", with_oracle=True)
+    monkeypatch.undo()
+    closed = np.array([br.closed for br in case.branches])
+    assert sorted(batched) == sorted(e.branch for e in report.entries)
+    for e in report.entries:
+        alone = oracle_outage(case, e.branch, sol)
+        assert (e.oracle_islanded, e.oracle_converged) == (alone.islanded, alone.converged), e.branch
+        if alone.islanded:
+            assert math.isinf(e.oracle_severity)
+        else:
+            assert alone.converged, e.branch
+            deltas = (alone.delta_vmag, alone.delta_imag, alone.delta_p)
+            assert e.oracle_severity == severity_from_deltas("pline_inf", *deltas, e.branch, closed), e.branch
+        o = batched[e.branch]
+        assert (o.islanded, o.converged, o.detail) == (alone.islanded, alone.converged, alone.detail)
+        for name in ("delta_vmag", "delta_imag", "delta_p"):
+            assert np.array_equal(getattr(o, name), getattr(alone, name)), (e.branch, name)
+
+
+@pytest.mark.parametrize("which", ["overload_ring", "case118"])
+def test_oracle_rows_are_isolated(monkeypatch, case118, sol118, which):
+    """Rows that leave a block early do not touch the rows that stay.
+
+    On the overload ring two rows blow up beside three that converge by
+    chord.  On case118 a lowered ``COND_LIMIT`` makes some transfer
+    matrices singular, and the mismatch of some chord steps does not
+    halve.  Every outage gets the pins and state, or the error, that it
+    gets when solved alone.
+    """
+    if which == "case118":
+        case, sol = case118, sol118
+    else:
+        case = _overload_beside_ring()
+        sol = solve_ac_powerflow(case)
+    bridges = find_bridges(case)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    oracle = _Oracle(case, sol, bridges)
+    if which == "case118":
+        conds = np.concatenate([chunk[-1] for chunk in _transfer_chunks(oracle._lin, case, outages)])
+        monkeypatch.setattr(sensitivity, "COND_LIMIT", float(np.percentile(conds, 90)))
+    # some block holds rows that converge by chord beside rows that leave it
+    kinds = []
+    for singular, block in oracle._blocks(outages):
+        chord = set(oracle._iterate(block))
+        kinds.append((len(singular), len(chord), len(block.outages) - len(chord)))
+    if which == "case118":
+        assert any(all(kind) for kind in kinds), kinds
+    else:
+        assert kinds == [(0, 3, 2)]
+
+    together = oracle.solve(outages)
+    assert sorted(together) == outages
+    for k in outages:
+        alone = oracle.solve([k])[k]
+        if isinstance(alone, PowerFlowError):
+            assert type(together[k]) is type(alone) and str(together[k]) == str(alone), k
+        else:
+            assert together[k][0] == alone[0], k
+            assert together[k][1].tobytes() == alone[1].tobytes(), k
+    diverged = [k for k in outages if isinstance(together[k], PowerFlowError)]
+    assert diverged == ([] if which == "case118" else [0, 1])
