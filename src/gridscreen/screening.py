@@ -265,7 +265,7 @@ class _Oracle:
     def _blocks(self, outages: list[int]) -> Iterator[tuple[np.ndarray, _ChordBlock]]:
         """Per block of the outage engine on ``J0``: its outages with a singular ``T_k``, and the others' systems."""
         slack = self._layout.slack
-        with closing(_transfer_chunks(self._lin, self._case, outages)) as chunks:
+        with closing(_transfer_chunks(self._lin, self._case, outages, self._ybus)) as chunks:
             for idx, rows, blocks, resp, cols, t, cond in chunks:
                 singular = _singular(cond)
                 ok = ~singular

@@ -11,14 +11,18 @@ All first-order monitored quantities (voltage magnitudes, branch current
 magnitudes, branch active-power flows) follow from the resulting voltage
 change by the chain rule.
 
-One engine evaluates outages in blocks: each block solves the linear model
-once per distinct terminal bus, then stacks the transfer matrices, the
-injections and the monitors.  A single-outage query is a block of one, so
-every caller gets the same arithmetic for the same outage.  The blocks'
-terminal solves release the interpreter lock and run ahead on a small
-thread pool (one worker per usable CPU; none for a single block); the rest
-of each block runs on the calling thread, in block order, so results do not
-depend on the number of workers.
+One engine evaluates outages in blocks.  The outages are sorted by terminal
+bus, so that neighbours in a block share terminals, and one engine pass
+solves the linear model once per distinct terminal bus: a block solves only
+the buses that no earlier block left in the pass's slot array, and each bus
+keeps its two response columns there from its first use to its last.  The
+block then stacks the transfer matrices, the injections and the monitors.
+A single-outage query is a block of one, so every caller gets the same
+arithmetic for the same outage.  The terminal solves release the
+interpreter lock and run ahead on a small thread pool (one worker per
+usable CPU; none for a single block); the rest of each block, the copy of
+its solved columns into the slot array included, runs on the calling
+thread, in block order, so results do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
-from .case_io import GridCase, branch_admittances, build_ybus
+from .case_io import AdmittanceMatrix, GridCase, branch_admittances, build_ybus
 from .errors import IslandingError, SingularSystemError
 from .powerflow import (
     BranchTerminalCurrents,
@@ -63,9 +68,13 @@ __all__ = [
 # transfer matrices above this condition number are treated as singular
 COND_LIMIT = 1e12
 
-# outages per block of the outage engine; a block solves at most 4 * _CHUNK
-# columns of the linear model
+# outages per block of the outage engine
 _CHUNK = 32
+
+# terminal buses whose response columns one engine pass keeps at a time; a
+# block has at most 2 * _CHUNK, and a bus pushed out by this bound is solved
+# again at its next use
+_LIVE_BUSES = 4 * _CHUNK
 
 # monitored quantity each severity metric reads
 _METRIC_QUANTITY = {"vmag_inf": "vmag", "vmag_2": "vmag", "imag_inf": "imag", "pline_inf": "pline"}
@@ -89,29 +98,22 @@ class InjectionSensitivity:
     full: np.ndarray  # (size, 4) response of the complete linear system
 
 
-def _terminal_solve(lin: LinearizedSystem, term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Responses of ``lin`` to unit current injections at branch terminals.
+def _bus_solve(lin: LinearizedSystem, buses: list[int]) -> np.ndarray:
+    """Responses (size, 2k) of ``lin`` to unit current injections at non-slack ``buses``.
 
-    ``term`` (c, 2) holds the from and to bus of each branch.  Every
-    distinct bus is solved once, in two columns (real and imaginary
-    injection); slack terminals share one zero column, because the slack
-    absorbs any injected current without a voltage response.  Returns
-    ``(resp, cols)``: ``resp`` (size, k) and ``cols`` (c, 4), the column of
-    each branch's directions ``[from_real, from_imag, to_real, to_imag]``.
+    Bus ``buses[p]`` gets columns ``2p`` (real injection) and ``2p + 1``
+    (imaginary injection).  SuperLU passes the right-hand sides to BLAS,
+    which rounds a column in a last, partial group of four columns
+    differently from one in a full group; a zero pair fills that group, so
+    that a bus's columns have the same bits whatever else is solved with
+    them, and a block of outages gives the bits of each outage alone.
     """
-    buses = sorted(set(term.ravel().tolist()))
-    free = [b for b in buses if not lin.is_slack(b)]
-    zero = 2 * len(free)
-    rhs = np.zeros((lin.size, zero + (len(free) < len(buses))))
-    pos = {}
-    for p, b in enumerate(free):
-        pos[b] = (2 * p, 2 * p + 1)
+    k = 2 * len(buses)
+    rhs = np.zeros((lin.size, k + k % 4), order="F")  # SuperLU's own layout: no copy to convert
+    for p, b in enumerate(buses):
         (r0, r1) = lin.kcl_rows(b)
         rhs[r0, 2 * p] = rhs[r1, 2 * p + 1] = 1.0
-    resp = lin.solve(rhs)
-    resp[:, zero:] = 0.0  # exact zeros, whatever the solve's signed zeros
-    cols = np.array([pos.get(f, (zero, zero)) + pos.get(t, (zero, zero)) for f, t in term.tolist()])
-    return resp, cols
+    return lin.solve(rhs)[:, :k] if buses else rhs
 
 
 def injection_sensitivity(lin: LinearizedSystem, branch_idx: int) -> InjectionSensitivity:
@@ -120,14 +122,13 @@ def injection_sensitivity(lin: LinearizedSystem, branch_idx: int) -> InjectionSe
     if not 0 <= branch_idx < case.n_branch:
         raise ValueError(f"branch index {branch_idx} out of range")
     br = case.branches[branch_idx]
-    term = np.array([[case.bus_index(br.from_bus), case.bus_index(br.to_bus)]])
-    resp, cols = _terminal_solve(lin, term)
+    term = (case.bus_index(br.from_bus), case.bus_index(br.to_bus))
     rows = np.full(4, -1, dtype=np.int64)
-    for pos, bus in enumerate(term[0]):
-        pair = lin.kcl_rows(int(bus))
-        if pair is not None:
-            rows[2 * pos], rows[2 * pos + 1] = pair
-    full = resp[:, cols[0]]
+    full = np.zeros((lin.size, 4), order="F")  # a slack terminal's columns stay zero
+    free = [pos for pos, bus in enumerate(term) if not lin.is_slack(bus)]
+    for pos in free:
+        rows[2 * pos], rows[2 * pos + 1] = lin.kcl_rows(term[pos])
+    full[:, [2 * pos + j for pos in free for j in (0, 1)]] = _bus_solve(lin, [term[pos] for pos in free])
     return InjectionSensitivity(branch=branch_idx, rows=rows, dv=full[: 2 * lin.n, :], full=full)
 
 
@@ -155,20 +156,32 @@ def branch_current_jacobian(case: GridCase, branch_idx: int) -> BranchCurrentJac
     br = case.branches[branch_idx]
     if not br.closed:
         raise ValueError(f"branch {branch_idx} is open")
-    yff, yft, ytf, ytt = branch_admittances(br)
-    # each admittance as the 2x2 real form of multiplication by it
-    block = np.array(
-        [
-            [yff.real, -yff.imag, yft.real, -yft.imag],
-            [yff.imag, yff.real, yft.imag, yft.real],
-            [ytf.real, -ytf.imag, ytt.real, -ytt.imag],
-            [ytf.imag, ytf.real, ytt.imag, ytt.real],
-        ]
-    )
-    f = case.bus_index(br.from_bus)
-    t = case.bus_index(br.to_bus)
-    rows = np.array([2 * f, 2 * f + 1, 2 * t, 2 * t + 1], dtype=np.int64)
-    return BranchCurrentJacobian(branch=branch_idx, rows=rows, block=block)
+    ends = (np.array([case.bus_index(br.from_bus)]), np.array([case.bus_index(br.to_bus)]))
+    rows, blocks = _branch_blocks(*ends, *np.array([branch_admittances(br)]).T)
+    return BranchCurrentJacobian(branch=branch_idx, rows=rows[0], block=blocks[0])
+
+
+# a branch block is the 2x2 real form of multiplication by each admittance:
+# its entries, as positions in [yff.real, yff.imag, yft.real, ..., ytt.imag],
+# and their signs
+_BLOCK_PARTS = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [4, 5, 6, 7], [5, 4, 7, 6]])
+_BLOCK_SIGNS = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, 1.0, 1.0]] * 2)
+# the state rows of a branch's terminals [2f, 2f + 1, 2t, 2t + 1], less 2f and 2t
+_ROW_OFFSETS = np.array([0, 1, 0, 1])
+
+
+def _branch_blocks(
+    f: np.ndarray, t: np.ndarray, yff: np.ndarray, yft: np.ndarray, ytf: np.ndarray, ytt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The :class:`BranchCurrentJacobian` rows (c, 4) and blocks (c, 4, 4) of c branches.
+
+    ``f`` and ``t`` are the branches' terminal buses, the others their
+    two-port admittances (see :func:`branch_admittances`).
+    """
+    rows = 2 * np.array([f, f, t, t]).T + _ROW_OFFSETS
+    y = np.empty((len(f), 4), dtype=complex)
+    y[:, 0], y[:, 1], y[:, 2], y[:, 3] = yff, yft, ytf, ytt
+    return rows, y.view(float).take(_BLOCK_PARTS, axis=1) * _BLOCK_SIGNS
 
 
 @dataclass
@@ -268,35 +281,116 @@ def _ordered_map(fn: Callable, items: list) -> Iterator:
                 future.cancel()
 
 
+def _slot_plan(
+    lin: LinearizedSystem, f: np.ndarray, t: np.ndarray
+) -> tuple[list[tuple[list[int], list[int] | slice, np.ndarray]], int]:
+    """Which buses each block of an engine pass solves, and where their columns live.
+
+    ``f`` and ``t`` (c,) hold the from and to bus of each outage, in engine
+    order; block ``b`` holds outages ``b * _CHUNK`` up to ``(b + 1) *
+    _CHUNK``.  Every non-slack terminal bus gets a slot, two columns of one
+    slot array, from its first use to its last; a freed slot is reused.
+    Column 0 of that array is zero and serves every slack terminal, because
+    the slack absorbs any injected current without a voltage response; slot
+    ``s`` is columns ``1 + 2s`` and ``2 + 2s``.  A block with an odd number
+    of new buses also solves one bus of the next block, so that its solve
+    fills whole groups of four columns (see :func:`_bus_solve`).  With
+    ``_LIVE_BUSES`` slots taken, the bus not in the block whose next use is
+    furthest away loses its slot and is solved again at that use.  Returns
+    one ``(new, at, cols)`` per block and the number of slots: the buses
+    the block solves, the slot-array columns their responses go to (a list,
+    or a slice), and each outage's four columns (c, 4) for the directions
+    ``[from_real, from_imag, to_real, to_imag]``.
+    """
+    pairs = list(zip(f.tolist(), t.tolist()))
+    blocks = [pairs[start : start + _CHUNK] for start in range(0, len(pairs), _CHUNK)]
+    slack = {lin.slack}
+    buses = [sorted(set(chain.from_iterable(block)) - slack) for block in blocks]
+
+    def columns(block, block_buses, live):
+        col = {b: (1 + 2 * live[b], 2 + 2 * live[b]) for b in block_buses}
+        return np.array([col.get(a, (0, 0)) + col.get(b, (0, 0)) for a, b in block], dtype=np.int64)
+
+    if len(blocks) == 1:  # every bus is new, in slot order: one slice of columns
+        new = buses[0]
+        cols = columns(blocks[0], new, dict(zip(new, range(len(new)))))
+        return [(new, slice(1, 1 + 2 * len(new)), cols)], len(new)
+    later: dict[int, list[int]] = {}  # bus -> the blocks that still use it, the next one last
+    for j in range(len(buses) - 1, -1, -1):
+        for b in buses[j]:
+            later.setdefault(b, []).append(j)
+    live: dict[int, int] = {}  # bus -> slot
+    free: list[int] = []
+    plan = []
+    for j, (block, block_buses) in enumerate(zip(blocks, buses)):
+        new = [b for b in block_buses if b not in live]
+        if len(new) % 2 and j + 1 < len(buses):
+            new += [b for b in buses[j + 1] if b not in live and b not in new][:1]
+        for b in new:
+            if free:
+                live[b] = free.pop()
+            elif len(live) < _LIVE_BUSES:
+                live[b] = len(live)
+            else:
+                idle = set(live).difference(block_buses)
+                live[b] = live.pop(max(idle, key=lambda v: (later[v][-1], v)))
+        at = [c for b in new for c in (1 + 2 * live[b], 2 + 2 * live[b])]
+        plan.append((new, at, columns(block, block_buses, live)))
+        for b in block_buses:
+            uses = later[b]
+            uses.pop()
+            if not uses:
+                free.append(live.pop(b))
+    return plan, len(free)  # every bus is freed after its last use
+
+
 def _transfer_chunks(
-    lin: LinearizedSystem, case: GridCase, outages: Iterable[int]
+    lin: LinearizedSystem, case: GridCase, outages: Iterable[int], ybus: AdmittanceMatrix | None = None
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Transfer matrices of ``outages``, in blocks that share terminal solves.
 
-    Outages are sorted by terminal buses, so that neighbours in a block of
-    up to ``_CHUNK`` share terminals, and each block solves ``lin`` once per
-    distinct terminal.  ``SuperLU.solve`` releases the interpreter lock, so
-    the blocks' terminal solves run ahead on a thread pool of one worker per
-    usable CPU (inline for one block or one CPU); the blocks are yielded in
-    order and the results do not depend on the worker count.  Yields
-    ``(idx, rows, blocks, resp, cols, t, cond)`` per block: the outages
-    (c,), their terminal state rows (c, 4) and branch blocks ``B_k``
-    (c, 4, 4) (see :class:`BranchCurrentJacobian`), the block's responses
-    and each outage's four columns of them (see :func:`_terminal_solve`),
-    the transfer matrices ``I - B_k dv[rows]`` (c, 4, 4) and their condition
-    numbers (c,).
+    Outages are sorted by terminal buses and cut into blocks of up to
+    ``_CHUNK``, and the pass solves ``lin`` once per distinct non-slack
+    terminal bus, in the first block that uses it (see :func:`_slot_plan`).
+    ``SuperLU.solve`` releases the interpreter lock, so these solves run
+    ahead on a thread pool of one worker per usable CPU (inline for one
+    block or one CPU); the blocks are yielded in order and the results do
+    not depend on the worker count.  The branch blocks come from the stamp
+    arrays of ``ybus``, the admittance matrix of ``case`` (built when not
+    given).  Yields ``(idx, rows, blocks, resp, cols, t, cond)`` per block:
+    the outages (c,), their terminal state rows (c, 4) and branch blocks
+    ``B_k`` (c, 4, 4) (see :class:`BranchCurrentJacobian`); ``resp``, the
+    pass's slot array (size, k) of terminal responses, and ``cols`` (c, 4),
+    the columns of ``resp`` that hold each outage's responses to unit
+    injections ``[from_real, from_imag, to_real, to_imag]`` (a zero column
+    at a slack terminal); the transfer matrices ``I - B_k dv[rows]``
+    (c, 4, 4) and their condition numbers (c,).  ``resp`` is reused: it
+    holds this block's columns only until the next block is requested.
     """
-    jacs = [branch_current_jacobian(case, k) for k in outages]
-    jacs.sort(key=lambda jac: (min(jac.rows[0], jac.rows[2]), max(jac.rows[0], jac.rows[2])))
-    chunks = [jacs[start : start + _CHUNK] for start in range(0, len(jacs), _CHUNK)]
-    terminals = [np.concatenate([jac.rows for jac in block]).reshape(-1, 4) for block in chunks]
-    solves = _ordered_map(lambda rows: _terminal_solve(lin, rows[:, 0::2] // 2), terminals)
+    idx = np.fromiter(outages, dtype=np.int64)
+    n_branch = case.n_branch
+    for k in idx.tolist():
+        if not 0 <= k < n_branch:
+            raise ValueError(f"branch index {k} out of range")
+        if not case.branches[k].closed:
+            raise ValueError(f"branch {k} is open")
+    if ybus is None:
+        ybus = build_ybus(case)
+    if len(idx) > 1:
+        f, to = ybus.from_idx[idx], ybus.to_idx[idx]
+        idx = idx[np.lexsort((np.maximum(f, to), np.minimum(f, to)))]  # stable
+    f, to = ybus.from_idx[idx], ybus.to_idx[idx]
+    rows, blocks = _branch_blocks(f, to, ybus.yff[idx], ybus.yft[idx], ybus.ytf[idx], ybus.ytt[idx])
+    plan, n_slots = _slot_plan(lin, f, to)
+    resp = np.zeros((lin.size, 1 + 2 * n_slots), order="F")
+    solves = _ordered_map(lambda new: _bus_solve(lin, new), [new for new, _, _ in plan])
     with closing(solves):
-        for block, rows, (resp, cols) in zip(chunks, terminals, solves):
-            blocks = np.concatenate([jac.block for jac in block]).reshape(-1, 4, 4)
-            at_terminals = resp[rows[:, :, None], cols[:, None, :]]  # dv[rows, :] of each outage
-            t = np.eye(4) - blocks @ at_terminals
-            yield np.array([jac.branch for jac in block]), rows, blocks, resp, cols, t, np.linalg.cond(t)
+        for start, (_, at, cols), solved in zip(range(0, len(idx), _CHUNK), plan, solves):
+            resp[:, at] = solved
+            block = slice(start, start + _CHUNK)
+            at_terminals = resp[rows[block, :, None], cols[:, None, :]]  # dv[rows, :] of each outage
+            t = np.eye(4) - blocks[block] @ at_terminals
+            yield idx[block], rows[block], blocks[block], resp, cols, t, np.linalg.cond(t)
 
 
 @dataclass
@@ -333,12 +427,9 @@ class _ImpactChunk:
             imag_fallback=self.imag_fallback.copy(),
         )
 
-    def severity(self, metric: str, i: int, closed: np.ndarray) -> float:
-        def row(deltas):
-            return None if deltas is None else deltas[i]
-
-        deltas = (row(self.delta_vmag), row(self.delta_imag), row(self.delta_p))
-        return severity_from_deltas(metric, *deltas, int(self.outages[i]), closed)
+    def severities(self, metric: str, closed: np.ndarray) -> np.ndarray:
+        """Severity (c,) of every row under ``metric``; see :func:`severity_from_deltas`."""
+        return _severities(metric, self.delta_vmag, self.delta_imag, self.delta_p, self.outages, closed)
 
 
 def _monitors(
@@ -398,7 +489,7 @@ def _impact_chunks(
     if "vmag" in quantities and (base.v_mag < 1e-12).any():
         raise ValueError("voltage magnitude is zero at some bus; |V| is not differentiable")
     n2 = 2 * sol.n
-    with closing(_transfer_chunks(lin, sol.case, outages)) as chunks:
+    with closing(_transfer_chunks(lin, sol.case, outages, sol.ybus)) as chunks:
         for idx, _, _, resp, cols, t, cond in chunks:
             singular = _singular(cond)
             i_pre = base.i_terminal[idx]
@@ -444,12 +535,11 @@ def _outage_severities(
     Outages with a singular transfer matrix are left out.
     """
     closed = sol._baseline.closed
-    return {
-        int(k): chunk.severity(metric, i, closed)
-        for chunk in _impact_chunks(sol, lin, outages, (_METRIC_QUANTITY[metric],))
-        for i, k in enumerate(chunk.outages)
-        if not chunk.singular[i]
-    }
+    severities = {}
+    for chunk in _impact_chunks(sol, lin, outages, (_METRIC_QUANTITY[metric],)):
+        keep = ~chunk.singular
+        severities.update(zip(chunk.outages[keep].tolist(), chunk.severities(metric, closed)[keep].tolist()))
+    return severities
 
 
 @dataclass
@@ -496,16 +586,34 @@ def severity_from_deltas(
     they measure redistribution rather than the (always large) loss of the
     outaged branch itself.
     """
+    rows = (None if deltas is None else np.asarray(deltas)[None] for deltas in (delta_vmag, delta_imag, delta_p))
+    return float(_severities(metric, *rows, np.array([outage]), closed)[0])
+
+
+def _severities(
+    metric: str,
+    delta_vmag: np.ndarray | None,
+    delta_imag: np.ndarray | None,
+    delta_p: np.ndarray | None,
+    outages: np.ndarray,
+    closed: np.ndarray,
+) -> np.ndarray:
+    """Severities (c,) of rows of monitor changes, row ``i`` for removing ``outages[i]``.
+
+    The rows are those of :class:`_ImpactChunk`; see
+    :func:`severity_from_deltas` for the metrics.
+    """
     if metric == "vmag_inf":
-        return float(np.max(np.abs(delta_vmag)))
+        return np.max(np.abs(delta_vmag), axis=1)
     if metric == "vmag_2":
-        return float(np.linalg.norm(delta_vmag))
-    others = closed.copy()
-    others[outage] = False
-    if metric == "imag_inf":
-        return float(np.max(np.abs(delta_imag[others]))) if others.any() else 0.0
-    if metric == "pline_inf":
-        return float(np.max(np.abs(delta_p[others]))) if others.any() else 0.0
+        # a norm along an axis does not sum like the norm of one row
+        return np.array([np.linalg.norm(row) for row in delta_vmag])
+    if metric in ("imag_inf", "pline_inf"):
+        deltas = delta_imag if metric == "imag_inf" else delta_p
+        others = np.tile(closed, (len(outages), 1))
+        others[np.arange(len(outages)), outages] = False
+        worst = np.where(others, np.abs(deltas), -np.inf).max(axis=1, initial=-np.inf)
+        return np.where(others.any(axis=1), worst, 0.0)
     raise ValueError(f"unknown severity metric {metric!r}; choose from {SEVERITY_METRICS}")
 
 
@@ -559,11 +667,12 @@ def singular_outage_branches(case: GridCase) -> set[int]:
         buses=tuple(replace(bus, g_shunt=0.0, b_shunt=0.0) for bus in case.buses),
         branches=tuple(replace(br, b_charging=0.0, tap=1.0, shift=0.0) for br in case.branches),
     )
+    ybus = build_ybus(series)
     try:
-        lin = _network_system(series, build_ybus(series).matrix, series.slack_index(), np.zeros(2 * series.n))
+        lin = _network_system(series, ybus.matrix, series.slack_index(), np.zeros(2 * series.n))
     except SingularSystemError as exc:
         raise SingularSystemError(
             "series connection network is singular; the case is likely disconnected"
         ) from exc
     closed = [idx for idx, br in enumerate(series.branches) if br.closed]
-    return {int(k) for idx, *_, cond in _transfer_chunks(lin, series, closed) for k in idx[_singular(cond)]}
+    return {int(k) for idx, *_, cond in _transfer_chunks(lin, series, closed, ybus) for k in idx[_singular(cond)]}

@@ -5,10 +5,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from gridscreen.errors import IslandingError
+from gridscreen.errors import IslandingError, PowerFlowError
 from gridscreen.powerflow import (
     branch_terminal_currents,
     linearize_at_solution,
@@ -17,10 +17,14 @@ from gridscreen.powerflow import (
 )
 from gridscreen.sensitivity import (
     _CHUNK,
+    _LIVE_BUSES,
     COND_LIMIT,
+    SEVERITY_METRICS,
+    _branch_blocks,
     _impact_chunks,
     _monitors,
-    _terminal_solve,
+    _outage_severities,
+    _slot_plan,
     _transfer_chunks,
     branch_current_jacobian,
     circuit_lodf,
@@ -31,8 +35,8 @@ from gridscreen.sensitivity import (
     singular_outage_branches,
     solve_outage_injection,
 )
-from gridscreen.screening import _Oracle, find_bridges, is_connected
-from gridscreen.case_io import scale_loading
+from gridscreen.screening import _Oracle, find_bridges, is_connected, screen
+from gridscreen.case_io import build_ybus, scale_loading
 from gridscreen import sensitivity
 
 import reference
@@ -46,6 +50,7 @@ from gridbuild import (
     slack_split,
     triangle,
     two_bus,
+    with_devices,
 )
 
 
@@ -503,10 +508,9 @@ def test_engine_slack_terminal_outage_uses_zero_columns(sol14, lin14):
     # branch 0 of the bundled 14-bus case leaves the slack bus
     slack = case.bus_index(case.branches[0].from_bus)
     assert lin14.is_slack(slack)
-    term = np.array([[slack, case.bus_index(case.branches[0].to_bus)]])
-    resp, cols = _terminal_solve(lin14, term)
-    assert resp.shape[1] == 3  # two columns for the far terminal, one zero column
-    assert cols[0, 0] == cols[0, 1] == 2 and np.all(resp[:, 2] == 0.0)
+    _, _, _, resp, cols, _, _ = next(_transfer_chunks(lin14, case, [0]))
+    assert resp.shape[1] == 3  # one zero column, two columns for the far terminal
+    assert cols[0, 0] == cols[0, 1] == 0 and np.all(resp[:, 0] == 0.0)
 
     impact = evaluate_outage(sol14, lin14, 0)
     jac = branch_current_jacobian(case, 0)
@@ -533,6 +537,152 @@ def test_engine_blocks_cover_case118(sol118, lin118):
     blocks = [idx for idx, *_ in _transfer_chunks(lin118, case, closed)]
     assert len(blocks) > 2 and max(map(len, blocks)) == _CHUNK
     assert sorted(int(k) for idx in blocks for k in idx) == closed
+
+
+@pytest.mark.parametrize("variant", ["case14", "phase_shifted"])
+def test_branch_blocks_equal_branch_current_jacobian(case14, variant):
+    """The engine's blocks, built from the Y-bus stamps, are the per-branch ones and the
+    2x2 real form of each two-port admittance."""
+    case = case14 if variant == "case14" else phase_shifted_case14(case14)
+    ybus = build_ybus(case)
+    closed = np.array([k for k, br in enumerate(case.branches) if br.closed])
+    stamps = (ybus.yff[closed], ybus.yft[closed], ybus.ytf[closed], ybus.ytt[closed])
+    rows, blocks = _branch_blocks(ybus.from_idx[closed], ybus.to_idx[closed], *stamps)
+    for i, k in enumerate(closed.tolist()):
+        jac = branch_current_jacobian(case, k)
+        assert np.array_equal(jac.rows, rows[i])
+        assert jac.block.tobytes() == blocks[i].tobytes()
+        yff, yft, ytf, ytt = (complex(y[i]) for y in stamps)
+        expected = [
+            [yff.real, -yff.imag, yft.real, -yft.imag],
+            [yff.imag, yff.real, yft.imag, yft.real],
+            [ytf.real, -ytf.imag, ytt.real, -ytt.imag],
+            [ytf.imag, ytf.real, ytt.imag, ytt.real],
+        ]
+        assert blocks[i].tobytes() == np.array(expected).tobytes()
+
+
+class _CountingLU:
+    """An LU factorization that records, per solve, its unit-injection and zero columns."""
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.calls = []
+
+    def solve(self, rhs):
+        injected = int(np.count_nonzero(rhs.any(axis=0)))
+        self.calls.append((injected, rhs.shape[1] - injected))  # atomic: the solves run on worker threads
+        return self._lu.solve(rhs)
+
+    @property
+    def columns(self):
+        """Unit-injection columns solved so far."""
+        return sum(injected for injected, _ in self.calls)
+
+
+def _terminal_buses(lin, case, outages):
+    """The distinct non-slack terminal buses of ``outages``."""
+    ybus = build_ybus(case)
+    return {int(b) for k in outages for b in (ybus.from_idx[k], ybus.to_idx[k])} - {lin.slack}
+
+
+def test_engine_pass_solves_each_terminal_once(case118, lin118):
+    """One pass over every closed branch solves two columns per distinct non-slack terminal."""
+    lu = _CountingLU(lin118._lu)
+    lin = replace(lin118, _lu=lu)
+    closed = [idx for idx, br in enumerate(case118.branches) if br.closed]
+    blocks = [idx for idx, *_ in _transfer_chunks(lin, case118, closed)]
+    assert len(blocks) > 2
+    assert lu.columns == 2 * len(_terminal_buses(lin, case118, closed))
+    # each solve fills its last group of four columns with at most one zero pair
+    assert all(zeros == (injected % 4) for injected, zeros in lu.calls)
+
+
+def _impact_arrays(sol, lin, outages):
+    """Every array of the engine's transfer and impact stages but the slot array, in order."""
+    out = []
+    for idx, rows, blocks, _, _, t, cond in _transfer_chunks(lin, sol.case, outages):
+        out += [a.tobytes() for a in (idx, rows, blocks, t, cond)]
+    for chunk in _impact_chunks(sol, lin, outages):
+        out += [np.asarray(getattr(chunk, f.name)).tobytes() for f in fields(chunk)]
+    return out
+
+
+def test_engine_live_bound_solves_again_with_equal_results(monkeypatch):
+    """Buses numbered in reverse give long live ranges: the pass runs out of slots,
+    solves some buses again, and yields the bytes of a pass without the bound."""
+    case = random_meshed(1, n_core=400, n_chords=100, n_spurs=20)
+    case = replace(case, buses=case.buses[::-1])
+    sol = solve_ac_powerflow(case)
+    base = linearize_at_solution(sol)
+    lu = _CountingLU(base._lu)
+    lin = replace(base, _lu=lu)
+    closed = [idx for idx, br in enumerate(case.branches) if br.closed]
+    order = np.concatenate([idx for idx, *_ in _transfer_chunks(lin, case, closed)])
+    ybus = build_ybus(case)
+    assert _slot_plan(lin, ybus.from_idx[order], ybus.to_idx[order])[1] == _LIVE_BUSES
+    distinct = len(_terminal_buses(lin, case, closed))
+
+    lu.calls.clear()
+    bounded = _impact_arrays(sol, lin, closed)
+    assert lu.columns > 2 * 2 * distinct  # both stages solve again
+
+    monkeypatch.setattr(sensitivity, "_LIVE_BUSES", 10**6)
+    lu.calls.clear()
+    unbounded = _impact_arrays(sol, lin, closed)
+    assert lu.columns == 2 * 2 * distinct
+    assert unbounded == bounded
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(40, 80),
+    n_chords=st.integers(30, 45),
+    n_parallel=st.integers(0, 3),
+    n_spurs=st.integers(0, 10),
+    n_open=st.integers(0, 2),
+)
+def test_engine_blocks_with_slot_reuse_equal_scalar_results(seed, n_core, n_chords, n_parallel, n_spurs, n_open):
+    """Several blocks that share and reuse slots, devices, a shuffled outage list: the batched
+    results are the per-outage ones, bit for bit."""
+    rng = np.random.default_rng(seed)
+    # light loading, so that the power flow of most networks this size converges
+    case = scale_loading(with_devices(random_meshed(seed, n_core, n_chords, n_parallel, n_spurs, n_open), rng), 0.2)
+    try:
+        sol = solve_ac_powerflow(case)
+    except PowerFlowError:
+        reject()  # no operating point to screen
+    closed = [idx for idx, br in enumerate(case.branches) if br.closed]
+    assert len(closed) > 2 * _CHUNK
+    outages = [int(k) for k in rng.permutation(closed)]
+    closed_mask = sol._baseline.closed
+    bridges = find_bridges(case)
+    for mode in ("full", "network"):
+        lin = linearize_at_solution(sol, mode)
+        impacts = {}
+        for chunk in _impact_chunks(sol, lin, outages):
+            for i, k in enumerate(chunk.outages.tolist()):
+                sens = injection_sensitivity(lin, k)
+                tm = outage_transfer_matrix(sens, branch_current_jacobian(case, k))
+                assert chunk.cond[i] == tm.cond and chunk.singular[i] == tm.singular
+                if tm.singular:
+                    continue
+                injection = solve_outage_injection(tm, chunk.i_pre[i])
+                assert np.array_equal(chunk.injection[i], injection)
+                assert np.array_equal(chunk.delta_state[i], sens.dv @ injection)
+                impacts[k] = evaluate_outage(sol, lin, k)
+                for name in ("delta_vmag", "delta_imag", "delta_p"):
+                    assert np.array_equal(getattr(chunk, name)[i], getattr(impacts[k], name))
+        for metric in SEVERITY_METRICS:
+            expected = {
+                k: severity_from_deltas(metric, i.delta_vmag, i.delta_imag, i.delta_p, k, closed_mask)
+                for k, i in impacts.items()
+            }
+            assert _outage_severities(sol, lin, outages, metric) == expected
+            report = screen(case, sol, lin, metric=metric)
+            finite = {e.branch: e.severity for e in report.entries if not e.islanding and not e.note}
+            assert finite == {k: v for k, v in expected.items() if k not in bridges}, (mode, metric)
 
 
 # -- the thread pool of the terminal solves ------------------------------------------
@@ -602,8 +752,11 @@ def test_pool_shuts_down_on_error_and_early_close(sol118, lin118, monkeypatch):
     consumer that stops after block 1 leaves no worker thread."""
     case = sol118.case
     outages = [idx for idx, br in enumerate(case.branches) if br.closed]
-    second = list(_transfer_chunks(lin118, case, outages))[1][1][:, 0::2] // 2
-    solve, monitors = sensitivity._terminal_solve, sensitivity._monitors
+    order = np.concatenate([idx for idx, *_ in _transfer_chunks(lin118, case, outages)])
+    ybus = build_ybus(case)
+    second = _slot_plan(lin118, ybus.from_idx[order], ybus.to_idx[order])[0][1][0]  # the buses block 2 solves
+    assert second
+    solve, monitors = sensitivity._bus_solve, sensitivity._monitors
     monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
     before = threading.active_count()
 
@@ -613,13 +766,13 @@ def test_pool_shuts_down_on_error_and_early_close(sol118, lin118, monkeypatch):
     chunks.close()
     assert threading.active_count() == before
 
-    def failing_solve(lin, term):
-        if np.array_equal(term, second):
+    def failing_solve(lin, buses):
+        if buses == second:
             raise RuntimeError("solve failed")
-        return solve(lin, term)
+        return solve(lin, buses)
 
     with monkeypatch.context() as m:
-        m.setattr(sensitivity, "_terminal_solve", failing_solve)
+        m.setattr(sensitivity, "_bus_solve", failing_solve)
         for stage in (_transfer_chunks(lin118, case, outages), _impact_chunks(sol118, lin118, outages)):
             with pytest.raises(RuntimeError, match="solve failed") as failure:
                 list(stage)
