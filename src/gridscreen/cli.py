@@ -40,8 +40,8 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _round12(x: float) -> float | None:
-    """12-significant-digit float for JSON output; infinities map to None."""
+def _round12(x: float | None) -> float | None:
+    """12-significant-digit float for JSON output; None and infinities map to None."""
     if x is None or not math.isfinite(x):
         return None
     return float(f"{x:.12g}")
@@ -338,6 +338,17 @@ def _cmd_sens(args) -> int:
     return 0
 
 
+def _comparison_json(summary) -> dict:
+    return {
+        "n_compared": summary.n_compared,
+        "spearman": _round12(summary.spearman),
+        "top_overlap": {str(k): v for k, v in summary.top_overlap.items()},
+        "max_abs_error": _round12(summary.max_abs_error),
+        "mean_abs_error": _round12(summary.mean_abs_error),
+        "insufficient": summary.insufficient,
+    }
+
+
 def _report_json(report) -> dict:
     doc = {
         "case": report.case_name,
@@ -353,7 +364,7 @@ def _report_json(report) -> dict:
                 "severity": _round12(e.severity),
                 "islanding": e.islanding,
                 "note": e.note,
-                "oracle_severity": _round12(e.oracle_severity) if e.oracle_severity is not None else None,
+                "oracle_severity": _round12(e.oracle_severity),
                 "oracle_islanded": e.oracle_islanded,
                 "oracle_converged": e.oracle_converged,
             }
@@ -361,16 +372,7 @@ def _report_json(report) -> dict:
         ],
     }
     if report.comparison is not None:
-        c = report.comparison
-        doc["comparison"] = {
-            "n_compared": c.n_compared,
-            "spearman": _round12(c.spearman) if c.spearman is not None else None,
-            "top_overlap": {str(k): v for k, v in c.top_overlap.items()},
-            "max_abs_error": _round12(c.max_abs_error) if c.max_abs_error is not None else None,
-            "mean_abs_error": _round12(c.mean_abs_error) if c.mean_abs_error is not None else None,
-            "insufficient": c.insufficient,
-            "n_diverged": c.n_diverged,
-        }
+        doc["comparison"] = {**_comparison_json(report.comparison), "n_diverged": report.comparison.n_diverged}
     return doc
 
 
@@ -428,16 +430,7 @@ def _severities_from_report(path: str) -> dict[int, float]:
 def _cmd_compare(args) -> int:
     predicted = _severities_from_report(args.predicted)
     reference = _severities_from_report(args.reference)
-    summary = compare_severities(predicted, reference)
-    doc = {
-        "n_compared": summary.n_compared,
-        "spearman": _round12(summary.spearman) if summary.spearman is not None else None,
-        "top_overlap": {str(k): v for k, v in summary.top_overlap.items()},
-        "max_abs_error": _round12(summary.max_abs_error) if summary.max_abs_error is not None else None,
-        "mean_abs_error": _round12(summary.mean_abs_error) if summary.mean_abs_error is not None else None,
-        "insufficient": summary.insufficient,
-    }
-    _emit(_json_dump(doc), args.out)
+    _emit(_json_dump(_comparison_json(compare_severities(predicted, reference))), args.out)
     return 0
 
 

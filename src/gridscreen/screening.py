@@ -11,18 +11,16 @@ from __future__ import annotations
 import logging
 from collections.abc import Iterator
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import spearmanr
 
-from .case_io import GridCase, _without_branch, build_ybus
+from .case_io import GridCase, _without_branch
 from .errors import PowerFlowError, SingularSystemError
 from .powerflow import (
     LinearizedSystem,
-    PowerFlowOptions,
     PowerFlowSolution,
-    _factorized_system,
     _newton,
     _NewtonProblem,
     linearize_at_solution,
@@ -202,17 +200,19 @@ class _ChordBlock:
 
 
 class _Oracle:
-    """Post-outage nonlinear re-solves of one case that share its base network and Jacobian.
+    """Post-outage nonlinear re-solves on the base solution's network and linear model.
 
-    The case is validated, and its admittance matrix, its Newton layout (no
-    Q pins) and the layout's Jacobian ``J0`` at the base state ``x0`` are
-    built once; ``J0`` is factorized once, as a linear model of the outage
-    engine.  Removing branch ``k`` changes that Jacobian only by the
-    branch's 4x4 stamp ``B_k`` in its terminal rows (none in the rows of a
-    slack terminal, which hold the voltage pins), so the post-outage
-    Jacobian at ``x0`` is ``M_k = J0 - E_k B_k E_k^T``.  Its inverse is the
-    base LU with a rank-4 compensation through the engine's transfer matrix
-    of ``k`` on ``J0`` (see :class:`_ChordBlock`).
+    ``base`` is the solution of ``case``.  The oracle takes its admittance
+    matrix and baseline monitors and builds one Newton layout of that
+    network without Q pins.  Its ``J0`` is the base's full-mode model, at
+    the base state ``x0 = lin.x_op``: ``lin`` itself when it is in full
+    mode, else ``linearize_at_solution(base)``.  Removing branch
+    ``k`` changes that Jacobian only by the branch's 4x4 stamp ``B_k`` in
+    its terminal rows (none in the rows of a slack terminal, which hold the
+    voltage pins), so the post-outage Jacobian at ``x0`` is
+    ``M_k = J0 - E_k B_k E_k^T``.  Its inverse is the base LU with a rank-4
+    compensation through the engine's transfer matrix of ``k`` on ``J0``
+    (see :class:`_ChordBlock`).  A Q-pinned base has no unpinned ``J0``.
 
     :meth:`solve` takes the outages in the engine's blocks and runs the
     chord iteration ``x <- x - M_k^-1 F_k(x)`` from ``x0`` on the true
@@ -220,12 +220,12 @@ class _Oracle:
     one stacked residual, one multi-column solve of the base LU and one
     stacked compensation, and an outage leaves the block as soon as its
     mismatch is at most ``tol``; the first step is the Newton step.  Each
-    row's arithmetic is that of the outage iterated alone.  Where ``J0`` or
-    ``M_k`` is singular, a step does not halve the mismatch (a non-finite
-    one never does), a voltage collapses, the iteration budget runs out or,
-    with Q-limit enforcement, the result violates a reactive limit, the
-    outage is re-solved by ``_newton`` on its own admittance matrix
-    instead, one outage after another, exactly as
+    row's arithmetic is that of the outage iterated alone.  Where there is
+    no chord model, ``M_k`` is singular, a step does not halve the mismatch
+    (a non-finite one never does), a voltage collapses, the iteration
+    budget runs out or, with Q-limit enforcement, the result violates a
+    reactive limit, the outage is re-solved by ``_newton`` on its own
+    admittance matrix instead, one outage after another, exactly as
     ``solve_ac_powerflow(case.with_branch_open(k), ...)`` started from
     ``base.state``.  Either way the converged flag and the failure detail
     are those of that re-solve, and a converged state has a post-outage
@@ -233,39 +233,29 @@ class _Oracle:
     disconnect the network; they are reported without a solve.
     """
 
-    def __init__(self, case: GridCase, base: PowerFlowSolution, islands: set[int]):
-        self._options = PowerFlowOptions(
-            tol=base.options.tol,
-            max_iter=2 * base.options.max_iter,
-            start="state",
-            initial_state=base.state,
-            enforce_q_limits=base.options.enforce_q_limits,
-            q_limit_rounds=base.options.q_limit_rounds,
+    def __init__(self, case: GridCase, base: PowerFlowSolution, lin: LinearizedSystem | None, islands: set[int]):
+        self._options = replace(
+            base.options, max_iter=2 * base.options.max_iter, start="state", initial_state=base.state
         )
-        case.validate()
         self._case = case
+        self._base = base
         self._islands = islands
-        self._ybus = build_ybus(case)
-        self._layout = _NewtonProblem(case, self._ybus)
-        self._x0 = self._layout.initial_state(self._options)
-        jacobian = self._layout.jacobian(self._x0)
-        try:
-            self._lin = _factorized_system("full", case, jacobian, self._x0, self._layout.slack, self._layout.pv)
-        except SingularSystemError:
-            self._lin = None  # every outage goes to the full Newton path (``_newton``)
-        baseline = base._baseline
-        self._v_mag = baseline.v_mag
-        self._i_mag = np.abs(baseline.i_from)
-        self._p_from = baseline.p_from
+        self._layout = _NewtonProblem(base.case, base.ybus)
+        self._lin = None  # every outage goes to the full Newton path (``_newton``)
+        if not base.q_limited:
+            try:
+                self._lin = lin if lin is not None and lin.mode == "full" else linearize_at_solution(base)
+            except SingularSystemError:
+                pass
 
     def problem(self, branch_idx: int) -> _NewtonProblem:
         """The Newton system of the case with branch ``branch_idx`` open."""
-        return self._layout.with_ybus(_without_branch(self._ybus, branch_idx))
+        return self._layout.with_ybus(_without_branch(self._base.ybus, branch_idx))
 
     def _blocks(self, outages: list[int]) -> Iterator[tuple[np.ndarray, _ChordBlock]]:
         """Per block of the outage engine on ``J0``: its outages with a singular ``T_k``, and the others' systems."""
         slack = self._layout.slack
-        with closing(_transfer_chunks(self._lin, self._case, outages, self._ybus)) as chunks:
+        with closing(_transfer_chunks(self._lin, self._base.case, outages, self._base.ybus)) as chunks:
             for idx, rows, blocks, resp, cols, t, cond in chunks:
                 singular = _singular(cond)
                 ok = ~singular
@@ -278,7 +268,7 @@ class _Oracle:
     def _iterate(self, block: _ChordBlock) -> dict[int, np.ndarray]:
         """Chord iteration of a block from ``x0``: the states of the outages that converge by it."""
         options = self._options
-        x = np.tile(self._x0, (len(block.outages), 1))
+        x = np.tile(self._lin.x_op, (len(block.outages), 1))
         f = block.residual(x)
         mismatch = np.max(np.abs(f), axis=1)
         converged = {}
@@ -337,7 +327,8 @@ class _Oracle:
                 raise ValueError(f"branch {k} is open")
         found = {}
         solved = self.solve([k for k in outages if k not in self._islands])
-        yb = self._ybus
+        yb, baseline = self._base.ybus, self._base._baseline
+        i_mag = np.abs(baseline.i_from)
         for k in outages:
             if k in self._islands:
                 found[k] = OracleOutcome(branch=k, islanded=True, converged=False, detail="islands the network")
@@ -354,9 +345,9 @@ class _Oracle:
                 branch=k,
                 islanded=False,
                 converged=True,
-                delta_vmag=np.abs(v) - self._v_mag,
-                delta_imag=np.abs(i_from) - self._i_mag,
-                delta_p=(v_from * np.conj(i_from)).real - self._p_from,
+                delta_vmag=np.abs(v) - baseline.v_mag,
+                delta_imag=np.abs(i_from) - i_mag,
+                delta_p=(v_from * np.conj(i_from)).real - baseline.p_from,
             )
         return found
 
@@ -364,10 +355,12 @@ class _Oracle:
 def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> OracleOutcome:
     """Ground-truth outage impact by a warm-started nonlinear re-solve.
 
-    The post-outage power flow of ``case`` with branch ``branch_idx`` open
-    is solved from ``base.state``, by chord iteration on the base Jacobian
-    with a rank-4 compensation for the removed branch (a block of one
-    outage), or by Newton iteration where the chord does not settle it; the
+    ``base`` must be the power flow solution of ``case``.  The post-outage
+    power flow of ``case`` with branch ``branch_idx`` open is solved from
+    ``base.state``, by chord iteration on the full-mode linear model of
+    ``base`` (:func:`linearize_at_solution`) with a rank-4 compensation for
+    the removed branch (a block of one outage), or by Newton iteration where
+    the chord does not settle it or ``base`` holds reactive pins; the
     deltas are post-outage minus ``base`` values.  The converged flag, and
     the detail of a failed solve, are those of
     ``solve_ac_powerflow(case.with_branch_open(branch_idx), ...)`` started
@@ -379,7 +372,7 @@ def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> O
     is itself a finding.  Raises ``ValueError`` for an open branch.
     """
     islands = set() if is_connected(case, skip_branch=branch_idx) else {branch_idx}
-    return _Oracle(case, base, islands).outcomes([branch_idx])[branch_idx]
+    return _Oracle(case, base, None, islands).outcomes([branch_idx])[branch_idx]
 
 
 # -- screening ---------------------------------------------------------------------
@@ -497,12 +490,13 @@ def screen(
     ``with_oracle`` every outage is additionally re-solved nonlinearly, and
     the report carries per-entry oracle severities plus a rank-agreement
     summary whose ``n_diverged`` counts the non-islanding outages whose
-    re-solve did not converge.  The re-solves validate the case, build its
-    admittance matrix and Newton layout and factorize the base Jacobian
-    once; the non-islanding outages are then iterated together, in the
-    outage engine's blocks, and each gives the :func:`oracle_outage`
-    result bit for bit.  They use the tolerance and Q-limit settings of
-    ``sol`` with twice its iteration budget.
+    re-solve did not converge.  ``sol`` must solve ``case``; the re-solves
+    share its admittance matrix and, as their chord model, ``lin`` in full
+    mode or the full-mode model of ``sol`` otherwise (none where ``sol``
+    holds reactive pins).  The non-islanding outages are iterated together,
+    in the outage engine's blocks, and each gives the :func:`oracle_outage`
+    result bit for bit in either mode.  They use the tolerance and Q-limit
+    settings of ``sol`` with twice its iteration budget.
     ``top_k`` below 1 raises ``ValueError``.
     """
     if metric not in SEVERITY_METRICS:
@@ -540,7 +534,7 @@ def screen(
     if with_oracle:
         # in a connected case exactly the bridges island it; in a disconnected one, every outage
         islands = bridges if is_connected(case) else set(range(case.n_branch))
-        oracle = _Oracle(case, sol, islands)
+        oracle = _Oracle(case, sol, lin, islands)
         outcomes = oracle.outcomes([entry.branch for entry in entries])
         for entry in entries:
             o = outcomes[entry.branch]

@@ -345,7 +345,7 @@ def _slot_plan(
 
 
 def _transfer_chunks(
-    lin: LinearizedSystem, case: GridCase, outages: Iterable[int], ybus: AdmittanceMatrix | None = None
+    lin: LinearizedSystem, case: GridCase, outages: Iterable[int], ybus: AdmittanceMatrix
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Transfer matrices of ``outages``, in blocks that share terminal solves.
 
@@ -356,9 +356,9 @@ def _transfer_chunks(
     ahead on a thread pool of one worker per usable CPU (inline for one
     block or one CPU); the blocks are yielded in order and the results do
     not depend on the worker count.  The branch blocks come from the stamp
-    arrays of ``ybus``, the admittance matrix of ``case`` (built when not
-    given).  Yields ``(idx, rows, blocks, resp, cols, t, cond)`` per block:
-    the outages (c,), their terminal state rows (c, 4) and branch blocks
+    arrays of ``ybus``, the admittance matrix of ``case``.  Yields
+    ``(idx, rows, blocks, resp, cols, t, cond)`` per block: the outages
+    (c,), their terminal state rows (c, 4) and branch blocks
     ``B_k`` (c, 4, 4) (see :class:`BranchCurrentJacobian`); ``resp``, the
     pass's slot array (size, k) of terminal responses, and ``cols`` (c, 4),
     the columns of ``resp`` that hold each outage's responses to unit
@@ -374,8 +374,6 @@ def _transfer_chunks(
             raise ValueError(f"branch index {k} out of range")
         if not case.branches[k].closed:
             raise ValueError(f"branch {k} is open")
-    if ybus is None:
-        ybus = build_ybus(case)
     if len(idx) > 1:
         f, to = ybus.from_idx[idx], ybus.to_idx[idx]
         idx = idx[np.lexsort((np.maximum(f, to), np.minimum(f, to)))]  # stable

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridscreen.case_io import Branch, Bus, BusKind, GridCase, build_ybus
-from gridscreen.errors import PowerFlowError
+from gridscreen.errors import PowerFlowError, SingularSystemError
 from gridscreen.powerflow import (
     LinearizedSystem,
     PowerFlowOptions,
@@ -28,7 +28,7 @@ from gridscreen.screening import (
     oracle_outage,
     screen,
 )
-from gridscreen import sensitivity
+from gridscreen import screening, sensitivity
 from gridscreen.sensitivity import _CHUNK, SEVERITY_METRICS, _transfer_chunks, evaluate_outage, severity_from_deltas
 
 from gridbuild import (
@@ -335,7 +335,7 @@ def _assert_oracle_equals_fresh_resolve(case, sol):
     outcome's deltas are those of that state.
     """
     bridges = find_bridges(case)
-    oracle = _Oracle(case, sol, bridges)
+    oracle = _Oracle(case, sol, None, bridges)
     # record the pins and state each outcome is built from
     solved = {}
     solve = oracle.solve
@@ -404,11 +404,60 @@ def test_oracle_equals_fresh_resolve_open_and_double_circuit(case14):
     assert len(_assert_oracle_equals_fresh_resolve(case, solve_ac_powerflow(case))) == 19
 
 
-def test_oracle_equals_fresh_resolve_with_q_limits(case118):
-    """Every post-outage solve starts unpinned, so its Q-limit rounds run in the shared driver."""
+def _no_engine_pass(*args, **kwargs):
+    raise AssertionError("the oracle ran an outage-engine pass")
+
+
+def test_oracle_equals_fresh_resolve_with_q_limits(monkeypatch, case118):
+    """Every post-outage solve starts unpinned, so its Q-limit rounds run in the shared driver.
+
+    A Q-pinned base has no unpinned Jacobian to share, so the oracle builds
+    no chord model and runs no outage-engine pass.
+    """
     sol = solve_ac_powerflow(case118, PowerFlowOptions(enforce_q_limits=True))
-    assert sol.q_limited
+    assert len(sol.q_limited) == 6
+    monkeypatch.setattr(screening, "_transfer_chunks", _no_engine_pass)
     _assert_oracle_equals_fresh_resolve(case118, sol)
+
+
+def test_oracle_shares_the_screens_full_model(case118, sol118, lin118):
+    """In full mode the oracle's chord model is the screen's own factorization."""
+    assert _Oracle(case118, sol118, lin118, find_bridges(case118))._lin is lin118
+
+
+def test_oracle_with_singular_model_takes_the_newton_path(monkeypatch, case14, sol14):
+    """Where the base model is singular every outage is re-solved by Newton and still matches."""
+
+    def singular(*args, **kwargs):
+        raise SingularSystemError("singular operating-point model")
+
+    monkeypatch.setattr(screening, "linearize_at_solution", singular)
+    monkeypatch.setattr(screening, "_transfer_chunks", _no_engine_pass)
+    assert _Oracle(case14, sol14, None, find_bridges(case14))._lin is None
+    assert len(_assert_oracle_equals_fresh_resolve(case14, sol14)) == 19
+
+
+@pytest.mark.parametrize("which", ["case14", "case118"])
+def test_screen_oracle_is_the_same_in_both_modes(monkeypatch, case14, sol14, case118, sol118, which):
+    """Network mode linearizes the full model inside the oracle; its outcomes are the full-mode bytes."""
+    case, sol = (case14, sol14) if which == "case14" else (case118, sol118)
+    outcomes = _Oracle.outcomes
+    found = {}
+
+    def recording_outcomes(oracle, ks):
+        found[mode] = outcomes(oracle, ks)
+        return found[mode]
+
+    monkeypatch.setattr(_Oracle, "outcomes", recording_outcomes)
+    for mode in ("full", "network"):
+        screen(case, sol, metric="pline_inf", mode=mode, with_oracle=True)
+    assert found["full"].keys() == found["network"].keys()
+    for k, full in found["full"].items():
+        network = found["network"][k]
+        assert (full.islanded, full.converged, full.detail) == (network.islanded, network.converged, network.detail)
+        for name in ("delta_vmag", "delta_imag", "delta_p"):
+            a, b = getattr(full, name), getattr(network, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (k, name)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -444,17 +493,17 @@ def test_compensated_inverse_solves_the_post_outage_jacobian(case14, sol14, case
         case = _open_and_double_circuit(case14)
         sol = solve_ac_powerflow(case)
     bridges = find_bridges(case)
-    oracle = _Oracle(case, sol, bridges)
+    oracle = _Oracle(case, sol, None, bridges)
     outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
     rng = np.random.default_rng(7)
     checked = []
     for singular, block in oracle._blocks(outages):
         assert len(singular) == 0
-        r = rng.normal(size=(len(block.outages), oracle._x0.size))
+        r = rng.normal(size=(len(block.outages), oracle._lin.x_op.size))
         inverse = block.inverse(r)
         for i, k in enumerate(block.outages):
             post_case = case.with_branch_open(int(k))
-            jacobian = _NewtonProblem(post_case, build_ybus(post_case)).jacobian(oracle._x0)
+            jacobian = _NewtonProblem(post_case, build_ybus(post_case)).jacobian(oracle._lin.x_op)
             assert np.max(np.abs(jacobian @ inverse[i] - r[i])) <= 1e-9, k
             checked.append(int(k))
     assert sorted(checked) == outages
@@ -469,11 +518,11 @@ def test_chord_iteration_carries_most_outages(case118, sol118):
     """On the constant-current ring every non-bridge outage converges by chord
     iteration; on case118, all but a few do without the full Newton path."""
     case = ring5()
-    oracle = _Oracle(case, solve_ac_powerflow(case), {RING5_BRIDGE})
+    oracle = _Oracle(case, solve_ac_powerflow(case), None, {RING5_BRIDGE})
     outages = [k for k in range(case.n_branch) if k != RING5_BRIDGE]
     assert _chord_converged(oracle, outages) == set(outages)
     bridges = find_bridges(case118)
-    oracle = _Oracle(case118, sol118, bridges)
+    oracle = _Oracle(case118, sol118, None, bridges)
     outages = [k for k, br in enumerate(case118.branches) if br.closed and k not in bridges]
     assert len(outages) == 177
     assert len(_chord_converged(oracle, outages)) >= 150
@@ -570,9 +619,9 @@ def test_oracle_rows_are_isolated(monkeypatch, case118, sol118, which):
         sol = solve_ac_powerflow(case)
     bridges = find_bridges(case)
     outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
-    oracle = _Oracle(case, sol, bridges)
+    oracle = _Oracle(case, sol, None, bridges)
     if which == "case118":
-        conds = np.concatenate([chunk[-1] for chunk in _transfer_chunks(oracle._lin, case, outages)])
+        conds = np.concatenate([chunk[-1] for chunk in _transfer_chunks(oracle._lin, case, outages, sol.ybus)])
         monkeypatch.setattr(sensitivity, "COND_LIMIT", float(np.percentile(conds, 90)))
     # some block holds rows that converge by chord beside rows that leave it
     kinds = []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gridscreen.errors import IslandingError, PowerFlowError
 from gridscreen.powerflow import (
+    _NewtonProblem,
     branch_terminal_currents,
     linearize_at_solution,
     solve_ac_powerflow,
@@ -36,7 +37,7 @@ from gridscreen.sensitivity import (
     solve_outage_injection,
 )
 from gridscreen.screening import _Oracle, find_bridges, is_connected, screen
-from gridscreen.case_io import build_ybus, scale_loading
+from gridscreen.case_io import GridCase, build_ybus, scale_loading
 from gridscreen import sensitivity
 
 import reference
@@ -185,6 +186,76 @@ def test_bridge_outage_raises_islanding(mode):
         solve_outage_injection(tm, branch_terminal_currents(sol, RING5_BRIDGE))
     with pytest.raises(IslandingError):
         evaluate_outage(sol, lin, RING5_BRIDGE)
+
+
+def _per_unit_rescaled(sol, a):
+    """``sol`` on an impedance base ``1/a`` times the old one, at the same bus voltages.
+
+    Impedances scale by ``a``; shunts, line charging, powers, reactive limits
+    and current loads by ``1/a``.  The voltages solve the rescaled case as
+    they solve ``sol.case``, so both models are taken at one point, not at
+    two points where Newton solves happen to stop within their tolerance.
+    """
+    case = sol.case
+    buses = tuple(
+        replace(
+            b,
+            p_load=b.p_load / a,
+            q_load=b.q_load / a,
+            g_shunt=b.g_shunt / a,
+            b_shunt=b.b_shunt / a,
+            i_load_r=b.i_load_r / a,
+            i_load_i=b.i_load_i / a,
+        )
+        for b in case.buses
+    )
+    branches = tuple(replace(br, r=br.r * a, x=br.x * a, b_charging=br.b_charging / a) for br in case.branches)
+    gens = tuple(replace(g, p_set=g.p_set / a, q_min=g.q_min / a, q_max=g.q_max / a) for g in case.generators)
+    scaled = GridCase(case.name, case.base_mva * a, buses, branches, gens)
+    ybus = build_ybus(scaled)
+    return replace(sol, case=scaled, q_gen=sol.q_gen / a, ybus=ybus, _problem=_NewtonProblem(scaled, ybus))
+
+
+def _transfer_conds(sol, mode):
+    """cond(T_k) of every non-bridge outage of ``sol.case``, by outage."""
+    case = sol.case
+    bridges = find_bridges(case)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    lin = linearize_at_solution(sol, mode)
+    return {int(k): c for idx, *_, cond in _transfer_chunks(lin, case, outages, sol.ybus) for k, c in zip(idx, cond)}
+
+
+def _assert_cond_is_per_unit_invariant(sol):
+    """``T_k = I - B_k Z`` is dimensionless: ``B_k`` scales by ``1/a`` and the terminal block of ``Z`` by ``a``."""
+    assert not sol.q_limited
+    for mode in ("full", "network"):
+        conds = _transfer_conds(sol, mode)
+        for a in (10.0, 0.01):
+            scaled = _transfer_conds(_per_unit_rescaled(sol, a), mode)
+            assert scaled.keys() == conds.keys()
+            for k, c in conds.items():
+                assert abs(scaled[k] - c) <= 1e-10 * c, (mode, a, k, c, scaled[k])
+
+
+@pytest.mark.parametrize("which", ["case14", "case118"])
+def test_transfer_cond_is_per_unit_invariant(sol14, sol118, which):
+    """``COND_LIMIT`` does not depend on the per-unit base."""
+    _assert_cond_is_per_unit_invariant(sol14 if which == "case14" else sol118)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(2, 12),
+    n_chords=st.integers(0, 5),
+    n_parallel=st.integers(0, 3),
+    n_spurs=st.integers(0, 4),
+    n_open=st.integers(0, 2),
+)
+def test_transfer_cond_is_per_unit_invariant_on_random_networks(seed, n_core, n_chords, n_parallel, n_spurs, n_open):
+    """Random meshed networks with constant-power loads and PV generators, every non-bridge outage."""
+    case = with_devices(random_meshed(seed, n_core, n_chords, n_parallel, n_spurs, n_open), np.random.default_rng(seed))
+    _assert_cond_is_per_unit_invariant(solve_ac_powerflow(case))
 
 
 def phase_shifted_case14(case14):
@@ -508,7 +579,7 @@ def test_engine_slack_terminal_outage_uses_zero_columns(sol14, lin14):
     # branch 0 of the bundled 14-bus case leaves the slack bus
     slack = case.bus_index(case.branches[0].from_bus)
     assert lin14.is_slack(slack)
-    _, _, _, resp, cols, _, _ = next(_transfer_chunks(lin14, case, [0]))
+    _, _, _, resp, cols, _, _ = next(_transfer_chunks(lin14, case, [0], sol14.ybus))
     assert resp.shape[1] == 3  # one zero column, two columns for the far terminal
     assert cols[0, 0] == cols[0, 1] == 0 and np.all(resp[:, 0] == 0.0)
 
@@ -526,7 +597,7 @@ def test_engine_rejects_open_outage(case14):
     with pytest.raises(ValueError, match="open"):
         evaluate_outage(sol, lin, 2)
     with pytest.raises(ValueError, match="open"):
-        list(_transfer_chunks(lin, opened, [1, 2]))
+        list(_transfer_chunks(lin, opened, [1, 2], sol.ybus))
 
 
 def test_engine_blocks_cover_case118(sol118, lin118):
@@ -534,7 +605,7 @@ def test_engine_blocks_cover_case118(sol118, lin118):
     case = sol118.case
     closed = [idx for idx, br in enumerate(case.branches) if br.closed]
     assert len(closed) > 2 * _CHUNK
-    blocks = [idx for idx, *_ in _transfer_chunks(lin118, case, closed)]
+    blocks = [idx for idx, *_ in _transfer_chunks(lin118, case, closed, sol118.ybus)]
     assert len(blocks) > 2 and max(map(len, blocks)) == _CHUNK
     assert sorted(int(k) for idx in blocks for k in idx) == closed
 
@@ -591,7 +662,7 @@ def test_engine_pass_solves_each_terminal_once(case118, lin118):
     lu = _CountingLU(lin118._lu)
     lin = replace(lin118, _lu=lu)
     closed = [idx for idx, br in enumerate(case118.branches) if br.closed]
-    blocks = [idx for idx, *_ in _transfer_chunks(lin, case118, closed)]
+    blocks = [idx for idx, *_ in _transfer_chunks(lin, case118, closed, build_ybus(case118))]
     assert len(blocks) > 2
     assert lu.columns == 2 * len(_terminal_buses(lin, case118, closed))
     # each solve fills its last group of four columns with at most one zero pair
@@ -601,7 +672,7 @@ def test_engine_pass_solves_each_terminal_once(case118, lin118):
 def _impact_arrays(sol, lin, outages):
     """Every array of the engine's transfer and impact stages but the slot array, in order."""
     out = []
-    for idx, rows, blocks, _, _, t, cond in _transfer_chunks(lin, sol.case, outages):
+    for idx, rows, blocks, _, _, t, cond in _transfer_chunks(lin, sol.case, outages, sol.ybus):
         out += [a.tobytes() for a in (idx, rows, blocks, t, cond)]
     for chunk in _impact_chunks(sol, lin, outages):
         out += [np.asarray(getattr(chunk, f.name)).tobytes() for f in fields(chunk)]
@@ -618,8 +689,8 @@ def test_engine_live_bound_solves_again_with_equal_results(monkeypatch):
     lu = _CountingLU(base._lu)
     lin = replace(base, _lu=lu)
     closed = [idx for idx, br in enumerate(case.branches) if br.closed]
-    order = np.concatenate([idx for idx, *_ in _transfer_chunks(lin, case, closed)])
-    ybus = build_ybus(case)
+    order = np.concatenate([idx for idx, *_ in _transfer_chunks(lin, case, closed, sol.ybus)])
+    ybus = sol.ybus
     assert _slot_plan(lin, ybus.from_idx[order], ybus.to_idx[order])[1] == _LIVE_BUSES
     distinct = len(_terminal_buses(lin, case, closed))
 
@@ -697,7 +768,7 @@ def _engine_bytes(sol, lin, outages):
             value = np.asarray(value)
             out.append((value.dtype.str, value.shape, value.tobytes()))
 
-    for arrays in _transfer_chunks(lin, sol.case, outages):
+    for arrays in _transfer_chunks(lin, sol.case, outages, sol.ybus):
         for value in arrays:
             add(value)
     for chunk in _impact_chunks(sol, lin, outages):
@@ -744,7 +815,7 @@ def test_single_outage_queries_make_no_pool(case118, sol118, lin118, monkeypatch
     monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(sensitivity, "ThreadPoolExecutor", no_pool)
     evaluate_outage(sol118, lin118, 10)
-    assert _Oracle(case118, sol118, find_bridges(case118)).outcomes([10])[10].converged
+    assert _Oracle(case118, sol118, None, find_bridges(case118)).outcomes([10])[10].converged
 
 
 def test_pool_shuts_down_on_error_and_early_close(sol118, lin118, monkeypatch):
@@ -752,15 +823,15 @@ def test_pool_shuts_down_on_error_and_early_close(sol118, lin118, monkeypatch):
     consumer that stops after block 1 leaves no worker thread."""
     case = sol118.case
     outages = [idx for idx, br in enumerate(case.branches) if br.closed]
-    order = np.concatenate([idx for idx, *_ in _transfer_chunks(lin118, case, outages)])
-    ybus = build_ybus(case)
+    ybus = sol118.ybus
+    order = np.concatenate([idx for idx, *_ in _transfer_chunks(lin118, case, outages, ybus)])
     second = _slot_plan(lin118, ybus.from_idx[order], ybus.to_idx[order])[0][1][0]  # the buses block 2 solves
     assert second
     solve, monitors = sensitivity._bus_solve, sensitivity._monitors
     monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
     before = threading.active_count()
 
-    chunks = _transfer_chunks(lin118, case, outages)
+    chunks = _transfer_chunks(lin118, case, outages, ybus)
     next(chunks)
     assert threading.active_count() > before  # the pool runs
     chunks.close()
@@ -773,7 +844,7 @@ def test_pool_shuts_down_on_error_and_early_close(sol118, lin118, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(sensitivity, "_bus_solve", failing_solve)
-        for stage in (_transfer_chunks(lin118, case, outages), _impact_chunks(sol118, lin118, outages)):
+        for stage in (_transfer_chunks(lin118, case, outages, ybus), _impact_chunks(sol118, lin118, outages)):
             with pytest.raises(RuntimeError, match="solve failed") as failure:
                 list(stage)
             assert threading.active_count() == before  # while the traceback holds the generators
