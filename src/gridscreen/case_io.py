@@ -194,6 +194,14 @@ class GridCase:
                 )
 
 
+def _closed_branch(case: GridCase, k: int) -> None:
+    """Raise ``ValueError`` unless ``k`` indexes a closed branch of ``case``."""
+    if not 0 <= k < case.n_branch:
+        raise ValueError(f"branch index {k} out of range")
+    if not case.branches[k].closed:
+        raise ValueError(f"branch {k} is open")
+
+
 # -- MATPOWER-format parsing -------------------------------------------------
 
 # column counts for the table rows we understand

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .case_io import GridCase
+from .case_io import GridCase, _closed_branch
 from .errors import IslandingError, SingularSystemError
 
 __all__ = [
@@ -162,11 +162,8 @@ def dc_lodf(model: DcModel, outage: int, solution: DcSolution | None = None) -> 
     network (its self-PTDF reaches one and no redistribution exists).
     """
     case = model.case
-    if not 0 <= outage < case.n_branch:
-        raise ValueError(f"branch index {outage} out of range")
+    _closed_branch(case, outage)
     branch = case.branches[outage]
-    if not branch.closed:
-        raise ValueError(f"branch {outage} is open")
 
     ptdf = dc_ptdf(model, branch.from_bus, branch.to_bus)
     denom = 1.0 - ptdf[outage]

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .case_io import AdmittanceMatrix, BusKind, GridCase, build_ybus
+from .case_io import AdmittanceMatrix, BusKind, GridCase, _closed_branch, build_ybus
 from .errors import DivergenceError, PowerFlowError, SingularSystemError
 
 logger = logging.getLogger(__name__)
@@ -49,6 +49,8 @@ __all__ = [
 # mismatch must grow this many consecutive steps before the iteration is
 # declared divergent
 _GROWTH_LIMIT = 3
+# reactive-limit passes after the first solve when limits are enforced
+_Q_LIMIT_ROUNDS = 5
 _Q_LIMIT_MARGIN = 1e-9
 _VOLTAGE_COLLAPSE = 1e-12
 # below this current magnitude the directional derivative of |I| is undefined
@@ -152,7 +154,6 @@ class PowerFlowOptions:
     start: str = "flat"  # "flat" | "file" | "state"
     initial_state: np.ndarray | None = None
     enforce_q_limits: bool = False
-    q_limit_rounds: int = 5
 
 
 class _NewtonProblem:
@@ -451,6 +452,13 @@ class PowerFlowSolution:
             p_from=(vf * np.conj(i_from)).real,
         )
 
+    @cached_property
+    def _model(self) -> "LinearizedSystem":
+        """The full-mode linear model, factorized on first use; a singular one raises on every use."""
+        problem = self._problem
+        x_op = self.full_state
+        return _factorized_system("full", self.case, problem.jacobian(x_op), x_op, problem.slack, problem.pv.copy())
+
     @property
     def p_inj(self) -> np.ndarray:
         """Net active injection per bus (generation minus load)."""
@@ -503,7 +511,7 @@ def _newton(
     case, ybus = problem.case, problem.ybus
     q_pinned = dict(problem.q_pinned)
     total_iterations = 0
-    rounds_allowed = options.q_limit_rounds if options.enforce_q_limits else 0
+    rounds_allowed = _Q_LIMIT_ROUNDS if options.enforce_q_limits else 0
     round_no = 0
     while True:
         x, iterations, _ = _solve_round(problem, x, options)
@@ -534,7 +542,7 @@ def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) 
 
     Reactive generator limits are checked after convergence; violating PV
     buses are converted to PQ at the binding limit and the problem re-solved,
-    for at most ``q_limit_rounds`` passes.  Raises a
+    for at most five passes.  Raises a
     :class:`~gridscreen.errors.PowerFlowError` subclass on numerical failure.
     """
     options = options or PowerFlowOptions()
@@ -618,15 +626,14 @@ def linearize_at_solution(sol: PowerFlowSolution, mode: str = "full") -> Lineari
 
     The right-hand side is defined as ``matrix @ x_op`` so the operating
     point solves the linear system exactly, independent of the residual
-    tolerance that stopped the iteration.
+    tolerance that stopped the iteration.  Full mode returns the solution's
+    own model, which every later call, the screen and the oracle share, so
+    do not mutate it; network mode builds a new model on each call.
     """
-    problem = sol._problem
     if mode == "full":
-        x_op = sol.full_state
-        matrix = problem.jacobian(x_op)
-        return _factorized_system("full", sol.case, matrix, x_op, problem.slack, problem.pv.copy())
+        return sol._model
     if mode == "network":
-        return _network_system(sol.case, problem.ybus.matrix, problem.slack, sol.state.copy())
+        return _network_system(sol.case, sol.ybus.matrix, sol._problem.slack, sol.state.copy())
     raise ValueError(f"unknown linearization mode {mode!r}")
 
 
@@ -677,11 +684,7 @@ class BranchTerminalCurrents:
 
 def branch_terminal_currents(sol: PowerFlowSolution, branch_idx: int) -> BranchTerminalCurrents:
     """Currents flowing into branch ``branch_idx`` from each terminal bus."""
-    case = sol.case
-    if not 0 <= branch_idx < case.n_branch:
-        raise ValueError(f"branch index {branch_idx} out of range")
-    if not case.branches[branch_idx].closed:
-        raise ValueError(f"branch {branch_idx} is open")
+    _closed_branch(sol.case, branch_idx)
     ifr, ifi, itr, iti = sol._baseline.i_terminal[branch_idx]
     return BranchTerminalCurrents(branch_idx, complex(ifr, ifi), complex(itr, iti))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import spearmanr
 
-from .case_io import GridCase, _without_branch
+from .case_io import GridCase, _closed_branch, _without_branch
 from .errors import PowerFlowError, SingularSystemError
 from .powerflow import (
     LinearizedSystem,
@@ -202,17 +202,18 @@ class _ChordBlock:
 class _Oracle:
     """Post-outage nonlinear re-solves on the base solution's network and linear model.
 
-    ``base`` is the solution of ``case``.  The oracle takes its admittance
-    matrix and baseline monitors and builds one Newton layout of that
-    network without Q pins.  Its ``J0`` is the base's full-mode model, at
-    the base state ``x0 = lin.x_op``: ``lin`` itself when it is in full
-    mode, else ``linearize_at_solution(base)``.  Removing branch
+    ``base`` is the solution of ``case``; ``case`` serves to check the
+    outages.  The oracle takes the base's admittance matrix, baseline
+    monitors and Newton layout (a fresh one without Q pins where the base
+    holds some, since every re-solve starts unpinned).  Its ``J0`` is the
+    base's own full-mode model ``linearize_at_solution(base)``, at the base
+    state ``x0 = J0.x_op``; a Q-pinned base has none.  Removing branch
     ``k`` changes that Jacobian only by the branch's 4x4 stamp ``B_k`` in
     its terminal rows (none in the rows of a slack terminal, which hold the
     voltage pins), so the post-outage Jacobian at ``x0`` is
     ``M_k = J0 - E_k B_k E_k^T``.  Its inverse is the base LU with a rank-4
     compensation through the engine's transfer matrix of ``k`` on ``J0``
-    (see :class:`_ChordBlock`).  A Q-pinned base has no unpinned ``J0``.
+    (see :class:`_ChordBlock`).
 
     :meth:`solve` takes the outages in the engine's blocks and runs the
     chord iteration ``x <- x - M_k^-1 F_k(x)`` from ``x0`` on the true
@@ -233,18 +234,18 @@ class _Oracle:
     disconnect the network; they are reported without a solve.
     """
 
-    def __init__(self, case: GridCase, base: PowerFlowSolution, lin: LinearizedSystem | None, islands: set[int]):
+    def __init__(self, case: GridCase, base: PowerFlowSolution, islands: set[int]):
         self._options = replace(
             base.options, max_iter=2 * base.options.max_iter, start="state", initial_state=base.state
         )
         self._case = case
         self._base = base
         self._islands = islands
-        self._layout = _NewtonProblem(base.case, base.ybus)
+        self._layout = _NewtonProblem(base.case, base.ybus) if base.q_limited else base._problem
         self._lin = None  # every outage goes to the full Newton path (``_newton``)
         if not base.q_limited:
             try:
-                self._lin = lin if lin is not None and lin.mode == "full" else linearize_at_solution(base)
+                self._lin = linearize_at_solution(base)
             except SingularSystemError:
                 pass
 
@@ -320,11 +321,10 @@ class _Oracle:
     def outcomes(self, outages: list[int]) -> dict[int, OracleOutcome]:
         """Outcomes of closed-branch outages by outage; all non-islanding ones are solved together.
 
-        Raises ``ValueError`` for an open branch.
+        Raises ``ValueError`` for an open or out-of-range branch before any solve.
         """
         for k in outages:
-            if not self._case.branches[k].closed:
-                raise ValueError(f"branch {k} is open")
+            _closed_branch(self._case, k)
         found = {}
         solved = self.solve([k for k in outages if k not in self._islands])
         yb, baseline = self._base.ybus, self._base._baseline
@@ -358,21 +358,22 @@ def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> O
     ``base`` must be the power flow solution of ``case``.  The post-outage
     power flow of ``case`` with branch ``branch_idx`` open is solved from
     ``base.state``, by chord iteration on the full-mode linear model of
-    ``base`` (:func:`linearize_at_solution`) with a rank-4 compensation for
-    the removed branch (a block of one outage), or by Newton iteration where
-    the chord does not settle it or ``base`` holds reactive pins; the
-    deltas are post-outage minus ``base`` values.  The converged flag, and
-    the detail of a failed solve, are those of
+    ``base`` (:func:`linearize_at_solution`, factorized once per solution)
+    with a rank-4 compensation for the removed branch (a block of one
+    outage), or by Newton iteration where the chord does not settle it or
+    ``base`` holds reactive pins; the deltas are post-outage minus ``base``
+    values.  The converged flag, and the detail of a failed solve, are those of
     ``solve_ac_powerflow(case.with_branch_open(branch_idx), ...)`` started
     from ``base.state``; a converged post-outage state lies within about
     ``10 tol`` of that solve's and meets the post-outage residual tolerance
     ``tol``.  The solve uses the base tolerance and Q-limit settings with
     twice the iteration budget.  Non-convergence is reported as an outcome,
     not raised: a contingency whose post-outage power flow fails to solve
-    is itself a finding.  Raises ``ValueError`` for an open branch.
+    is itself a finding.  Raises ``ValueError`` for an open or out-of-range
+    branch.
     """
     islands = set() if is_connected(case, skip_branch=branch_idx) else {branch_idx}
-    return _Oracle(case, base, None, islands).outcomes([branch_idx])[branch_idx]
+    return _Oracle(case, base, islands).outcomes([branch_idx])[branch_idx]
 
 
 # -- screening ---------------------------------------------------------------------
@@ -426,11 +427,7 @@ def _rank_key(entry: ScreenEntry) -> tuple[float, int]:
     return (-entry.severity, entry.branch)
 
 
-def compare_severities(
-    predicted: dict[int, float],
-    reference: dict[int, float],
-    overlap_sizes: tuple[int, ...] = _TOP_OVERLAP_SIZES,
-) -> ComparisonSummary:
+def compare_severities(predicted: dict[int, float], reference: dict[int, float]) -> ComparisonSummary:
     """Rank agreement between two finite severity maps over common branches."""
     common = sorted(
         b
@@ -441,7 +438,7 @@ def compare_severities(
         return ComparisonSummary(
             n_compared=len(common),
             spearman=None,
-            top_overlap={k: 0 for k in overlap_sizes},
+            top_overlap={k: 0 for k in _TOP_OVERLAP_SIZES},
             max_abs_error=None,
             mean_abs_error=None,
             insufficient=True,
@@ -455,9 +452,7 @@ def compare_severities(
         order = sorted(common, key=lambda b: (-values[b], b))
         return set(order[:k])
 
-    top_overlap = {
-        k: len(top_set(predicted, k) & top_set(reference, k)) for k in overlap_sizes
-    }
+    top_overlap = {k: len(top_set(predicted, k) & top_set(reference, k)) for k in _TOP_OVERLAP_SIZES}
     err = np.abs(pred - ref)
     return ComparisonSummary(
         n_compared=len(common),
@@ -491,9 +486,10 @@ def screen(
     the report carries per-entry oracle severities plus a rank-agreement
     summary whose ``n_diverged`` counts the non-islanding outages whose
     re-solve did not converge.  ``sol`` must solve ``case``; the re-solves
-    share its admittance matrix and, as their chord model, ``lin`` in full
-    mode or the full-mode model of ``sol`` otherwise (none where ``sol``
-    holds reactive pins).  The non-islanding outages are iterated together,
+    share its admittance matrix and, where ``sol`` holds no reactive pins,
+    its Newton layout and, as their chord model, its own full-mode model
+    (:func:`linearize_at_solution`), the ``lin`` that full mode builds when
+    none is given.  The non-islanding outages are iterated together,
     in the outage engine's blocks, and each gives the :func:`oracle_outage`
     result bit for bit in either mode.  They use the tolerance and Q-limit
     settings of ``sol`` with twice its iteration budget.
@@ -534,7 +530,7 @@ def screen(
     if with_oracle:
         # in a connected case exactly the bridges island it; in a disconnected one, every outage
         islands = bridges if is_connected(case) else set(range(case.n_branch))
-        oracle = _Oracle(case, sol, lin, islands)
+        oracle = _Oracle(case, sol, islands)
         outcomes = oracle.outcomes([entry.branch for entry in entries])
         for entry in entries:
             o = outcomes[entry.branch]

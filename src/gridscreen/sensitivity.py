@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .case_io import AdmittanceMatrix, GridCase, branch_admittances, build_ybus
+from .case_io import AdmittanceMatrix, GridCase, _closed_branch, branch_admittances, build_ybus
 from .errors import IslandingError, SingularSystemError
 from .powerflow import (
     BranchTerminalCurrents,
@@ -151,11 +151,8 @@ class BranchCurrentJacobian:
 
 
 def branch_current_jacobian(case: GridCase, branch_idx: int) -> BranchCurrentJacobian:
-    if not 0 <= branch_idx < case.n_branch:
-        raise ValueError(f"branch index {branch_idx} out of range")
+    _closed_branch(case, branch_idx)
     br = case.branches[branch_idx]
-    if not br.closed:
-        raise ValueError(f"branch {branch_idx} is open")
     ends = (np.array([case.bus_index(br.from_bus)]), np.array([case.bus_index(br.to_bus)]))
     rows, blocks = _branch_blocks(*ends, *np.array([branch_admittances(br)]).T)
     return BranchCurrentJacobian(branch=branch_idx, rows=rows[0], block=blocks[0])
@@ -283,7 +280,7 @@ def _ordered_map(fn: Callable, items: list) -> Iterator:
 
 def _slot_plan(
     lin: LinearizedSystem, f: np.ndarray, t: np.ndarray
-) -> tuple[list[tuple[list[int], list[int] | slice, np.ndarray]], int]:
+) -> tuple[list[tuple[list[int], list[int], np.ndarray]], int]:
     """Which buses each block of an engine pass solves, and where their columns live.
 
     ``f`` and ``t`` (c,) hold the from and to bus of each outage, in engine
@@ -298,8 +295,8 @@ def _slot_plan(
     ``_LIVE_BUSES`` slots taken, the bus not in the block whose next use is
     furthest away loses its slot and is solved again at that use.  Returns
     one ``(new, at, cols)`` per block and the number of slots: the buses
-    the block solves, the slot-array columns their responses go to (a list,
-    or a slice), and each outage's four columns (c, 4) for the directions
+    the block solves, the list of slot-array columns their responses go
+    to, and each outage's four columns (c, 4) for the directions
     ``[from_real, from_imag, to_real, to_imag]``.
     """
     pairs = list(zip(f.tolist(), t.tolist()))
@@ -311,10 +308,6 @@ def _slot_plan(
         col = {b: (1 + 2 * live[b], 2 + 2 * live[b]) for b in block_buses}
         return np.array([col.get(a, (0, 0)) + col.get(b, (0, 0)) for a, b in block], dtype=np.int64)
 
-    if len(blocks) == 1:  # every bus is new, in slot order: one slice of columns
-        new = buses[0]
-        cols = columns(blocks[0], new, dict(zip(new, range(len(new)))))
-        return [(new, slice(1, 1 + 2 * len(new)), cols)], len(new)
     later: dict[int, list[int]] = {}  # bus -> the blocks that still use it, the next one last
     for j in range(len(buses) - 1, -1, -1):
         for b in buses[j]:
@@ -368,12 +361,8 @@ def _transfer_chunks(
     holds this block's columns only until the next block is requested.
     """
     idx = np.fromiter(outages, dtype=np.int64)
-    n_branch = case.n_branch
     for k in idx.tolist():
-        if not 0 <= k < n_branch:
-            raise ValueError(f"branch index {k} out of range")
-        if not case.branches[k].closed:
-            raise ValueError(f"branch {k} is open")
+        _closed_branch(case, k)
     if len(idx) > 1:
         f, to = ybus.from_idx[idx], ybus.to_idx[idx]
         idx = idx[np.lexsort((np.maximum(f, to), np.minimum(f, to)))]  # stable

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridscreen.case_io import Bus, BusKind, GridCase, _without_branch, build_ybus
+from gridscreen import powerflow
 from gridscreen.errors import DivergenceError, PowerFlowError, SingularSystemError
 from gridscreen.powerflow import (
     PowerFlowOptions,
@@ -306,6 +307,32 @@ def test_linearize_kcl_rows(lin14):
 def test_linearize_rejects_unknown_mode(sol14):
     with pytest.raises(ValueError, match="mode"):
         linearize_at_solution(sol14, mode="dc")
+
+
+def test_full_model_is_the_solutions_own(sol14, lin14):
+    """Full mode factorizes once per solution; network mode builds a new model per call."""
+    assert linearize_at_solution(sol14) is linearize_at_solution(sol14) is lin14
+    assert linearize_at_solution(sol14, "network") is not linearize_at_solution(sol14, "network")
+
+
+def test_singular_full_model_is_not_cached(monkeypatch, case14):
+    """A singular factorization raises on every call; the first that succeeds is kept."""
+    sol = solve_ac_powerflow(case14)
+    calls = []
+
+    def singular(matrix):
+        calls.append(matrix.shape)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(powerflow, "splu", singular)
+    for _ in range(2):
+        with pytest.raises(SingularSystemError):
+            linearize_at_solution(sol)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    lin = linearize_at_solution(sol)
+    assert lin is linearize_at_solution(sol)
+    assert np.array_equal(lin.matrix.toarray(), sol._problem.jacobian(sol.full_state).toarray())
 
 
 def test_radial_chain_voltage_drop_monotone():

@@ -28,7 +28,7 @@ from gridscreen.screening import (
     oracle_outage,
     screen,
 )
-from gridscreen import screening, sensitivity
+from gridscreen import powerflow, screening, sensitivity
 from gridscreen.sensitivity import _CHUNK, SEVERITY_METRICS, _transfer_chunks, evaluate_outage, severity_from_deltas
 
 from gridbuild import (
@@ -335,7 +335,7 @@ def _assert_oracle_equals_fresh_resolve(case, sol):
     outcome's deltas are those of that state.
     """
     bridges = find_bridges(case)
-    oracle = _Oracle(case, sol, None, bridges)
+    oracle = _Oracle(case, sol, bridges)
     # record the pins and state each outcome is built from
     solved = {}
     solve = oracle.solve
@@ -352,7 +352,6 @@ def _assert_oracle_equals_fresh_resolve(case, sol):
         start="state",
         initial_state=sol.state,
         enforce_q_limits=sol.options.enforce_q_limits,
-        q_limit_rounds=sol.options.q_limit_rounds,
     )
     base_flows = branch_power_flows(sol)
 
@@ -416,13 +415,60 @@ def test_oracle_equals_fresh_resolve_with_q_limits(monkeypatch, case118):
     """
     sol = solve_ac_powerflow(case118, PowerFlowOptions(enforce_q_limits=True))
     assert len(sol.q_limited) == 6
+    oracle = _Oracle(case118, sol, find_bridges(case118))
+    assert oracle._lin is None and oracle._layout.q_pinned == {}
+    assert oracle._layout.size == sol._problem.size + len(sol.q_limited)
     monkeypatch.setattr(screening, "_transfer_chunks", _no_engine_pass)
     _assert_oracle_equals_fresh_resolve(case118, sol)
 
 
 def test_oracle_shares_the_screens_full_model(case118, sol118, lin118):
     """In full mode the oracle's chord model is the screen's own factorization."""
-    assert _Oracle(case118, sol118, lin118, find_bridges(case118))._lin is lin118
+    assert _Oracle(case118, sol118, find_bridges(case118))._lin is lin118
+
+
+def test_oracle_takes_the_solutions_model_and_layout(case14, sol14, lin14):
+    """On an unpinned base the oracle's chord model and Newton layout are the solution's own."""
+    oracle = _Oracle(case14, sol14, find_bridges(case14))
+    assert oracle._lin is lin14
+    assert oracle._layout is sol14._problem
+
+
+def test_oracle_outage_factorizes_the_base_once(monkeypatch, case118):
+    """Single-outage calls on one solution share its model and build no Newton layout."""
+    sol = solve_ac_powerflow(case118)
+    factorized, layouts = [], []
+    factorized_system = powerflow._factorized_system
+    init = _NewtonProblem.__init__
+
+    def counting_factorized_system(mode, *args):
+        factorized.append(mode)
+        return factorized_system(mode, *args)
+
+    def counting_init(self, *args, **kwargs):
+        layouts.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(powerflow, "_factorized_system", counting_factorized_system)
+    monkeypatch.setattr(_NewtonProblem, "__init__", counting_init)
+    outcomes = [oracle_outage(case118, k, sol) for k in range(5)]
+    assert all(o.converged for o in outcomes)
+    assert factorized == ["full"]
+    assert layouts == []
+
+
+@pytest.mark.parametrize("q_limits", [False, True])
+def test_oracle_rejects_bad_branch_indices(monkeypatch, case118, q_limits):
+    """An index past either end raises before any solve, with or without base pins."""
+    sol = solve_ac_powerflow(case118, PowerFlowOptions(enforce_q_limits=q_limits))
+    assert bool(sol.q_limited) == q_limits
+    monkeypatch.setattr(screening, "_transfer_chunks", _no_engine_pass)
+    monkeypatch.setattr(screening, "_newton", _no_engine_pass)
+    for k in (-1, case118.n_branch):
+        with pytest.raises(ValueError, match=f"branch index {k} out of range"):
+            oracle_outage(case118, k, sol)
+        with pytest.raises(ValueError, match=f"branch index {k} out of range"):
+            _Oracle(case118, sol, set()).outcomes([0, k])
 
 
 def test_oracle_with_singular_model_takes_the_newton_path(monkeypatch, case14, sol14):
@@ -433,7 +479,7 @@ def test_oracle_with_singular_model_takes_the_newton_path(monkeypatch, case14, s
 
     monkeypatch.setattr(screening, "linearize_at_solution", singular)
     monkeypatch.setattr(screening, "_transfer_chunks", _no_engine_pass)
-    assert _Oracle(case14, sol14, None, find_bridges(case14))._lin is None
+    assert _Oracle(case14, sol14, find_bridges(case14))._lin is None
     assert len(_assert_oracle_equals_fresh_resolve(case14, sol14)) == 19
 
 
@@ -475,6 +521,35 @@ def test_oracle_equals_fresh_resolve_on_random_networks(seed, n_core, n_chords, 
     _assert_oracle_equals_fresh_resolve(case, solve_ac_powerflow(case))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(2, 12),
+    n_chords=st.integers(0, 5),
+    n_parallel=st.integers(0, 3),
+    n_spurs=st.integers(0, 4),
+    n_open=st.integers(0, 2),
+)
+def test_predictions_equal_the_oracle_on_constant_current_networks(seed, n_core, n_chords, n_parallel, n_spurs, n_open):
+    """Predicted post-outage states equal the oracle's converged ones on exactly linear networks.
+
+    Every load of ``random_meshed`` is constant-current, so the network is
+    linear and the first-order prediction is exact, for every non-bridge
+    outage in both modes.
+    """
+    case = random_meshed(seed, n_core, n_chords, n_parallel, n_spurs, n_open)
+    sol = solve_ac_powerflow(case)
+    bridges = find_bridges(case)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    solved = _Oracle(case, sol, bridges).solve(outages)
+    for mode in ("full", "network"):
+        lin = linearize_at_solution(sol, mode)
+        for k in outages:
+            _, x = solved[k]
+            predicted = sol.state + evaluate_outage(sol, lin, k).delta_state
+            assert np.max(np.abs(predicted - x[: 2 * case.n])) <= 1e-10, (mode, k)
+
+
 # -- the chord iteration ----------------------------------------------------------
 
 
@@ -493,7 +568,7 @@ def test_compensated_inverse_solves_the_post_outage_jacobian(case14, sol14, case
         case = _open_and_double_circuit(case14)
         sol = solve_ac_powerflow(case)
     bridges = find_bridges(case)
-    oracle = _Oracle(case, sol, None, bridges)
+    oracle = _Oracle(case, sol, bridges)
     outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
     rng = np.random.default_rng(7)
     checked = []
@@ -518,11 +593,11 @@ def test_chord_iteration_carries_most_outages(case118, sol118):
     """On the constant-current ring every non-bridge outage converges by chord
     iteration; on case118, all but a few do without the full Newton path."""
     case = ring5()
-    oracle = _Oracle(case, solve_ac_powerflow(case), None, {RING5_BRIDGE})
+    oracle = _Oracle(case, solve_ac_powerflow(case), {RING5_BRIDGE})
     outages = [k for k in range(case.n_branch) if k != RING5_BRIDGE]
     assert _chord_converged(oracle, outages) == set(outages)
     bridges = find_bridges(case118)
-    oracle = _Oracle(case118, sol118, None, bridges)
+    oracle = _Oracle(case118, sol118, bridges)
     outages = [k for k, br in enumerate(case118.branches) if br.closed and k not in bridges]
     assert len(outages) == 177
     assert len(_chord_converged(oracle, outages)) >= 150
@@ -619,7 +694,7 @@ def test_oracle_rows_are_isolated(monkeypatch, case118, sol118, which):
         sol = solve_ac_powerflow(case)
     bridges = find_bridges(case)
     outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
-    oracle = _Oracle(case, sol, None, bridges)
+    oracle = _Oracle(case, sol, bridges)
     if which == "case118":
         conds = np.concatenate([chunk[-1] for chunk in _transfer_chunks(oracle._lin, case, outages, sol.ybus)])
         monkeypatch.setattr(sensitivity, "COND_LIMIT", float(np.percentile(conds, 90)))

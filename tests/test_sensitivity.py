@@ -815,7 +815,7 @@ def test_single_outage_queries_make_no_pool(case118, sol118, lin118, monkeypatch
     monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(sensitivity, "ThreadPoolExecutor", no_pool)
     evaluate_outage(sol118, lin118, 10)
-    assert _Oracle(case118, sol118, None, find_bridges(case118)).outcomes([10])[10].converged
+    assert _Oracle(case118, sol118, find_bridges(case118)).outcomes([10])[10].converged
 
 
 def test_pool_shuts_down_on_error_and_early_close(sol118, lin118, monkeypatch):
