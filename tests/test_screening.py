@@ -6,10 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from gridscreen.case_io import Branch, Bus, BusKind, GridCase, build_ybus
+from gridscreen.case_io import Branch, Bus, BusKind, GridCase, build_ybus, scale_loading
 from gridscreen.errors import PowerFlowError, SingularSystemError
 from gridscreen.powerflow import (
     LinearizedSystem,
@@ -521,6 +521,38 @@ def test_oracle_equals_fresh_resolve_on_random_networks(seed, n_core, n_chords, 
     _assert_oracle_equals_fresh_resolve(case, solve_ac_powerflow(case))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_core=st.integers(10, 30), loading=st.sampled_from([1.0, 0.6, 0.3]))
+def test_oracle_lands_on_the_root_on_loaded_random_networks(seed, n_core, loading):
+    """Loaded random networks: the oracle's flags are a fresh re-solve's, and its states lie on the root.
+
+    The reference is the fresh Newton re-solve continued to ``tol=1e-12``,
+    not the one stopped at ``tol``: ``powerflow._solve_round`` returns the
+    first iterate within ``tol``, which on these draws lies up to 5.2e-9
+    off its root, five times as far as any converged oracle state.
+    """
+    case = with_devices(random_meshed(seed, n_core, 12, 1, 3, 1), np.random.default_rng(seed))
+    case = scale_loading(case, loading)
+    try:
+        sol = solve_ac_powerflow(case)
+    except PowerFlowError:
+        reject()  # no operating point to re-solve from
+    bridges = find_bridges(case)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    solved = _Oracle(case, sol, bridges).solve(outages)
+    options = PowerFlowOptions(max_iter=2 * sol.options.max_iter, start="state", initial_state=sol.state)
+    for k in outages:
+        post_case = case.with_branch_open(k)
+        try:
+            post = solve_ac_powerflow(post_case, options)
+        except PowerFlowError:
+            assert isinstance(solved[k], PowerFlowError), k
+            continue
+        assert not isinstance(solved[k], PowerFlowError), k
+        root = solve_ac_powerflow(post_case, replace(options, tol=1e-12, initial_state=post.state)).state
+        assert np.max(np.abs(solved[k][1][: 2 * case.n] - root)) <= 10 * options.tol, k
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -603,6 +635,27 @@ def test_chord_iteration_carries_most_outages(case118, sol118):
     assert len(_chord_converged(oracle, outages)) >= 150
 
 
+@pytest.mark.parametrize("mode", ["full", "network"])
+def test_chord_sends_only_case118_branch_7_to_newton(monkeypatch, case14, sol14, case118, sol118, mode):
+    """The screen's oracle opens the Newton path for case118 branch 7 alone, and for no case14 outage.
+
+    Branch 7's chord contracts at about 0.7-0.85 a step and runs out of its budget.
+    """
+    opened = []
+    problem = _Oracle.problem
+
+    def recording_problem(oracle, k):
+        opened.append(k)
+        return problem(oracle, k)
+
+    monkeypatch.setattr(_Oracle, "problem", recording_problem)
+    screen(case118, sol118, metric="pline_inf", mode=mode, with_oracle=True)
+    assert opened == [7]
+    opened.clear()
+    screen(case14, sol14, metric="pline_inf", mode=mode, with_oracle=True)
+    assert opened == []
+
+
 # -- the oracle's blocks -----------------------------------------------------------
 
 
@@ -683,9 +736,11 @@ def test_oracle_rows_are_isolated(monkeypatch, case118, sol118, which):
 
     On the overload ring two rows blow up beside three that converge by
     chord.  On case118 a lowered ``COND_LIMIT`` makes some transfer
-    matrices singular, and the mismatch of some chord steps does not
-    halve.  Every outage gets the pins and state, or the error, that it
-    gets when solved alone.
+    matrices singular, and a chord patience of one step sends the rows
+    whose mismatch sets no new minimum in some step to the Newton path (at
+    the default patience every case118 row converges by chord).  Every
+    outage gets the pins and state, or the error, that it gets when solved
+    alone.
     """
     if which == "case118":
         case, sol = case118, sol118
@@ -698,6 +753,7 @@ def test_oracle_rows_are_isolated(monkeypatch, case118, sol118, which):
     if which == "case118":
         conds = np.concatenate([chunk[-1] for chunk in _transfer_chunks(oracle._lin, case, outages, sol.ybus)])
         monkeypatch.setattr(sensitivity, "COND_LIMIT", float(np.percentile(conds, 90)))
+        monkeypatch.setattr(screening, "_CHORD_PATIENCE", 1)
     # some block holds rows that converge by chord beside rows that leave it
     kinds = []
     for singular, block in oracle._blocks(outages):
@@ -719,3 +775,16 @@ def test_oracle_rows_are_isolated(monkeypatch, case118, sol118, which):
             assert together[k][1].tobytes() == alone[1].tobytes(), k
     diverged = [k for k in outages if isinstance(together[k], PowerFlowError)]
     assert diverged == ([] if which == "case118" else [0, 1])
+
+
+def test_screen_notes_a_diverged_oracle(monkeypatch):
+    """A non-islanding outage whose oracle diverges says so, unless its transfer matrix is singular."""
+    case = _overload_beside_ring()
+    report = screen(case, metric="pline_inf", with_oracle=True)
+    assert report.comparison.n_diverged == 2
+    notes = {e.branch: e.note for e in report.entries}
+    assert notes == {0: "oracle did not converge", 1: "oracle did not converge", 2: "", 3: "", 4: ""}
+    monkeypatch.setattr(sensitivity, "COND_LIMIT", 1.0)  # every transfer matrix reads singular
+    report = screen(case, metric="pline_inf", with_oracle=True)
+    assert report.comparison.n_diverged == 2
+    assert all(e.note == "singular transfer matrix" for e in report.entries)
