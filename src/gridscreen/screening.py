@@ -30,9 +30,9 @@ from .powerflow import (
 from .sensitivity import (
     SEVERITY_METRICS,
     _outage_severities,
+    _severities,
     _singular,
     _transfer_chunks,
-    severity_from_deltas,
 )
 
 logger = logging.getLogger(__name__)
@@ -143,10 +143,23 @@ class OracleOutcome:
     detail: str = ""
 
 
-# the chord converges linearly, and not monotonically in the max-norm, so an
-# outage leaves it, for the full Newton path, only once its mismatch has set
-# no new minimum for this many consecutive steps (or is not finite)
+# Broyden's iteration need not shrink the max-norm mismatch every step, so
+# an outage leaves it, for the full Newton path, only once its mismatch has
+# set no new minimum for this many consecutive steps (or is not finite)
 _CHORD_PATIENCE = 2
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (c, size) stacks; each row's sum is its own."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _kept_rows(stored: np.ndarray, keep: np.ndarray, filled: int) -> np.ndarray:
+    """Rows ``keep`` of step-major storage (budget, c, ...), moved to its front; only ``filled`` steps are copied."""
+    kept = stored[:filled, keep]
+    stored = stored[:, : kept.shape[1]]
+    stored[:filled] = kept
+    return stored
 
 
 @dataclass
@@ -216,23 +229,30 @@ class _Oracle:
     compensation through the engine's transfer matrix of ``k`` on ``J0``
     (see :class:`_ChordBlock`).
 
-    :meth:`solve` takes the outages in the engine's blocks and runs the
-    chord iteration ``x <- x - M_k^-1 F_k(x)`` from ``x0`` on the true
-    post-outage residual ``F_k`` for a whole block at a time: each step is
-    one stacked residual, one multi-column solve of the base LU and one
-    stacked compensation, and an outage leaves the block as soon as its
-    mismatch is at most ``tol / 10``; the first step is the Newton step.
-    The chord converges only linearly, so at a mismatch of ``tol`` its
-    state can still lie well off the root: on case118 up to 4.5e-9, and
-    4.4e-10 at ``tol / 10``.  Each row's arithmetic is that of the
-    outage iterated alone.  Where there is no chord model, ``M_k`` is
-    singular, the mismatch is not finite or has set no new minimum for
-    ``_CHORD_PATIENCE`` steps in a row (the chord's max-norm mismatch need
-    not fall every step), a voltage collapses, the iteration budget runs
-    out or, with Q-limit enforcement, the result violates a reactive limit,
-    the outage is re-solved by ``_newton`` on its own admittance matrix
-    instead, one outage after another, exactly as
-    ``solve_ac_powerflow(case.with_branch_open(k), ...)`` started from
+    :meth:`solve` takes the outages in the engine's blocks and runs
+    Broyden's method from ``x0`` on the true post-outage residual ``F_k``
+    for a whole block at a time, with ``M_k^-1`` as its first inverse
+    Jacobian ``H_0``.  The "good" update is applied in the step-storage
+    form of Kelley (*Iterative Methods for Linear and Nonlinear Equations*,
+    1995, section 7.3): each step ``z = -H_0 F_k(x)`` gains
+    ``s_{j+1} (s_j . z) / |s_j|^2`` for every stored step ``s_j`` in turn
+    and is divided by ``1 - s_n . z / |s_n|^2``, where ``s_n`` is the last
+    one.  So each step is one stacked residual, one multi-column solve of
+    the base LU, one stacked compensation and one row-wise dot product per
+    stored step, and nothing is refactorized.  The first step is the
+    Newton step; the later ones converge superlinearly, where the plain
+    chord ``x <- x - M_k^-1 F_k(x)`` converges only linearly.  Each row keeps
+    its own steps, which leave the block with it, and each row's
+    arithmetic is that of the outage iterated alone.  An outage leaves
+    the block as soon as its mismatch is at most ``tol / 10``: on case118
+    its state then lies within 4.3e-10 of the root.  Where there is no
+    chord model, ``M_k`` is singular, the mismatch is not finite (a
+    breakdown of the update gives a non-finite step) or has set no new
+    minimum for ``_CHORD_PATIENCE`` steps in a row, a voltage collapses,
+    the iteration budget runs out or, with Q-limit enforcement, the result
+    violates a reactive limit, the outage is re-solved by ``_newton`` on
+    its own admittance matrix instead, one outage after another, exactly
+    as ``solve_ac_powerflow(case.with_branch_open(k), ...)`` started from
     ``base.state``.  Either way the converged flag and the failure detail
     are those of that re-solve, and a converged state has a post-outage
     residual of at most ``tol``.  ``islands`` holds the outages known to
@@ -272,20 +292,31 @@ class _Oracle:
                 yield idx[singular], _ChordBlock(self._layout, self._lin, idx[ok], rows, stamps, compensation)
 
     def _iterate(self, block: _ChordBlock) -> dict[int, np.ndarray]:
-        """Chord iteration of a block from ``x0``: the states of the outages that converge by it."""
+        """Broyden iteration of a block from ``x0``: the states of the outages that converge by it."""
         options = self._options
         x = np.tile(self._lin.x_op, (len(block.outages), 1))
         f = block.residual(x)
         best = np.max(np.abs(f), axis=1)
         stalled = np.zeros(len(best), dtype=int)  # steps since the last new minimum
+        # the steps s_0 .. s_n of every row, step-major, and their squared norms
+        steps = np.empty((options.max_iter,) + x.shape)
+        norms = np.empty((options.max_iter, len(x)))
         converged = {}
-        for _ in range(options.max_iter):
+        for n in range(options.max_iter):
             if not len(block.outages):
                 break
-            x = x - block.inverse(f)
+            s = -block.inverse(f)
+            with np.errstate(divide="ignore", invalid="ignore"):  # a breakdown gives a non-finite step
+                for j in range(n - 1):
+                    s += steps[j + 1] * (_dot(steps[j], s) / norms[j])[:, None]
+                if n:
+                    s /= (1.0 - _dot(steps[n - 1], s) / norms[n - 1])[:, None]
+            steps[n] = s
+            norms[n] = _dot(s, s)
+            x = x + s
             f = block.residual(x)
             mismatch = np.max(np.abs(f), axis=1)
-            done = mismatch <= options.tol / 10  # the chord converges linearly; see the class docstring
+            done = mismatch <= options.tol / 10  # see the class docstring
             for i in np.flatnonzero(done):
                 converged[int(block.outages[i])] = x[i].copy()
             improved = mismatch < best  # NaN never improves
@@ -294,6 +325,7 @@ class _Oracle:
             keep = ~done & np.isfinite(mismatch) & (stalled < _CHORD_PATIENCE)
             if not keep.all():
                 block, x, f, best, stalled = block.take(keep), x[keep], f[keep], best[keep], stalled[keep]
+                steps, norms = _kept_rows(steps, keep, n + 1), _kept_rows(norms, keep, n + 1)
         if options.enforce_q_limits:
             converged = {
                 k: x for k, x in converged.items() if not any(v.any() for v in self._layout.q_violations(x))
@@ -330,33 +362,37 @@ class _Oracle:
     def outcomes(self, outages: list[int]) -> dict[int, OracleOutcome]:
         """Outcomes of closed-branch outages by outage; all non-islanding ones are solved together.
 
+        The deltas of the converged ones come from one stack of their states.
         Raises ``ValueError`` for an open or out-of-range branch before any solve.
         """
         for k in outages:
             _closed_branch(self._case, k)
         found = {}
         solved = self.solve([k for k in outages if k not in self._islands])
-        yb, baseline = self._base.ybus, self._base._baseline
-        i_mag = np.abs(baseline.i_from)
         for k in outages:
             if k in self._islands:
                 found[k] = OracleOutcome(branch=k, islanded=True, converged=False, detail="islands the network")
-                continue
-            result = solved[k]
-            if isinstance(result, PowerFlowError):
-                found[k] = OracleOutcome(branch=k, islanded=False, converged=False, detail=str(result))
-                continue
-            v = state_to_complex(result[1], self._case.n)
-            v_from = v[yb.from_idx]
-            i_from = yb.yff * v_from + yb.yft * v[yb.to_idx]
-            i_from[k] = 0.0  # the open branch carries no current
+            elif isinstance(solved[k], PowerFlowError):
+                found[k] = OracleOutcome(branch=k, islanded=False, converged=False, detail=str(solved[k]))
+        # the monitors of every converged state at once; states with reactive pins are longer than 2n
+        ks = [k for k in outages if k not in found]
+        n = self._case.n
+        v = state_to_complex(np.array([solved[k][1][: 2 * n] for k in ks]).reshape(len(ks), 2 * n))
+        yb, baseline = self._base.ybus, self._base._baseline
+        v_from = v[:, yb.from_idx]
+        i_from = yb.yff * v_from + yb.yft * v[:, yb.to_idx]
+        i_from[np.arange(len(ks)), ks] = 0.0  # the open branch carries no current
+        delta_vmag = np.abs(v) - baseline.v_mag
+        delta_imag = np.abs(i_from) - np.abs(baseline.i_from)
+        delta_p = (v_from * np.conj(i_from)).real - baseline.p_from
+        for i, k in enumerate(ks):
             found[k] = OracleOutcome(
                 branch=k,
                 islanded=False,
                 converged=True,
-                delta_vmag=np.abs(v) - baseline.v_mag,
-                delta_imag=np.abs(i_from) - i_mag,
-                delta_p=(v_from * np.conj(i_from)).real - baseline.p_from,
+                delta_vmag=delta_vmag[i],
+                delta_imag=delta_imag[i],
+                delta_p=delta_p[i],
             )
         return found
 
@@ -366,12 +402,13 @@ def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> O
 
     ``base`` must be the power flow solution of ``case``.  The post-outage
     power flow of ``case`` with branch ``branch_idx`` open is solved from
-    ``base.state``, by chord iteration on the full-mode linear model of
-    ``base`` (:func:`linearize_at_solution`, factorized once per solution)
-    with a rank-4 compensation for the removed branch (a block of one
-    outage), or by Newton iteration where the chord does not settle it or
-    ``base`` holds reactive pins; the deltas are post-outage minus ``base``
-    values.  The converged flag, and the detail of a failed solve, are those of
+    ``base.state``, by Broyden's method whose first inverse Jacobian is the
+    full-mode linear model of ``base`` (:func:`linearize_at_solution`,
+    factorized once per solution) with a rank-4 compensation for the
+    removed branch (a block of one outage), or by Newton iteration where
+    Broyden's method does not settle it or ``base`` holds reactive pins;
+    the deltas are post-outage minus ``base`` values.  The converged flag,
+    and the detail of a failed solve, are those of
     ``solve_ac_powerflow(case.with_branch_open(branch_idx), ...)`` started
     from ``base.state``; a converged post-outage state lies within about
     ``10 tol`` of that solve's and meets the post-outage residual tolerance
@@ -497,12 +534,14 @@ def screen(
     re-solve did not converge; such an outage gets the note "oracle did not
     converge" unless its transfer matrix is singular.  ``sol`` must solve
     ``case``; the re-solves share its admittance matrix and, where ``sol``
-    holds no reactive pins, its Newton layout and, as their chord model,
-    its own full-mode model (:func:`linearize_at_solution`), the ``lin``
-    that full mode builds when none is given.  The non-islanding outages
-    are iterated together, in the outage engine's blocks, and each gives the
-    :func:`oracle_outage` result bit for bit in either mode.  They use the tolerance and Q-limit
-    settings of ``sol`` with twice its iteration budget.
+    holds no reactive pins, its Newton layout and, as the first inverse
+    Jacobian of their Broyden iterations, its own full-mode model
+    (:func:`linearize_at_solution`), the ``lin`` that full mode builds when
+    none is given.  The non-islanding outages are iterated together, in
+    the outage engine's blocks, and each gives the :func:`oracle_outage`
+    result bit for bit in either mode; their oracle severities come from
+    one stack of outcomes.  They use the tolerance and Q-limit settings of
+    ``sol`` with twice its iteration budget.
     ``top_k`` below 1 raises ``ValueError``.
     """
     if metric not in SEVERITY_METRICS:
@@ -542,6 +581,12 @@ def screen(
         islands = bridges if is_connected(case) else set(range(case.n_branch))
         oracle = _Oracle(case, sol, islands)
         outcomes = oracle.outcomes([entry.branch for entry in entries])
+        solved = [o for o in outcomes.values() if o.converged]
+        oracle_severities = {}
+        if solved:
+            deltas = (np.stack([getattr(o, name) for o in solved]) for name in ("delta_vmag", "delta_imag", "delta_p"))
+            branches = np.array([o.branch for o in solved])
+            oracle_severities = dict(zip(branches.tolist(), _severities(metric, *deltas, branches, closed).tolist()))
         for entry in entries:
             o = outcomes[entry.branch]
             entry.oracle_islanded = o.islanded
@@ -549,9 +594,7 @@ def screen(
             if o.islanded:
                 entry.oracle_severity = float("inf")
             elif o.converged:
-                entry.oracle_severity = severity_from_deltas(
-                    metric, o.delta_vmag, o.delta_imag, o.delta_p, entry.branch, closed
-                )
+                entry.oracle_severity = oracle_severities[entry.branch]
             elif entry.note != "singular transfer matrix":
                 entry.note = "oracle did not converge"
 
