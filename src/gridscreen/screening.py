@@ -154,18 +154,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _kept_rows(stored: np.ndarray, keep: np.ndarray, filled: int) -> np.ndarray:
-    """Rows ``keep`` of step-major storage (budget, c, ...), moved to its front; only ``filled`` steps are copied."""
-    kept = stored[:filled, keep]
-    stored = stored[:, : kept.shape[1]]
-    stored[:filled] = kept
-    return stored
+# state entries (rows times model size) a Broyden group of the oracle holds
+# at most, unless one engine block alone holds more: all 177 case118 rows
+# (289 entries each) form one group, while a 944-bus model (2319 entries a
+# row) iterates one engine block at a time
+_GROUP_ENTRIES = 2**16
 
 
 @dataclass
 class _ChordBlock:
-    """Post-outage systems of a block of outages at the oracle's base state.
+    """Post-outage systems of outages at the oracle's base state.
 
+    One engine block's outages, or a Broyden group of them (:meth:`joined`).
     Row ``i`` describes outage ``outages[i]``: its terminal state rows
     ``rows[i]``, its branch block ``B_k`` with the rows of a slack terminal
     zeroed, ``stamps[i]`` (those rows hold the voltage pins), and the
@@ -187,6 +187,15 @@ class _ChordBlock:
         return _ChordBlock(
             self.layout, self.lin, self.outages[keep], self.rows[keep], self.stamps[keep], self.compensation[keep]
         )
+
+    @staticmethod
+    def joined(blocks: list["_ChordBlock"]) -> "_ChordBlock":
+        """The rows of ``blocks``, one after another; one block is returned as it is."""
+        if len(blocks) == 1:
+            return blocks[0]
+        names = ("outages", "rows", "stamps", "compensation")
+        parts = (np.concatenate([getattr(b, name) for b in blocks]) for name in names)
+        return _ChordBlock(blocks[0].layout, blocks[0].lin, *parts)
 
     def _at_terminals(self, x: np.ndarray) -> np.ndarray:
         """Each row's entries at its own terminal rows, as (c, 4, 1)."""
@@ -229,23 +238,26 @@ class _Oracle:
     compensation through the engine's transfer matrix of ``k`` on ``J0``
     (see :class:`_ChordBlock`).
 
-    :meth:`solve` takes the outages in the engine's blocks and runs
-    Broyden's method from ``x0`` on the true post-outage residual ``F_k``
-    for a whole block at a time, with ``M_k^-1`` as its first inverse
-    Jacobian ``H_0``.  The "good" update is applied in the step-storage
-    form of Kelley (*Iterative Methods for Linear and Nonlinear Equations*,
-    1995, section 7.3): each step ``z = -H_0 F_k(x)`` gains
-    ``s_{j+1} (s_j . z) / |s_j|^2`` for every stored step ``s_j`` in turn
-    and is divided by ``1 - s_n . z / |s_n|^2``, where ``s_n`` is the last
-    one.  So each step is one stacked residual, one multi-column solve of
+    :meth:`solve` reads an engine pass on ``J0`` over its outages, the
+    screen's own in full mode or one of its own, and gathers its blocks
+    into groups of at most ``_GROUP_ENTRIES`` state entries (see
+    :meth:`_chord_stage`).  It runs Broyden's method from ``x0`` on the
+    true post-outage residual ``F_k`` for a whole group at a time, with
+    ``M_k^-1`` as its first inverse Jacobian ``H_0``.  The "good" update
+    is applied in the step-storage form of Kelley (*Iterative Methods for
+    Linear and Nonlinear Equations*, 1995, section 7.3): each step
+    ``z = -H_0 F_k(x)`` gains ``s_{j+1} (s_j . z) / |s_j|^2`` for every
+    stored step ``s_j`` in turn and is divided by ``1 - s_n . z / |s_n|^2``,
+    where ``s_n`` is the last one.  So each step is one stacked residual, one multi-column solve of
     the base LU, one stacked compensation and one row-wise dot product per
     stored step, and nothing is refactorized.  The first step is the
     Newton step; the later ones converge superlinearly, where the plain
     chord ``x <- x - M_k^-1 F_k(x)`` converges only linearly.  Each row keeps
-    its own steps, which leave the block with it, and each row's
-    arithmetic is that of the outage iterated alone.  An outage leaves
-    the block as soon as its mismatch is at most ``tol / 10``: on case118
-    its state then lies within 4.3e-10 of the root.  Where there is no
+    its own steps, stored only for the steps taken, which leave the group
+    with it, and each row's arithmetic is that of the outage iterated
+    alone.  An outage leaves the group as soon as its mismatch is at most
+    ``tol / 10``: on case118 its state then lies within 4.3e-10 of the
+    root.  Where there is no
     chord model, ``M_k`` is singular, the mismatch is not finite (a
     breakdown of the update gives a non-finite step) or has set no new
     minimum for ``_CHORD_PATIENCE`` steps in a row, a voltage collapses,
@@ -278,29 +290,50 @@ class _Oracle:
         """The Newton system of the case with branch ``branch_idx`` open."""
         return self._layout.with_ybus(_without_branch(self._base.ybus, branch_idx))
 
-    def _blocks(self, outages: list[int]) -> Iterator[tuple[np.ndarray, _ChordBlock]]:
-        """Per block of the outage engine on ``J0``: its outages with a singular ``T_k``, and the others' systems."""
-        slack = self._layout.slack
-        with closing(_transfer_chunks(self._lin, self._base.case, outages, self._base.ybus)) as chunks:
-            for idx, rows, blocks, resp, cols, t, cond in chunks:
-                singular = _singular(cond)
-                ok = ~singular
-                rows, blocks, cols = rows[ok], blocks[ok], cols[ok]
-                compensation = np.matmul(resp[:, cols].transpose(1, 0, 2), np.linalg.solve(t[ok], blocks))
-                stamps = blocks.copy()
-                stamps[rows // 2 == slack] = 0.0  # the slack rows hold the voltage pins
-                yield idx[singular], _ChordBlock(self._layout, self._lin, idx[ok], rows, stamps, compensation)
+    def _chord_block(self, chunk: tuple[np.ndarray, ...], ok: np.ndarray) -> _ChordBlock:
+        """The systems of the outages ``ok`` selects in one block of an engine pass on ``J0``."""
+        idx, rows, blocks, resp, cols, t, _ = chunk
+        rows, blocks, cols = rows[ok], blocks[ok], cols[ok]
+        compensation = np.matmul(resp[:, cols].transpose(1, 0, 2), np.linalg.solve(t[ok], blocks))
+        stamps = blocks.copy()
+        stamps[rows // 2 == self._layout.slack] = 0.0  # the slack rows hold the voltage pins
+        return _ChordBlock(self._layout, self._lin, idx[ok], rows, stamps, compensation)
+
+    def _chord_stage(
+        self, chunks: Iterator[tuple[np.ndarray, ...]], converged: dict[int, np.ndarray]
+    ) -> Iterator[tuple[np.ndarray, ...]]:
+        """Pass on the blocks of an engine pass on ``J0``, iterating their outages in groups on the way.
+
+        Each block's outages with a nonsingular ``T_k`` join the current
+        group while it holds at most ``_GROUP_ENTRIES`` state entries (or is
+        that block alone); a block that does not fit first sends the group
+        to :meth:`_iterate`.  A block's systems are built before the pass
+        reuses its slot array, and the last group is iterated when the pass
+        ends.  ``converged`` gains the states of the outages that converge.
+        """
+        size = self._lin.size
+        group: list[_ChordBlock] = []
+        with closing(chunks):
+            for chunk in chunks:
+                ok = ~_singular(chunk[-1])
+                if group and (sum(len(b.outages) for b in group) + np.count_nonzero(ok)) * size > _GROUP_ENTRIES:
+                    converged.update(self._iterate(_ChordBlock.joined(group)))
+                    group = []
+                group.append(self._chord_block(chunk, ok))
+                yield chunk
+        if group:
+            converged.update(self._iterate(_ChordBlock.joined(group)))
 
     def _iterate(self, block: _ChordBlock) -> dict[int, np.ndarray]:
-        """Broyden iteration of a block from ``x0``: the states of the outages that converge by it."""
+        """Broyden iteration of a group from ``x0``: the states of the outages that converge by it."""
         options = self._options
         x = np.tile(self._lin.x_op, (len(block.outages), 1))
         f = block.residual(x)
         best = np.max(np.abs(f), axis=1)
         stalled = np.zeros(len(best), dtype=int)  # steps since the last new minimum
-        # the steps s_0 .. s_n of every row, step-major, and their squared norms
-        steps = np.empty((options.max_iter,) + x.shape)
-        norms = np.empty((options.max_iter, len(x)))
+        # the steps s_0 .. s_n of the rows still in the group, and their squared norms
+        steps: list[np.ndarray] = []
+        norms: list[np.ndarray] = []
         converged = {}
         for n in range(options.max_iter):
             if not len(block.outages):
@@ -311,8 +344,8 @@ class _Oracle:
                     s += steps[j + 1] * (_dot(steps[j], s) / norms[j])[:, None]
                 if n:
                     s /= (1.0 - _dot(steps[n - 1], s) / norms[n - 1])[:, None]
-            steps[n] = s
-            norms[n] = _dot(s, s)
+            steps.append(s)
+            norms.append(_dot(s, s))
             x = x + s
             f = block.residual(x)
             mismatch = np.max(np.abs(f), axis=1)
@@ -325,31 +358,41 @@ class _Oracle:
             keep = ~done & np.isfinite(mismatch) & (stalled < _CHORD_PATIENCE)
             if not keep.all():
                 block, x, f, best, stalled = block.take(keep), x[keep], f[keep], best[keep], stalled[keep]
-                steps, norms = _kept_rows(steps, keep, n + 1), _kept_rows(norms, keep, n + 1)
+                steps, norms = [v[keep] for v in steps], [v[keep] for v in norms]
         if options.enforce_q_limits:
             converged = {
                 k: x for k, x in converged.items() if not any(v.any() for v in self._layout.q_violations(x))
             }
         return converged
 
-    def solve(self, outages: list[int]) -> dict[int, tuple[dict[int, float], np.ndarray] | PowerFlowError]:
+    def _chord(self, outages: list[int]) -> dict[int, np.ndarray]:
+        """The states of the outages that converge in a chord stage on the oracle's own engine pass over them."""
+        converged: dict[int, np.ndarray] = {}
+        if self._lin is not None:
+            chunks = _transfer_chunks(self._lin, self._base.case, outages, self._base.ybus)
+            for _ in self._chord_stage(chunks, converged):
+                pass
+        return converged
+
+    def solve(
+        self, outages: list[int], chorded: dict[int, np.ndarray] | None = None
+    ) -> dict[int, tuple[dict[int, float], np.ndarray] | PowerFlowError]:
         """Post-outage power flows of non-islanding outages, by outage.
 
         Each gives its reactive pins and converged state, which belongs to
         the post-outage Newton system with those pins, or the
         :class:`PowerFlowError` of the full Newton path where that fails.
+        ``chorded``, where given, holds what a :meth:`_chord_stage` on an
+        engine pass over exactly ``outages`` found; by default the oracle
+        makes that pass itself.  The outages it did not settle take the
+        Newton path.
         """
-        results: dict[int, tuple[dict[int, float], np.ndarray] | PowerFlowError] = {}
-        fallback: list[int] = []
-        if self._lin is None:
-            fallback = list(outages)
-        else:
-            for singular, block in self._blocks(outages):
-                fallback.extend(int(k) for k in singular)
-                converged = self._iterate(block)
-                results.update((k, ({}, x)) for k, x in converged.items())
-                fallback.extend(int(k) for k in block.outages if k not in converged)
-        for k in sorted(fallback):
+        if chorded is None:
+            chorded = self._chord(outages)
+        results: dict[int, tuple[dict[int, float], np.ndarray] | PowerFlowError] = {
+            k: ({}, chorded[k]) for k in outages if k in chorded
+        }
+        for k in sorted(k for k in outages if k not in chorded):
             problem = self.problem(k)
             try:
                 problem, x, _ = _newton(problem, problem.initial_state(self._options), self._options)
@@ -359,16 +402,17 @@ class _Oracle:
                 results[k] = (problem.q_pinned, x)
         return results
 
-    def outcomes(self, outages: list[int]) -> dict[int, OracleOutcome]:
+    def outcomes(self, outages: list[int], chorded: dict[int, np.ndarray] | None = None) -> dict[int, OracleOutcome]:
         """Outcomes of closed-branch outages by outage; all non-islanding ones are solved together.
 
         The deltas of the converged ones come from one stack of their states.
+        ``chorded`` is that of :meth:`solve`, for the non-islanding outages.
         Raises ``ValueError`` for an open or out-of-range branch before any solve.
         """
         for k in outages:
             _closed_branch(self._case, k)
         found = {}
-        solved = self.solve([k for k in outages if k not in self._islands])
+        solved = self.solve([k for k in outages if k not in self._islands], chorded)
         for k in outages:
             if k in self._islands:
                 found[k] = OracleOutcome(branch=k, islanded=True, converged=False, detail="islands the network")
@@ -405,7 +449,7 @@ def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> O
     ``base.state``, by Broyden's method whose first inverse Jacobian is the
     full-mode linear model of ``base`` (:func:`linearize_at_solution`,
     factorized once per solution) with a rank-4 compensation for the
-    removed branch (a block of one outage), or by Newton iteration where
+    removed branch (a group of one outage), or by Newton iteration where
     Broyden's method does not settle it or ``base`` holds reactive pins;
     the deltas are post-outage minus ``base`` values.  The converged flag,
     and the detail of a failed solve, are those of
@@ -537,10 +581,13 @@ def screen(
     holds no reactive pins, its Newton layout and, as the first inverse
     Jacobian of their Broyden iterations, its own full-mode model
     (:func:`linearize_at_solution`), the ``lin`` that full mode builds when
-    none is given.  The non-islanding outages are iterated together, in
-    the outage engine's blocks, and each gives the :func:`oracle_outage`
-    result bit for bit in either mode; their oracle severities come from
-    one stack of outcomes.  They use the tolerance and Q-limit settings of
+    none is given.  In a connected case whose ``lin`` is that model, one
+    engine pass serves both the severities and the re-solves; otherwise
+    the oracle makes a pass of its own.  The non-islanding outages are
+    iterated together, in groups of whole engine blocks (all of case118
+    in one), and each gives the :func:`oracle_outage` result bit for bit
+    in either mode; their oracle severities come from one stack of
+    outcomes.  They use the tolerance and Q-limit settings of
     ``sol`` with twice its iteration budget.
     ``top_k`` below 1 raises ``ValueError``.
     """
@@ -555,7 +602,17 @@ def screen(
     closed = np.array([br.closed for br in case.branches])
     bridges = find_bridges(case)
     outages = [idx for idx, br in enumerate(case.branches) if br.closed and idx not in bridges]
-    severities = _outage_severities(sol, lin, outages, metric)
+    chunks = _transfer_chunks(lin, sol.case, outages, sol.ybus)
+    chorded = None
+    if with_oracle:
+        connected = is_connected(case)
+        # in a connected case exactly the bridges island it; in a disconnected one, every outage
+        oracle = _Oracle(case, sol, bridges if connected else set(range(case.n_branch)))
+        if connected and oracle._lin is lin:
+            # the oracle iterates on the screen's model, so it reads the screen's engine pass
+            chorded = {}
+            chunks = oracle._chord_stage(chunks, chorded)
+    severities = _outage_severities(sol, lin, outages, metric, chunks)
 
     entries: list[ScreenEntry] = []
     for idx, br in enumerate(case.branches):
@@ -577,10 +634,7 @@ def screen(
         entries.append(entry)
 
     if with_oracle:
-        # in a connected case exactly the bridges island it; in a disconnected one, every outage
-        islands = bridges if is_connected(case) else set(range(case.n_branch))
-        oracle = _Oracle(case, sol, islands)
-        outcomes = oracle.outcomes([entry.branch for entry in entries])
+        outcomes = oracle.outcomes([entry.branch for entry in entries], chorded)
         solved = [o for o in outcomes.values() if o.converged]
         oracle_severities = {}
         if solved:

@@ -463,20 +463,26 @@ def _impact_chunks(
     lin: LinearizedSystem,
     outages: Iterable[int],
     quantities: tuple[str, ...] = _QUANTITIES,
+    chunks: Iterator[tuple[np.ndarray, ...]] | None = None,
 ) -> Iterator[_ImpactChunk]:
     """First-order impacts of ``outages`` block by block, monitoring only ``quantities``.
 
     The pre-outage currents of a block solve its stacked transfer matrices
     for the equivalent injections; singular matrices are replaced by the
-    identity for that solve and their rows set to NaN.  Monitoring
-    ``"vmag"`` at a zero-voltage bus, where |V| is not differentiable,
-    raises ``ValueError`` before any solve.
+    identity for that solve and their rows set to NaN.  ``chunks``, where
+    given, is the engine pass over ``outages`` on ``lin`` to read (see
+    :func:`_transfer_chunks`), so that another stage can share it; by
+    default the impacts make their own.  Monitoring ``"vmag"`` at a
+    zero-voltage bus, where |V| is not differentiable, raises
+    ``ValueError`` before any solve.
     """
     base = sol._baseline
     if "vmag" in quantities and (base.v_mag < 1e-12).any():
         raise ValueError("voltage magnitude is zero at some bus; |V| is not differentiable")
     n2 = 2 * sol.n
-    with closing(_transfer_chunks(lin, sol.case, outages, sol.ybus)) as chunks:
+    if chunks is None:
+        chunks = _transfer_chunks(lin, sol.case, outages, sol.ybus)
+    with closing(chunks):
         for idx, _, _, resp, cols, t, cond in chunks:
             singular = _singular(cond)
             i_pre = base.i_terminal[idx]
@@ -515,15 +521,20 @@ def _outage_impacts(
 
 
 def _outage_severities(
-    sol: PowerFlowSolution, lin: LinearizedSystem, outages: Iterable[int], metric: str
+    sol: PowerFlowSolution,
+    lin: LinearizedSystem,
+    outages: Iterable[int],
+    metric: str,
+    chunks: Iterator[tuple[np.ndarray, ...]] | None = None,
 ) -> dict[int, float]:
     """Severities by outage index under ``metric``, monitoring only what it reads.
 
-    Outages with a singular transfer matrix are left out.
+    Outages with a singular transfer matrix are left out.  ``chunks`` is
+    that of :func:`_impact_chunks`.
     """
     closed = sol._baseline.closed
     severities = {}
-    for chunk in _impact_chunks(sol, lin, outages, (_METRIC_QUANTITY[metric],)):
+    for chunk in _impact_chunks(sol, lin, outages, (_METRIC_QUANTITY[metric],), chunks):
         keep = ~chunk.singular
         severities.update(zip(chunk.outages[keep].tolist(), chunk.severities(metric, closed)[keep].tolist()))
     return severities

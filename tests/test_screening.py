@@ -341,8 +341,8 @@ def _assert_oracle_equals_fresh_resolve(case, sol):
     solved = {}
     solve = oracle.solve
 
-    def recording_solve(ks):
-        found = solve(ks)
+    def recording_solve(ks, *chorded):
+        found = solve(ks, *chorded)
         solved.update(found)
         return found
 
@@ -491,8 +491,8 @@ def test_screen_oracle_is_the_same_in_both_modes(monkeypatch, case14, sol14, cas
     outcomes = _Oracle.outcomes
     found = {}
 
-    def recording_outcomes(oracle, ks):
-        found[mode] = outcomes(oracle, ks)
+    def recording_outcomes(oracle, ks, *chorded):
+        found[mode] = outcomes(oracle, ks, *chorded)
         return found[mode]
 
     monkeypatch.setattr(_Oracle, "outcomes", recording_outcomes)
@@ -590,8 +590,9 @@ def test_predictions_equal_the_oracle_on_constant_current_networks(seed, n_core,
 def test_compensated_inverse_solves_the_post_outage_jacobian(case14, sol14, case118, sol118, which):
     """The base LU with the rank-4 compensation inverts each post-outage Jacobian at the base state.
 
-    Each row of a block is checked against its own outage.  Branches 0 and
-    1 of case14 leave the slack bus, whose rows keep their pins.
+    Each row of a Broyden group is checked against its own outage.
+    Branches 0 and 1 of case14 leave the slack bus, whose rows keep their
+    pins.
     """
     if which == "case118":
         case, sol = case118, sol118
@@ -605,8 +606,7 @@ def test_compensated_inverse_solves_the_post_outage_jacobian(case14, sol14, case
     outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
     rng = np.random.default_rng(7)
     checked = []
-    for singular, block in oracle._blocks(outages):
-        assert len(singular) == 0
+    for block, _ in _chord_groups(oracle, outages):
         r = rng.normal(size=(len(block.outages), oracle._lin.x_op.size))
         inverse = block.inverse(r)
         for i, k in enumerate(block.outages):
@@ -617,9 +617,27 @@ def test_compensated_inverse_solves_the_post_outage_jacobian(case14, sol14, case
     assert sorted(checked) == outages
 
 
+def _chord_groups(oracle: _Oracle, outages: list[int]) -> list[tuple[_ChordBlock, dict[int, np.ndarray]]]:
+    """The Broyden groups of the oracle's own chord pass over ``outages``, each with the states that converge by it."""
+    groups = []
+    iterate = oracle._iterate
+
+    def recording_iterate(block):
+        converged = iterate(block)
+        groups.append((block, converged))
+        return converged
+
+    oracle._iterate = recording_iterate
+    try:
+        oracle._chord(outages)
+    finally:
+        del oracle._iterate
+    return groups
+
+
 def _chord_converged(oracle: _Oracle, outages: list[int]) -> set[int]:
-    """The outages whose chord iteration converges, block by block."""
-    return {k for singular, block in oracle._blocks(outages) for k in oracle._iterate(block)}
+    """The outages whose chord iteration converges."""
+    return set(oracle._chord(outages))
 
 
 def test_chord_iteration_carries_most_outages(case118, sol118):
@@ -640,8 +658,10 @@ def test_chord_iteration_carries_most_outages(case118, sol118):
 def test_broyden_sends_no_case14_or_case118_outage_to_newton(monkeypatch, case14, sol14, case118, sol118, mode):
     """The screen's oracle opens the Newton path for no outage of case14 or case118, in few steps.
 
-    A step is one call of the compensated base LU for a whole block; a
-    row-step is one outage's share of it.  The chord without Broyden's
+    A step is one call of the compensated base LU for a whole Broyden
+    group; a row-step is one outage's share of it.  All 177 case118
+    outages form one group, which takes 21 steps and 1048 row-steps; in
+    blocks of 32 outages they took 76 steps.  The chord without Broyden's
     update took 134 steps and 1270 row-steps on case118, and sent branch 7
     to Newton after all 50 steps of its budget; on case14 it took 30 steps.
     """
@@ -660,7 +680,7 @@ def test_broyden_sends_no_case14_or_case118_outage_to_newton(monkeypatch, case14
     monkeypatch.setattr(_ChordBlock, "inverse", counting_inverse)
     screen(case118, sol118, metric="pline_inf", mode=mode, with_oracle=True)
     assert opened == []
-    assert len(steps) <= 80 and sum(steps) <= 1100, (len(steps), sum(steps))
+    assert len(steps) <= 25 and sum(steps) <= 1100, (len(steps), sum(steps))
     steps.clear()
     screen(case14, sol14, metric="pline_inf", mode=mode, with_oracle=True)
     assert opened == []
@@ -718,15 +738,15 @@ def test_screen_oracle_equals_oracle_outage(monkeypatch, case14, sol14, case118,
     batched = {}
     outcomes = _Oracle.outcomes
 
-    def recording_outcomes(oracle, ks):
-        found = outcomes(oracle, ks)
+    def recording_outcomes(oracle, ks, *chorded):
+        found = outcomes(oracle, ks, *chorded)
         batched.update(found)
         return found
 
     monkeypatch.setattr(_Oracle, "outcomes", recording_outcomes)
     reports = {"pline_inf": screen(case, sol, metric="pline_inf", with_oracle=True)}
     # the other metrics rank the same outcomes; they are not solved again
-    monkeypatch.setattr(_Oracle, "outcomes", lambda oracle, ks: {k: batched[k] for k in ks})
+    monkeypatch.setattr(_Oracle, "outcomes", lambda oracle, ks, *chorded: {k: batched[k] for k in ks})
     reports.update({m: screen(case, sol, metric=m, with_oracle=True) for m in SEVERITY_METRICS if m not in reports})
     monkeypatch.undo()
     closed = np.array([br.closed for br in case.branches])
@@ -751,7 +771,7 @@ def test_screen_oracle_equals_oracle_outage(monkeypatch, case14, sol14, case118,
 
 @pytest.mark.parametrize("which", ["overload_ring", "case118"])
 def test_oracle_rows_are_isolated(monkeypatch, case118, sol118, which):
-    """Rows that leave a block early do not touch the rows that stay.
+    """Rows that leave a Broyden group early do not touch the rows that stay.
 
     On the overload ring two rows blow up beside three that converge by
     chord.  On case118 a lowered ``COND_LIMIT`` makes some transfer
@@ -773,13 +793,13 @@ def test_oracle_rows_are_isolated(monkeypatch, case118, sol118, which):
         conds = np.concatenate([chunk[-1] for chunk in _transfer_chunks(oracle._lin, case, outages, sol.ybus)])
         monkeypatch.setattr(sensitivity, "COND_LIMIT", float(np.percentile(conds, 90)))
         monkeypatch.setattr(screening, "_CHORD_PATIENCE", 1)
-    # some block holds rows that converge by chord beside rows that leave it
-    kinds = []
-    for singular, block in oracle._blocks(outages):
-        chord = set(oracle._iterate(block))
-        kinds.append((len(singular), len(chord), len(block.outages) - len(chord)))
+    # one group holds rows that converge by chord beside rows that leave it,
+    # and its engine blocks hold outages with a singular transfer matrix
+    groups = _chord_groups(oracle, outages)
+    singular = len(outages) - sum(len(block.outages) for block, _ in groups)
+    kinds = [(singular, len(chord), len(block.outages) - len(chord)) for block, chord in groups]
     if which == "case118":
-        assert any(all(kind) for kind in kinds), kinds
+        assert len(kinds) == 1 and all(kinds[0]), kinds
     else:
         assert kinds == [(0, 3, 2)]
 
@@ -794,6 +814,93 @@ def test_oracle_rows_are_isolated(monkeypatch, case118, sol118, which):
             assert together[k][1].tobytes() == alone[1].tobytes(), k
     diverged = [k for k in outages if isinstance(together[k], PowerFlowError)]
     assert diverged == ([] if which == "case118" else [0, 1])
+
+
+@pytest.mark.parametrize("base, passes", [("full", 1), ("network", 2), ("q_pinned", 1)])
+def test_oracle_screen_makes_one_engine_pass(monkeypatch, case118, sol118, base, passes):
+    """In full mode the oracle's Broyden groups are built from the screen's own engine pass.
+
+    In network mode the oracle still iterates on the full model, so it
+    makes a pass of its own; a Q-pinned base has no chord model, so only
+    the screen's pass is made.
+    """
+    calls = []
+    transfer_chunks = sensitivity._transfer_chunks
+
+    def counting_transfer_chunks(*args):
+        calls.append(args)
+        return transfer_chunks(*args)
+
+    monkeypatch.setattr(sensitivity, "_transfer_chunks", counting_transfer_chunks)
+    monkeypatch.setattr(screening, "_transfer_chunks", counting_transfer_chunks)
+    sol = solve_ac_powerflow(case118, PowerFlowOptions(enforce_q_limits=True)) if base == "q_pinned" else sol118
+    mode = "network" if base == "network" else "full"
+    report = screen(case118, sol, metric="pline_inf", mode=mode, with_oracle=True)
+    assert len(calls) == passes
+    assert report.comparison.n_compared == 177 and report.comparison.n_diverged == 0
+
+
+@pytest.mark.parametrize("rows", [20, 80])
+def test_oracle_groups_hold_whole_engine_blocks_within_the_budget(monkeypatch, case118, sol118, lin118, rows):
+    """A lowered group budget splits case118 into several Broyden groups; every outcome is still the one alone.
+
+    At 80 rows a group holds two engine blocks of 32 outages; at 20 rows
+    every engine block exceeds the budget and is a group by itself.  Each
+    group is a run of whole consecutive engine blocks, and every outcome,
+    with its pins and state, is bit for bit that of :func:`oracle_outage`.
+    """
+    budget = rows * lin118.size
+    monkeypatch.setattr(screening, "_GROUP_ENTRIES", budget)
+    engine_blocks, groups, solved, found = [], [], [], []
+    transfer_chunks = screening._transfer_chunks
+    iterate, solve, outcomes = _Oracle._iterate, _Oracle.solve, _Oracle.outcomes
+
+    def recording_transfer_chunks(*args):
+        for chunk in transfer_chunks(*args):
+            engine_blocks.append(chunk[0].tolist())
+            yield chunk
+
+    def recording_iterate(oracle, block):
+        groups.append(block.outages.tolist())
+        return iterate(oracle, block)
+
+    def recording_solve(oracle, ks, *chorded):
+        solved.append(solve(oracle, ks, *chorded))
+        return solved[-1]
+
+    def recording_outcomes(oracle, ks, *chorded):
+        found.append(outcomes(oracle, ks, *chorded))
+        return found[-1]
+
+    monkeypatch.setattr(screening, "_transfer_chunks", recording_transfer_chunks)
+    monkeypatch.setattr(_Oracle, "_iterate", recording_iterate)
+    monkeypatch.setattr(_Oracle, "solve", recording_solve)
+    monkeypatch.setattr(_Oracle, "outcomes", recording_outcomes)
+    screen(case118, sol118, metric="pline_inf", with_oracle=True)
+    assert len(engine_blocks) == 6  # the screen's pass is the only one
+    blocks = iter(engine_blocks)
+    merged = []  # engine blocks per group
+    for group in groups:
+        taken, count = [], 0
+        while len(taken) < len(group):
+            taken += next(blocks)
+            count += 1
+        assert taken == group, group  # whole consecutive engine blocks, none split
+        assert len(group) * lin118.size <= budget or count == 1, group
+        merged.append(count)
+    assert next(blocks, None) is None
+    assert merged == ([2, 2, 2] if rows == 80 else [1] * 6)
+
+    (together,), (batched,) = solved, found
+    for k, (pins, x) in together.items():
+        alone = oracle_outage(case118, k, sol118)
+        assert solved[-1][k][0] == pins, k  # the solve of ``alone``
+        assert solved[-1][k][1].tobytes() == x.tobytes(), k
+        o = batched[k]
+        assert (o.islanded, o.converged, o.detail) == (alone.islanded, alone.converged, alone.detail), k
+        for name in ("delta_vmag", "delta_imag", "delta_p"):
+            assert getattr(o, name).tobytes() == getattr(alone, name).tobytes(), (k, name)
+    assert len(together) == 177
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
