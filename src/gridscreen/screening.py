@@ -9,12 +9,12 @@ flow per outage to measure how faithful the ranking is.
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .case_io import GridCase, _closed_branch, _without_branch
 from .errors import PowerFlowError, SingularSystemError
@@ -152,6 +152,11 @@ _CHORD_PATIENCE = 2
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (c, size) stacks; each row's sum is its own."""
     return np.einsum("ij,ij->i", a, b)
+
+
+def _pins_and_states(solved: dict[int, tuple[dict[int, float], np.ndarray]]) -> dict:
+    """The ``keep`` of :meth:`_Oracle.solve` that keeps each outage's reactive pins and state."""
+    return solved
 
 
 # state entries (rows times model size) a Broyden group of the oracle holds
@@ -300,7 +305,7 @@ class _Oracle:
         return _ChordBlock(self._layout, self._lin, idx[ok], rows, stamps, compensation)
 
     def _chord_stage(
-        self, chunks: Iterator[tuple[np.ndarray, ...]], converged: dict[int, np.ndarray]
+        self, chunks: Iterator[tuple[np.ndarray, ...]], found: dict, keep: Callable
     ) -> Iterator[tuple[np.ndarray, ...]]:
         """Pass on the blocks of an engine pass on ``J0``, iterating their outages in groups on the way.
 
@@ -309,7 +314,9 @@ class _Oracle:
         that block alone); a block that does not fit first sends the group
         to :meth:`_iterate`.  A block's systems are built before the pass
         reuses its slot array, and the last group is iterated when the pass
-        ends.  ``converged`` gains the states of the outages that converge.
+        ends.  ``found`` gains what ``keep`` (see :meth:`solve`) keeps of the
+        outages that converge, a group at a time, before the next group is
+        taken.
         """
         size = self._lin.size
         group: list[_ChordBlock] = []
@@ -317,12 +324,16 @@ class _Oracle:
             for chunk in chunks:
                 ok = ~_singular(chunk[-1])
                 if group and (sum(len(b.outages) for b in group) + np.count_nonzero(ok)) * size > _GROUP_ENTRIES:
-                    converged.update(self._iterate(_ChordBlock.joined(group)))
+                    found.update(self._settle(group, keep))
                     group = []
                 group.append(self._chord_block(chunk, ok))
                 yield chunk
         if group:
-            converged.update(self._iterate(_ChordBlock.joined(group)))
+            found.update(self._settle(group, keep))
+
+    def _settle(self, group: list[_ChordBlock], keep: Callable) -> dict:
+        """What ``keep`` keeps of the outages of a Broyden group that converge by it."""
+        return keep({k: ({}, x) for k, x in self._iterate(_ChordBlock.joined(group)).items()})
 
     def _iterate(self, block: _ChordBlock) -> dict[int, np.ndarray]:
         """Broyden iteration of a group from ``x0``: the states of the outages that converge by it."""
@@ -365,33 +376,34 @@ class _Oracle:
             }
         return converged
 
-    def _chord(self, outages: list[int]) -> dict[int, np.ndarray]:
-        """The states of the outages that converge in a chord stage on the oracle's own engine pass over them."""
-        converged: dict[int, np.ndarray] = {}
+    def _chord(self, outages: list[int], keep: Callable = _pins_and_states) -> dict:
+        """What ``keep`` keeps of the outages that converge in a chord stage on an engine pass of its own."""
+        found: dict = {}
         if self._lin is not None:
             chunks = _transfer_chunks(self._lin, self._base.case, outages, self._base.ybus)
-            for _ in self._chord_stage(chunks, converged):
+            for _ in self._chord_stage(chunks, found, keep):
                 pass
-        return converged
+        return found
 
-    def solve(
-        self, outages: list[int], chorded: dict[int, np.ndarray] | None = None
-    ) -> dict[int, tuple[dict[int, float], np.ndarray] | PowerFlowError]:
+    def solve(self, outages: list[int], chorded: dict | None = None, keep: Callable = _pins_and_states) -> dict:
         """Post-outage power flows of non-islanding outages, by outage.
 
-        Each gives its reactive pins and converged state, which belongs to
-        the post-outage Newton system with those pins, or the
-        :class:`PowerFlowError` of the full Newton path where that fails.
-        ``chorded``, where given, holds what a :meth:`_chord_stage` on an
+        Each gives what ``keep`` keeps of it, or the :class:`PowerFlowError`
+        of the full Newton path where that fails.  ``keep`` maps outages to
+        their reactive pins and converged state, which belongs to the
+        post-outage Newton system with those pins, and returns what is kept
+        of each, by outage; by default the pins and state themselves.  It
+        takes the outages that converge in a Broyden group as the group
+        settles and those of the Newton path one at a time, so no more
+        states are held at once than those of one group.  ``chorded``, where
+        given, holds what a :meth:`_chord_stage` with the same ``keep`` on an
         engine pass over exactly ``outages`` found; by default the oracle
         makes that pass itself.  The outages it did not settle take the
         Newton path.
         """
         if chorded is None:
-            chorded = self._chord(outages)
-        results: dict[int, tuple[dict[int, float], np.ndarray] | PowerFlowError] = {
-            k: ({}, chorded[k]) for k in outages if k in chorded
-        }
+            chorded = self._chord(outages, keep)
+        results = {k: chorded[k] for k in outages if k in chorded}
         for k in sorted(k for k in outages if k not in chorded):
             problem = self.problem(k)
             try:
@@ -399,38 +411,41 @@ class _Oracle:
             except PowerFlowError as exc:
                 results[k] = exc
             else:
-                results[k] = (problem.q_pinned, x)
+                results[k] = keep({k: (problem.q_pinned, x)})[k]
         return results
 
-    def outcomes(self, outages: list[int], chorded: dict[int, np.ndarray] | None = None) -> dict[int, OracleOutcome]:
-        """Outcomes of closed-branch outages by outage; all non-islanding ones are solved together.
+    def _monitors(self, solved: dict[int, tuple[dict[int, float], np.ndarray]]) -> tuple[np.ndarray, ...]:
+        """The outages of ``solved`` (a :meth:`solve` ``keep`` input) and their monitor changes.
 
-        The deltas of the converged ones come from one stack of their states.
-        ``chorded`` is that of :meth:`solve`, for the non-islanding outages.
-        Raises ``ValueError`` for an open or out-of-range branch before any solve.
+        Returns ``(outages, delta_vmag, delta_imag, delta_p)``, (c,), (c, n),
+        (c, m) and (c, m): row ``i`` holds the post-outage minus base values
+        at the state of ``outages[i]``, the branch ones on the from side,
+        where the open branch carries no current.  Each row's arithmetic is
+        its own, so a row reads the same in a stack of any outages.
         """
-        for k in outages:
-            _closed_branch(self._case, k)
-        found = {}
-        solved = self.solve([k for k in outages if k not in self._islands], chorded)
-        for k in outages:
-            if k in self._islands:
-                found[k] = OracleOutcome(branch=k, islanded=True, converged=False, detail="islands the network")
-            elif isinstance(solved[k], PowerFlowError):
-                found[k] = OracleOutcome(branch=k, islanded=False, converged=False, detail=str(solved[k]))
-        # the monitors of every converged state at once; states with reactive pins are longer than 2n
-        ks = [k for k in outages if k not in found]
+        ks = np.array(list(solved), dtype=int)
         n = self._case.n
-        v = state_to_complex(np.array([solved[k][1][: 2 * n] for k in ks]).reshape(len(ks), 2 * n))
+        # states with reactive pins are longer than 2n
+        v = state_to_complex(np.array([x[: 2 * n] for _, x in solved.values()]).reshape(len(ks), 2 * n))
         yb, baseline = self._base.ybus, self._base._baseline
         v_from = v[:, yb.from_idx]
         i_from = yb.yff * v_from + yb.yft * v[:, yb.to_idx]
-        i_from[np.arange(len(ks)), ks] = 0.0  # the open branch carries no current
+        i_from[np.arange(len(ks)), ks] = 0.0
         delta_vmag = np.abs(v) - baseline.v_mag
         delta_imag = np.abs(i_from) - np.abs(baseline.i_from)
         delta_p = (v_from * np.conj(i_from)).real - baseline.p_from
-        for i, k in enumerate(ks):
-            found[k] = OracleOutcome(
+        return ks, delta_vmag, delta_imag, delta_p
+
+    def severities(self, metric: str, solved: dict[int, tuple[dict[int, float], np.ndarray]]) -> dict[int, float]:
+        """The ``keep`` of :meth:`solve` that keeps each outage's severity under ``metric``."""
+        ks, *deltas = self._monitors(solved)
+        return dict(zip(ks.tolist(), _severities(metric, *deltas, ks, self._base._baseline.closed).tolist()))
+
+    def _converged_outcomes(self, solved: dict[int, tuple[dict[int, float], np.ndarray]]) -> dict[int, OracleOutcome]:
+        """The ``keep`` of :meth:`solve` that keeps each outage's outcome, with its deltas."""
+        ks, delta_vmag, delta_imag, delta_p = self._monitors(solved)
+        return {
+            k: OracleOutcome(
                 branch=k,
                 islanded=False,
                 converged=True,
@@ -438,6 +453,27 @@ class _Oracle:
                 delta_imag=delta_imag[i],
                 delta_p=delta_p[i],
             )
+            for i, k in enumerate(ks.tolist())
+        }
+
+    def outcomes(self, outages: list[int]) -> dict[int, OracleOutcome]:
+        """Outcomes of closed-branch outages by outage; all non-islanding ones are solved together.
+
+        The deltas of the converged ones come from :meth:`_monitors`, a
+        Broyden group at a time, as the screen's oracle severities do.
+        Raises ``ValueError`` for an open or out-of-range branch before any solve.
+        """
+        for k in outages:
+            _closed_branch(self._case, k)
+        solved = self.solve([k for k in outages if k not in self._islands], keep=self._converged_outcomes)
+        found = {}
+        for k in outages:
+            if k in self._islands:
+                found[k] = OracleOutcome(branch=k, islanded=True, converged=False, detail="islands the network")
+            elif isinstance(solved[k], PowerFlowError):
+                found[k] = OracleOutcome(branch=k, islanded=False, converged=False, detail=str(solved[k]))
+            else:
+                found[k] = solved[k]
         return found
 
 
@@ -517,6 +553,29 @@ def _rank_key(entry: ScreenEntry) -> tuple[float, int]:
     return (-entry.severity, entry.branch)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``values``; equal values share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # where each run of equal values starts
+    counts = np.diff(first, append=len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(first + (counts + 1) / 2, counts)
+    return ranks
+
+
+def _spearman(a: np.ndarray, b: np.ndarray) -> float | None:
+    """Spearman's rho of two samples, bit for bit as SciPy's ``spearmanr`` computes it.
+
+    That is the Pearson correlation of their average ranks.  A constant
+    sample has no correlation: None, without a warning.
+    """
+    if (a == a[0]).all() or (b == b[0]).all():
+        return None
+    rho = np.corrcoef(np.column_stack((_average_ranks(a), _average_ranks(b))), rowvar=False)[1, 0]
+    return float(rho) if np.isfinite(rho) else None
+
+
 def compare_severities(predicted: dict[int, float], reference: dict[int, float]) -> ComparisonSummary:
     """Rank agreement between two finite severity maps over common branches."""
     common = sorted(
@@ -535,8 +594,7 @@ def compare_severities(predicted: dict[int, float], reference: dict[int, float])
         )
     pred = np.array([predicted[b] for b in common])
     ref = np.array([reference[b] for b in common])
-    rho = spearmanr(pred, ref).correlation
-    spearman = None if not np.isfinite(rho) else float(rho)
+    spearman = _spearman(pred, ref)
 
     def top_set(values: dict[int, float], k: int) -> set[int]:
         order = sorted(common, key=lambda b: (-values[b], b))
@@ -586,9 +644,10 @@ def screen(
     the oracle makes a pass of its own.  The non-islanding outages are
     iterated together, in groups of whole engine blocks (all of case118
     in one), and each gives the :func:`oracle_outage` result bit for bit
-    in either mode; their oracle severities come from one stack of
-    outcomes.  They use the tolerance and Q-limit settings of
-    ``sol`` with twice its iteration budget.
+    in either mode; each group's states become monitor changes and
+    oracle severities before the next group is iterated, so no more than
+    one group's states are held at once.  They use the tolerance and
+    Q-limit settings of ``sol`` with twice its iteration budget.
     ``top_k`` below 1 raises ``ValueError``.
     """
     if metric not in SEVERITY_METRICS:
@@ -599,7 +658,6 @@ def screen(
         sol = solve_ac_powerflow(case)
     if lin is None:
         lin = linearize_at_solution(sol, mode)
-    closed = np.array([br.closed for br in case.branches])
     bridges = find_bridges(case)
     outages = [idx for idx, br in enumerate(case.branches) if br.closed and idx not in bridges]
     chunks = _transfer_chunks(lin, sol.case, outages, sol.ybus)
@@ -608,10 +666,11 @@ def screen(
         connected = is_connected(case)
         # in a connected case exactly the bridges island it; in a disconnected one, every outage
         oracle = _Oracle(case, sol, bridges if connected else set(range(case.n_branch)))
+        oracle_severities = partial(oracle.severities, metric)
         if connected and oracle._lin is lin:
             # the oracle iterates on the screen's model, so it reads the screen's engine pass
             chorded = {}
-            chunks = oracle._chord_stage(chunks, chorded)
+            chunks = oracle._chord_stage(chunks, chorded, oracle_severities)
     severities = _outage_severities(sol, lin, outages, metric, chunks)
 
     entries: list[ScreenEntry] = []
@@ -634,21 +693,15 @@ def screen(
         entries.append(entry)
 
     if with_oracle:
-        outcomes = oracle.outcomes([entry.branch for entry in entries], chorded)
-        solved = [o for o in outcomes.values() if o.converged]
-        oracle_severities = {}
-        if solved:
-            deltas = (np.stack([getattr(o, name) for o in solved]) for name in ("delta_vmag", "delta_imag", "delta_p"))
-            branches = np.array([o.branch for o in solved])
-            oracle_severities = dict(zip(branches.tolist(), _severities(metric, *deltas, branches, closed).tolist()))
+        islands = oracle._islands
+        solved = oracle.solve([e.branch for e in entries if e.branch not in islands], chorded, oracle_severities)
         for entry in entries:
-            o = outcomes[entry.branch]
-            entry.oracle_islanded = o.islanded
-            entry.oracle_converged = o.converged
-            if o.islanded:
+            entry.oracle_islanded = entry.branch in islands
+            entry.oracle_converged = not entry.oracle_islanded and not isinstance(solved[entry.branch], PowerFlowError)
+            if entry.oracle_islanded:
                 entry.oracle_severity = float("inf")
-            elif o.converged:
-                entry.oracle_severity = oracle_severities[entry.branch]
+            elif entry.oracle_converged:
+                entry.oracle_severity = solved[entry.branch]
             elif entry.note != "singular transfer matrix":
                 entry.note = "oracle did not converge"
 

@@ -2,12 +2,14 @@
 
 import math
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
 from gridscreen.case_io import Branch, Bus, BusKind, GridCase, build_ybus, scale_loading
 from gridscreen.errors import PowerFlowError, SingularSystemError
@@ -278,6 +280,48 @@ def test_compare_severities_drops_nonfinite_and_disjoint():
     assert comp.spearman is None and comp.max_abs_error is None
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    pairs=st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=3, max_size=300),
+    decimals=st.sampled_from([None, 1, 0]),
+    reference=st.sampled_from(["drawn", "reversed", "negated", "cubed"]),
+)
+def test_compare_severities_spearman_is_scipys_bit_for_bit(pairs, decimals, reference):
+    """Spearman's rho is ``scipy.stats.spearmanr``'s, bit for bit, ties (rounded draws) included.
+
+    The reference is drawn, the predictions in reverse order, their negation
+    (a reversed ranking) or their cube (the same ranking).  Where a sample is
+    constant scipy reads NaN, and the comparison None.
+    """
+    pred = np.array([p for p, _ in pairs])
+    ref = np.array([r for _, r in pairs])
+    if decimals is not None:
+        pred, ref = np.round(pred, decimals), np.round(ref, decimals)
+    ref = {"drawn": ref, "reversed": pred[::-1], "negated": -pred, "cubed": pred**3}[reference]
+    comp = compare_severities(dict(enumerate(pred.tolist())), dict(enumerate(ref.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns of a constant sample
+        expected = spearmanr(pred, ref).correlation
+    if comp.spearman is None:
+        assert np.isnan(expected)
+    else:
+        assert np.float64(comp.spearman).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    "pred, ref",
+    [([1.0, 1.0, 1.0], [0.1, 0.2, 0.3]), ([0.1, 0.2, 0.3, 0.4], [2.0] * 4), ([0.0, -0.0, 0.0], [5.0, 5.0, 5.0])],
+)
+def test_compare_severities_constant_sample_has_no_spearman(pred, ref):
+    """A constant sample gives no Spearman's rho, and no warning; the other fields stand."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comp = compare_severities(dict(enumerate(pred)), dict(enumerate(ref)))
+    assert comp.spearman is None
+    assert not comp.insufficient and comp.n_compared == len(pred)
+    assert comp.max_abs_error == max(abs(p - r) for p, r in zip(pred, ref))
+
+
 def _assert_screen_equals_evaluate_outage(case, sol, mode):
     lin = linearize_at_solution(sol, mode)
     closed = np.array([br.closed for br in case.branches])
@@ -337,16 +381,15 @@ def _assert_oracle_equals_fresh_resolve(case, sol):
     """
     bridges = find_bridges(case)
     oracle = _Oracle(case, sol, bridges)
-    # record the pins and state each outcome is built from
+    # record the pins and state each outcome's deltas are built from
     solved = {}
-    solve = oracle.solve
+    monitors = oracle._monitors
 
-    def recording_solve(ks, *chorded):
-        found = solve(ks, *chorded)
-        solved.update(found)
-        return found
+    def recording_monitors(states):
+        solved.update(states)
+        return monitors(states)
 
-    oracle.solve = recording_solve
+    oracle._monitors = recording_monitors
     options = PowerFlowOptions(
         tol=sol.options.tol,
         max_iter=2 * sol.options.max_iter,
@@ -484,27 +527,41 @@ def test_oracle_with_singular_model_takes_the_newton_path(monkeypatch, case14, s
     assert len(_assert_oracle_equals_fresh_resolve(case14, sol14)) == 19
 
 
+def _recording_monitors(monkeypatch, found: dict) -> None:
+    """Record into ``found``, by outage, the rows of every :meth:`_Oracle._monitors` call.
+
+    Each row is the outage's reactive pins, its state and its three monitor
+    changes as bytes.
+    """
+    monitors = _Oracle._monitors
+
+    def recording_monitors(oracle, solved):
+        ks, *deltas = monitors(oracle, solved)
+        for i, k in enumerate(ks.tolist()):
+            pins, x = solved[k]
+            found[k] = (pins, x.tobytes(), *(d[i].tobytes() for d in deltas))
+        return (ks, *deltas)
+
+    monkeypatch.setattr(_Oracle, "_monitors", recording_monitors)
+
+
+def _oracle_columns(report) -> dict[int, tuple]:
+    """Each entry's oracle flags and severity, by branch."""
+    return {e.branch: (e.oracle_islanded, e.oracle_converged, e.oracle_severity) for e in report.entries}
+
+
 @pytest.mark.parametrize("which", ["case14", "case118"])
 def test_screen_oracle_is_the_same_in_both_modes(monkeypatch, case14, sol14, case118, sol118, which):
-    """Network mode linearizes the full model inside the oracle; its outcomes are the full-mode bytes."""
+    """Network mode linearizes the full model inside the oracle; its monitors are the full-mode bytes."""
     case, sol = (case14, sol14) if which == "case14" else (case118, sol118)
-    outcomes = _Oracle.outcomes
-    found = {}
-
-    def recording_outcomes(oracle, ks, *chorded):
-        found[mode] = outcomes(oracle, ks, *chorded)
-        return found[mode]
-
-    monkeypatch.setattr(_Oracle, "outcomes", recording_outcomes)
+    found = {"full": {}, "network": {}}
+    reports = {}
     for mode in ("full", "network"):
-        screen(case, sol, metric="pline_inf", mode=mode, with_oracle=True)
-    assert found["full"].keys() == found["network"].keys()
-    for k, full in found["full"].items():
-        network = found["network"][k]
-        assert (full.islanded, full.converged, full.detail) == (network.islanded, network.converged, network.detail)
-        for name in ("delta_vmag", "delta_imag", "delta_p"):
-            a, b = getattr(full, name), getattr(network, name)
-            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (k, name)
+        _recording_monitors(monkeypatch, found[mode])
+        reports[mode] = screen(case, sol, metric="pline_inf", mode=mode, with_oracle=True)
+        monkeypatch.undo()
+    assert found["full"] and found["full"] == found["network"]
+    assert _oracle_columns(reports["full"]) == _oracle_columns(reports["network"])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -721,9 +778,10 @@ def _overload_beside_ring() -> GridCase:
 def test_screen_oracle_equals_oracle_outage(monkeypatch, case14, sol14, case118, sol118, which):
     """The screen solves its oracle outages in blocks; each equals :func:`oracle_outage` bit for bit.
 
-    ``oracle_outage`` solves a block of one outage.  The screen takes the
-    oracle severities of all outages from one stack of outcomes; under every
-    metric each equals :func:`severity_from_deltas` of the outage alone.
+    ``oracle_outage`` solves a block of one outage.  The screen reduces each
+    Broyden group's states to monitors and severities; each row of monitors
+    is that of the outage alone, and under every metric each severity equals
+    :func:`severity_from_deltas` of the outage alone.
     """
     if which == "case14":
         case, sol = case14, sol14
@@ -734,24 +792,14 @@ def test_screen_oracle_equals_oracle_outage(monkeypatch, case14, sol14, case118,
     else:
         case = _open_and_double_circuit(case14)
         sol = solve_ac_powerflow(case)
-    # record the outcomes the screen's oracle builds
+    # record the monitors the screen's oracle reduces to severities
     batched = {}
-    outcomes = _Oracle.outcomes
-
-    def recording_outcomes(oracle, ks, *chorded):
-        found = outcomes(oracle, ks, *chorded)
-        batched.update(found)
-        return found
-
-    monkeypatch.setattr(_Oracle, "outcomes", recording_outcomes)
-    reports = {"pline_inf": screen(case, sol, metric="pline_inf", with_oracle=True)}
-    # the other metrics rank the same outcomes; they are not solved again
-    monkeypatch.setattr(_Oracle, "outcomes", lambda oracle, ks, *chorded: {k: batched[k] for k in ks})
-    reports.update({m: screen(case, sol, metric=m, with_oracle=True) for m in SEVERITY_METRICS if m not in reports})
+    _recording_monitors(monkeypatch, batched)
+    reports = {m: screen(case, sol, metric=m, with_oracle=True) for m in SEVERITY_METRICS}
     monkeypatch.undo()
     closed = np.array([br.closed for br in case.branches])
-    assert sorted(batched) == sorted(e.branch for e in reports["pline_inf"].entries)
-    alone = {k: oracle_outage(case, k, sol) for k in batched}
+    assert sorted(batched) == sorted(e.branch for e in reports["pline_inf"].entries if e.oracle_converged)
+    alone = {e.branch: oracle_outage(case, e.branch, sol) for e in reports["pline_inf"].entries}
     for metric, report in reports.items():
         for e in report.entries:
             a = alone[e.branch]
@@ -762,11 +810,9 @@ def test_screen_oracle_equals_oracle_outage(monkeypatch, case14, sol14, case118,
                 assert a.converged, e.branch
                 deltas = (a.delta_vmag, a.delta_imag, a.delta_p)
                 assert e.oracle_severity == severity_from_deltas(metric, *deltas, e.branch, closed), (metric, e.branch)
-    for k, o in batched.items():
+    for k, (_, _, *deltas) in batched.items():
         a = alone[k]
-        assert (o.islanded, o.converged, o.detail) == (a.islanded, a.converged, a.detail)
-        for name in ("delta_vmag", "delta_imag", "delta_p"):
-            assert np.array_equal(getattr(o, name), getattr(a, name)), (k, name)
+        assert deltas == [a.delta_vmag.tobytes(), a.delta_imag.tobytes(), a.delta_p.tobytes()], k
 
 
 @pytest.mark.parametrize("which", ["overload_ring", "case118"])
@@ -842,18 +888,19 @@ def test_oracle_screen_makes_one_engine_pass(monkeypatch, case118, sol118, base,
 
 @pytest.mark.parametrize("rows", [20, 80])
 def test_oracle_groups_hold_whole_engine_blocks_within_the_budget(monkeypatch, case118, sol118, lin118, rows):
-    """A lowered group budget splits case118 into several Broyden groups; every outcome is still the one alone.
+    """A lowered group budget splits case118 into several Broyden groups; every outage is still the one alone.
 
     At 80 rows a group holds two engine blocks of 32 outages; at 20 rows
     every engine block exceeds the budget and is a group by itself.  Each
-    group is a run of whole consecutive engine blocks, and every outcome,
-    with its pins and state, is bit for bit that of :func:`oracle_outage`.
+    group is a run of whole consecutive engine blocks, whose states are
+    reduced to monitors before the next group is iterated, and every
+    outage's pins and state are bit for bit those of :func:`oracle_outage`.
     """
     budget = rows * lin118.size
     monkeypatch.setattr(screening, "_GROUP_ENTRIES", budget)
-    engine_blocks, groups, solved, found = [], [], [], []
+    engine_blocks, groups, reduced = [], [], []
     transfer_chunks = screening._transfer_chunks
-    iterate, solve, outcomes = _Oracle._iterate, _Oracle.solve, _Oracle.outcomes
+    iterate, monitors = _Oracle._iterate, _Oracle._monitors
 
     def recording_transfer_chunks(*args):
         for chunk in transfer_chunks(*args):
@@ -862,21 +909,21 @@ def test_oracle_groups_hold_whole_engine_blocks_within_the_budget(monkeypatch, c
 
     def recording_iterate(oracle, block):
         groups.append(block.outages.tolist())
-        return iterate(oracle, block)
+        converged = iterate(oracle, block)
+        reduced.append(None)  # the group's monitors come next, before any other group
+        return converged
 
-    def recording_solve(oracle, ks, *chorded):
-        solved.append(solve(oracle, ks, *chorded))
-        return solved[-1]
-
-    def recording_outcomes(oracle, ks, *chorded):
-        found.append(outcomes(oracle, ks, *chorded))
-        return found[-1]
+    def recording_monitors(oracle, solved):
+        assert reduced[-1] is None, "monitors of states not from the last group"
+        reduced[-1] = {k: (pins, x.tobytes()) for k, (pins, x) in solved.items()}
+        return monitors(oracle, solved)
 
     monkeypatch.setattr(screening, "_transfer_chunks", recording_transfer_chunks)
     monkeypatch.setattr(_Oracle, "_iterate", recording_iterate)
-    monkeypatch.setattr(_Oracle, "solve", recording_solve)
-    monkeypatch.setattr(_Oracle, "outcomes", recording_outcomes)
+    monkeypatch.setattr(_Oracle, "_monitors", recording_monitors)
     screen(case118, sol118, metric="pline_inf", with_oracle=True)
+    monkeypatch.setattr(_Oracle, "_iterate", iterate)
+    monkeypatch.setattr(_Oracle, "_monitors", monitors)
     assert len(engine_blocks) == 6  # the screen's pass is the only one
     blocks = iter(engine_blocks)
     merged = []  # engine blocks per group
@@ -891,16 +938,46 @@ def test_oracle_groups_hold_whole_engine_blocks_within_the_budget(monkeypatch, c
     assert next(blocks, None) is None
     assert merged == ([2, 2, 2] if rows == 80 else [1] * 6)
 
-    (together,), (batched,) = solved, found
-    for k, (pins, x) in together.items():
-        alone = oracle_outage(case118, k, sol118)
-        assert solved[-1][k][0] == pins, k  # the solve of ``alone``
-        assert solved[-1][k][1].tobytes() == x.tobytes(), k
-        o = batched[k]
-        assert (o.islanded, o.converged, o.detail) == (alone.islanded, alone.converged, alone.detail), k
-        for name in ("delta_vmag", "delta_imag", "delta_p"):
-            assert getattr(o, name).tobytes() == getattr(alone, name).tobytes(), (k, name)
+    assert [sorted(states) for states in reduced] == [sorted(group) for group in groups]  # every row converged
+    together = {k: row for states in reduced for k, row in states.items()}
     assert len(together) == 177
+    alone = {}
+    _recording_monitors(monkeypatch, alone)
+    for k, (pins, x) in together.items():
+        assert oracle_outage(case118, k, sol118).converged, k
+        assert alone[k][:2] == (pins, x), k
+
+
+@pytest.mark.parametrize("metric", SEVERITY_METRICS)
+def test_oracle_severities_do_not_depend_on_the_groups(monkeypatch, case118, sol118, lin118, metric):
+    """Monitors taken a Broyden group at a time give the one-group screen's oracle columns bit for bit.
+
+    All of case118 forms one group by default; a budget of 40 rows splits it
+    into six.  Every oracle flag and severity and the comparison summary are
+    the same bytes (``repr`` round-trips a float), and every row of the
+    split screen's monitors is that of :func:`oracle_outage`.
+    """
+    one_group = screen(case118, sol118, metric=metric, with_oracle=True)
+    monkeypatch.setattr(screening, "_GROUP_ENTRIES", 40 * lin118.size)
+    groups = []
+    iterate = _Oracle._iterate
+
+    def counting_iterate(oracle, block):
+        groups.append(len(block.outages))
+        return iterate(oracle, block)
+
+    monkeypatch.setattr(_Oracle, "_iterate", counting_iterate)
+    split = {}
+    _recording_monitors(monkeypatch, split)
+    several_groups = screen(case118, sol118, metric=metric, with_oracle=True)
+    monkeypatch.undo()
+    assert len(groups) == 6 and sum(groups) == 177
+    assert repr(_oracle_columns(several_groups)) == repr(_oracle_columns(one_group))
+    assert repr(several_groups.comparison) == repr(one_group.comparison)
+    assert len(split) == 177
+    for k, (_, _, *deltas) in split.items():
+        alone = oracle_outage(case118, k, sol118)
+        assert deltas == [alone.delta_vmag.tobytes(), alone.delta_imag.tobytes(), alone.delta_p.tobytes()], k
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
