@@ -416,14 +416,19 @@ def _severities_from_report(path: str) -> dict[int, float]:
         raise CaseError(f"cannot read report {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CaseError(f"invalid report JSON in {path}: {exc}") from exc
-    entries = data.get("entries")
+    entries = data.get("entries") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise CaseError(f"{path} is not a screening report (missing 'entries')")
     out: dict[int, float] = {}
-    for e in entries:
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict) or "branch" not in e:
+            raise CaseError(f"{path}: entry {i} is not a screening entry (an object with a 'branch')")
         if e.get("islanding") or e.get("severity") is None:
             continue
-        out[int(e["branch"])] = float(e["severity"])
+        try:
+            out[int(e["branch"])] = float(e["severity"])
+        except (TypeError, ValueError) as exc:
+            raise CaseError(f"{path}: entry {i} has a non-numeric branch or severity ({exc})") from exc
     return out
 
 

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .case_io import GridCase, _closed_branch
-from .errors import IslandingError, SingularSystemError
+from .errors import CaseError, IslandingError, SingularSystemError
 
 __all__ = [
     "DcModel",
@@ -90,6 +90,9 @@ def build_dc_model(case: GridCase) -> DcModel:
     m = case.n_branch
     from_idx = np.fromiter((case.bus_index(br.from_bus) for br in case.branches), dtype=np.int64, count=m)
     to_idx = np.fromiter((case.bus_index(br.to_bus) for br in case.branches), dtype=np.int64, count=m)
+    for i, br in enumerate(case.branches):
+        if br.closed and br.x == 0:
+            raise CaseError(f"branch {i} ({br.from_bus}-{br.to_bus}) is closed with zero reactance: no DC model")
     b_branch = np.array([1.0 / br.x if br.closed else 0.0 for br in case.branches])
     shift = np.array([br.shift for br in case.branches])
 

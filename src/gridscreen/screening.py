@@ -9,10 +9,9 @@ flow per outage to measure how faithful the ranking is.
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -28,6 +27,8 @@ from .powerflow import (
     state_to_complex,
 )
 from .sensitivity import (
+    _METRIC_QUANTITY,
+    _QUANTITIES,
     SEVERITY_METRICS,
     _outage_severities,
     _severities,
@@ -154,11 +155,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _pins_and_states(solved: dict[int, tuple[dict[int, float], np.ndarray]]) -> dict:
-    """The ``keep`` of :meth:`_Oracle.solve` that keeps each outage's reactive pins and state."""
-    return solved
-
-
 # state entries (rows times model size) a Broyden group of the oracle holds
 # at most, unless one engine block alone holds more: all 177 case118 rows
 # (289 entries each) form one group, while a 944-bus model (2319 entries a
@@ -187,10 +183,10 @@ class _ChordBlock:
     stamps: np.ndarray  # (c, 4, 4)
     compensation: np.ndarray  # (c, size, 4)
 
-    def take(self, keep: np.ndarray) -> "_ChordBlock":
-        """The rows of the block that ``keep`` selects."""
+    def take(self, mask: np.ndarray) -> "_ChordBlock":
+        """The rows of the block that ``mask`` selects."""
         return _ChordBlock(
-            self.layout, self.lin, self.outages[keep], self.rows[keep], self.stamps[keep], self.compensation[keep]
+            self.layout, self.lin, self.outages[mask], self.rows[mask], self.stamps[mask], self.compensation[mask]
         )
 
     @staticmethod
@@ -230,59 +226,53 @@ class _ChordBlock:
 class _Oracle:
     """Post-outage nonlinear re-solves on the base solution's network and linear model.
 
-    ``base`` is the solution of ``case``; ``case`` serves to check the
-    outages.  The oracle takes the base's admittance matrix, baseline
-    monitors and Newton layout (a fresh one without Q pins where the base
-    holds some, since every re-solve starts unpinned).  Its ``J0`` is the
-    base's own full-mode model ``linearize_at_solution(base)``, at the base
-    state ``x0 = J0.x_op``; a Q-pinned base has none.  Removing branch
-    ``k`` changes that Jacobian only by the branch's 4x4 stamp ``B_k`` in
-    its terminal rows (none in the rows of a slack terminal, which hold the
+    The oracle takes the base's admittance matrix, baseline monitors and
+    Newton layout (a fresh one without Q pins where the base holds some,
+    since every re-solve starts unpinned).  Its ``J0`` is the base's own
+    full-mode model ``linearize_at_solution(base)`` at the base state
+    ``x0 = J0.x_op``; a Q-pinned base has none.  Removing branch ``k``
+    changes that Jacobian only by the branch's 4x4 stamp ``B_k`` in its
+    terminal rows (none in the rows of a slack terminal, which hold the
     voltage pins), so the post-outage Jacobian at ``x0`` is
-    ``M_k = J0 - E_k B_k E_k^T``.  Its inverse is the base LU with a rank-4
+    ``M_k = J0 - E_k B_k E_k^T``, whose inverse is the base LU with a rank-4
     compensation through the engine's transfer matrix of ``k`` on ``J0``
     (see :class:`_ChordBlock`).
 
-    :meth:`solve` reads an engine pass on ``J0`` over its outages, the
-    screen's own in full mode or one of its own, and gathers its blocks
-    into groups of at most ``_GROUP_ENTRIES`` state entries (see
-    :meth:`_chord_stage`).  It runs Broyden's method from ``x0`` on the
-    true post-outage residual ``F_k`` for a whole group at a time, with
-    ``M_k^-1`` as its first inverse Jacobian ``H_0``.  The "good" update
-    is applied in the step-storage form of Kelley (*Iterative Methods for
-    Linear and Nonlinear Equations*, 1995, section 7.3): each step
-    ``z = -H_0 F_k(x)`` gains ``s_{j+1} (s_j . z) / |s_j|^2`` for every
+    :meth:`solve` gathers the blocks of an engine pass on ``J0`` into groups
+    of at most ``_GROUP_ENTRIES`` state entries and runs Broyden's method
+    from ``x0`` on the true post-outage residual ``F_k`` for a whole group
+    at a time, with ``M_k^-1`` as its first inverse Jacobian ``H_0``.  The
+    "good" update is applied in the step-storage form of Kelley (*Iterative
+    Methods for Linear and Nonlinear Equations*, 1995, section 7.3): each
+    step ``z = -H_0 F_k(x)`` gains ``s_{j+1} (s_j . z) / |s_j|^2`` for every
     stored step ``s_j`` in turn and is divided by ``1 - s_n . z / |s_n|^2``,
-    where ``s_n`` is the last one.  So each step is one stacked residual, one multi-column solve of
-    the base LU, one stacked compensation and one row-wise dot product per
-    stored step, and nothing is refactorized.  The first step is the
-    Newton step; the later ones converge superlinearly, where the plain
-    chord ``x <- x - M_k^-1 F_k(x)`` converges only linearly.  Each row keeps
-    its own steps, stored only for the steps taken, which leave the group
-    with it, and each row's arithmetic is that of the outage iterated
-    alone.  An outage leaves the group as soon as its mismatch is at most
-    ``tol / 10``: on case118 its state then lies within 4.3e-10 of the
-    root.  Where there is no
-    chord model, ``M_k`` is singular, the mismatch is not finite (a
-    breakdown of the update gives a non-finite step) or has set no new
-    minimum for ``_CHORD_PATIENCE`` steps in a row, a voltage collapses,
-    the iteration budget runs out or, with Q-limit enforcement, the result
-    violates a reactive limit, the outage is re-solved by ``_newton`` on
-    its own admittance matrix instead, one outage after another, exactly
-    as ``solve_ac_powerflow(case.with_branch_open(k), ...)`` started from
-    ``base.state``.  Either way the converged flag and the failure detail
-    are those of that re-solve, and a converged state has a post-outage
-    residual of at most ``tol``.  ``islands`` holds the outages known to
-    disconnect the network; they are reported without a solve.
+    where ``s_n`` is the last one.  So each step is one stacked residual,
+    one multi-column solve of the base LU, one stacked compensation and one
+    row-wise dot product per stored step, and nothing is refactorized.
+    Each row keeps its own steps, which leave the group with it, so each
+    row's arithmetic is that of the outage iterated alone.  An outage leaves
+    the group as soon as its mismatch is at most ``tol / 10``: on case118
+    its state then lies within 4.3e-10 of the root.  Where there is no
+    chord model, ``M_k`` is singular, the mismatch is not finite or has set
+    no new minimum for ``_CHORD_PATIENCE`` steps in a row, a voltage
+    collapses, the iteration budget runs out or, with Q-limit enforcement,
+    the result violates a reactive limit, the outage is re-solved by
+    ``_newton`` instead, exactly as ``solve_ac_powerflow`` of the case with
+    the branch open, started from ``base.state``.  Either way the converged
+    flag and the failure detail are those of that re-solve, and a converged
+    state has a post-outage residual of at most ``tol``.
+
+    Each converged state becomes its result at once (:meth:`_reduce`), a
+    Broyden group at a time: the severity under ``metric``, or without one
+    the converged :class:`OracleOutcome`.
     """
 
-    def __init__(self, case: GridCase, base: PowerFlowSolution, islands: set[int]):
+    def __init__(self, base: PowerFlowSolution, metric: str | None = None):
         self._options = replace(
             base.options, max_iter=2 * base.options.max_iter, start="state", initial_state=base.state
         )
-        self._case = case
         self._base = base
-        self._islands = islands
+        self._metric = metric
         self._layout = _NewtonProblem(base.case, base.ybus) if base.q_limited else base._problem
         self._lin = None  # every outage goes to the full Newton path (``_newton``)
         if not base.q_limited:
@@ -304,9 +294,7 @@ class _Oracle:
         stamps[rows // 2 == self._layout.slack] = 0.0  # the slack rows hold the voltage pins
         return _ChordBlock(self._layout, self._lin, idx[ok], rows, stamps, compensation)
 
-    def _chord_stage(
-        self, chunks: Iterator[tuple[np.ndarray, ...]], found: dict, keep: Callable
-    ) -> Iterator[tuple[np.ndarray, ...]]:
+    def _chord_stage(self, chunks: Iterator[tuple[np.ndarray, ...]], found: dict) -> Iterator[tuple[np.ndarray, ...]]:
         """Pass on the blocks of an engine pass on ``J0``, iterating their outages in groups on the way.
 
         Each block's outages with a nonsingular ``T_k`` join the current
@@ -314,9 +302,8 @@ class _Oracle:
         that block alone); a block that does not fit first sends the group
         to :meth:`_iterate`.  A block's systems are built before the pass
         reuses its slot array, and the last group is iterated when the pass
-        ends.  ``found`` gains what ``keep`` (see :meth:`solve`) keeps of the
-        outages that converge, a group at a time, before the next group is
-        taken.
+        ends.  ``found`` gains the results of the outages that converge, a
+        group at a time, before the next group is taken.
         """
         size = self._lin.size
         group: list[_ChordBlock] = []
@@ -324,16 +311,12 @@ class _Oracle:
             for chunk in chunks:
                 ok = ~_singular(chunk[-1])
                 if group and (sum(len(b.outages) for b in group) + np.count_nonzero(ok)) * size > _GROUP_ENTRIES:
-                    found.update(self._settle(group, keep))
+                    found.update(self._reduce(self._iterate(_ChordBlock.joined(group))))
                     group = []
                 group.append(self._chord_block(chunk, ok))
                 yield chunk
         if group:
-            found.update(self._settle(group, keep))
-
-    def _settle(self, group: list[_ChordBlock], keep: Callable) -> dict:
-        """What ``keep`` keeps of the outages of a Broyden group that converge by it."""
-        return keep({k: ({}, x) for k, x in self._iterate(_ChordBlock.joined(group)).items()})
+            found.update(self._reduce(self._iterate(_ChordBlock.joined(group))))
 
     def _iterate(self, block: _ChordBlock) -> dict[int, np.ndarray]:
         """Broyden iteration of a group from ``x0``: the states of the outages that converge by it."""
@@ -376,105 +359,67 @@ class _Oracle:
             }
         return converged
 
-    def _chord(self, outages: list[int], keep: Callable = _pins_and_states) -> dict:
-        """What ``keep`` keeps of the outages that converge in a chord stage on an engine pass of its own."""
-        found: dict = {}
-        if self._lin is not None:
-            chunks = _transfer_chunks(self._lin, self._base.case, outages, self._base.ybus)
-            for _ in self._chord_stage(chunks, found, keep):
-                pass
-        return found
+    def solve(self, outages: list[int], chorded: dict | None = None) -> dict:
+        """Results of non-islanding outages by outage, or the :class:`PowerFlowError` of a failed Newton path.
 
-    def solve(self, outages: list[int], chorded: dict | None = None, keep: Callable = _pins_and_states) -> dict:
-        """Post-outage power flows of non-islanding outages, by outage.
-
-        Each gives what ``keep`` keeps of it, or the :class:`PowerFlowError`
-        of the full Newton path where that fails.  ``keep`` maps outages to
-        their reactive pins and converged state, which belongs to the
-        post-outage Newton system with those pins, and returns what is kept
-        of each, by outage; by default the pins and state themselves.  It
-        takes the outages that converge in a Broyden group as the group
-        settles and those of the Newton path one at a time, so no more
-        states are held at once than those of one group.  ``chorded``, where
-        given, holds what a :meth:`_chord_stage` with the same ``keep`` on an
+        ``chorded``, where given, holds what a :meth:`_chord_stage` on an
         engine pass over exactly ``outages`` found; by default the oracle
         makes that pass itself.  The outages it did not settle take the
-        Newton path.
+        Newton path one at a time.
         """
         if chorded is None:
-            chorded = self._chord(outages, keep)
+            chorded = {}
+            if self._lin is not None:
+                chunks = _transfer_chunks(self._lin, self._base.case, outages, self._base.ybus)
+                for _ in self._chord_stage(chunks, chorded):
+                    pass
         results = {k: chorded[k] for k in outages if k in chorded}
         for k in sorted(k for k in outages if k not in chorded):
             problem = self.problem(k)
             try:
-                problem, x, _ = _newton(problem, problem.initial_state(self._options), self._options)
+                _, x, _ = _newton(problem, problem.initial_state(self._options), self._options)
             except PowerFlowError as exc:
                 results[k] = exc
             else:
-                results[k] = keep({k: (problem.q_pinned, x)})[k]
+                results.update(self._reduce({k: x}))
         return results
 
-    def _monitors(self, solved: dict[int, tuple[dict[int, float], np.ndarray]]) -> tuple[np.ndarray, ...]:
-        """The outages of ``solved`` (a :meth:`solve` ``keep`` input) and their monitor changes.
+    def _monitors(self, states: dict[int, np.ndarray]) -> tuple[np.ndarray | None, ...]:
+        """The outages of ``states`` (converged states by outage) and their monitor changes.
 
         Returns ``(outages, delta_vmag, delta_imag, delta_p)``, (c,), (c, n),
         (c, m) and (c, m): row ``i`` holds the post-outage minus base values
         at the state of ``outages[i]``, the branch ones on the from side,
-        where the open branch carries no current.  Each row's arithmetic is
-        its own, so a row reads the same in a stack of any outages.
+        where the open branch carries no current.  A quantity that the
+        oracle's metric does not read is None; without a metric all three
+        are computed.  Each row's arithmetic is its own, so a row reads the
+        same in a stack of any outages.
         """
-        ks = np.array(list(solved), dtype=int)
-        n = self._case.n
+        ks = np.array(list(states), dtype=int)
+        n = self._base.n
+        quantities = _QUANTITIES if self._metric is None else (_METRIC_QUANTITY[self._metric],)
         # states with reactive pins are longer than 2n
-        v = state_to_complex(np.array([x[: 2 * n] for _, x in solved.values()]).reshape(len(ks), 2 * n))
+        v = state_to_complex(np.array([x[: 2 * n] for x in states.values()]).reshape(len(ks), 2 * n))
         yb, baseline = self._base.ybus, self._base._baseline
-        v_from = v[:, yb.from_idx]
-        i_from = yb.yff * v_from + yb.yft * v[:, yb.to_idx]
-        i_from[np.arange(len(ks)), ks] = 0.0
-        delta_vmag = np.abs(v) - baseline.v_mag
-        delta_imag = np.abs(i_from) - np.abs(baseline.i_from)
-        delta_p = (v_from * np.conj(i_from)).real - baseline.p_from
+        delta_vmag = delta_imag = delta_p = None
+        if "vmag" in quantities:
+            delta_vmag = np.abs(v) - baseline.v_mag
+        if "imag" in quantities or "pline" in quantities:
+            v_from = v[:, yb.from_idx]
+            i_from = yb.yff * v_from + yb.yft * v[:, yb.to_idx]
+            i_from[np.arange(len(ks)), ks] = 0.0
+            if "imag" in quantities:
+                delta_imag = np.abs(i_from) - np.abs(baseline.i_from)
+            if "pline" in quantities:
+                delta_p = (v_from * np.conj(i_from)).real - baseline.p_from
         return ks, delta_vmag, delta_imag, delta_p
 
-    def severities(self, metric: str, solved: dict[int, tuple[dict[int, float], np.ndarray]]) -> dict[int, float]:
-        """The ``keep`` of :meth:`solve` that keeps each outage's severity under ``metric``."""
-        ks, *deltas = self._monitors(solved)
-        return dict(zip(ks.tolist(), _severities(metric, *deltas, ks, self._base._baseline.closed).tolist()))
-
-    def _converged_outcomes(self, solved: dict[int, tuple[dict[int, float], np.ndarray]]) -> dict[int, OracleOutcome]:
-        """The ``keep`` of :meth:`solve` that keeps each outage's outcome, with its deltas."""
-        ks, delta_vmag, delta_imag, delta_p = self._monitors(solved)
-        return {
-            k: OracleOutcome(
-                branch=k,
-                islanded=False,
-                converged=True,
-                delta_vmag=delta_vmag[i],
-                delta_imag=delta_imag[i],
-                delta_p=delta_p[i],
-            )
-            for i, k in enumerate(ks.tolist())
-        }
-
-    def outcomes(self, outages: list[int]) -> dict[int, OracleOutcome]:
-        """Outcomes of closed-branch outages by outage; all non-islanding ones are solved together.
-
-        The deltas of the converged ones come from :meth:`_monitors`, a
-        Broyden group at a time, as the screen's oracle severities do.
-        Raises ``ValueError`` for an open or out-of-range branch before any solve.
-        """
-        for k in outages:
-            _closed_branch(self._case, k)
-        solved = self.solve([k for k in outages if k not in self._islands], keep=self._converged_outcomes)
-        found = {}
-        for k in outages:
-            if k in self._islands:
-                found[k] = OracleOutcome(branch=k, islanded=True, converged=False, detail="islands the network")
-            elif isinstance(solved[k], PowerFlowError):
-                found[k] = OracleOutcome(branch=k, islanded=False, converged=False, detail=str(solved[k]))
-            else:
-                found[k] = solved[k]
-        return found
+    def _reduce(self, states: dict[int, np.ndarray]) -> dict:
+        """The results of converged states by outage: severities under the metric, or outcomes without one."""
+        ks, *deltas = self._monitors(states)
+        if self._metric is not None:
+            return dict(zip(ks.tolist(), _severities(self._metric, *deltas, ks, self._base._baseline.closed).tolist()))
+        return {k: OracleOutcome(k, False, True, *(d[i] for d in deltas)) for i, k in enumerate(ks.tolist())}
 
 
 def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> OracleOutcome:
@@ -482,24 +427,24 @@ def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> O
 
     ``base`` must be the power flow solution of ``case``.  The post-outage
     power flow of ``case`` with branch ``branch_idx`` open is solved from
-    ``base.state``, by Broyden's method whose first inverse Jacobian is the
-    full-mode linear model of ``base`` (:func:`linearize_at_solution`,
-    factorized once per solution) with a rank-4 compensation for the
-    removed branch (a group of one outage), or by Newton iteration where
-    Broyden's method does not settle it or ``base`` holds reactive pins;
-    the deltas are post-outage minus ``base`` values.  The converged flag,
-    and the detail of a failed solve, are those of
+    ``base.state`` by the oracle of ``base``, a group of one outage (see
+    :class:`_Oracle`); the deltas are post-outage minus ``base`` values.
+    The converged flag, and the detail of a failed solve, are those of
     ``solve_ac_powerflow(case.with_branch_open(branch_idx), ...)`` started
-    from ``base.state``; a converged post-outage state lies within about
-    ``10 tol`` of that solve's and meets the post-outage residual tolerance
-    ``tol``.  The solve uses the base tolerance and Q-limit settings with
-    twice the iteration budget.  Non-convergence is reported as an outcome,
+    from ``base.state``, with the base tolerance and Q-limit settings and
+    twice the iteration budget; a converged state lies within about
+    ``10 tol`` of that solve's.  Non-convergence is reported as an outcome,
     not raised: a contingency whose post-outage power flow fails to solve
     is itself a finding.  Raises ``ValueError`` for an open or out-of-range
     branch.
     """
-    islands = set() if is_connected(case, skip_branch=branch_idx) else {branch_idx}
-    return _Oracle(case, base, islands).outcomes([branch_idx])[branch_idx]
+    _closed_branch(case, branch_idx)
+    if not is_connected(case, skip_branch=branch_idx):
+        return OracleOutcome(branch=branch_idx, islanded=True, converged=False, detail="islands the network")
+    result = _Oracle(base).solve([branch_idx])[branch_idx]
+    if isinstance(result, PowerFlowError):
+        return OracleOutcome(branch=branch_idx, islanded=False, converged=False, detail=str(result))
+    return result
 
 
 # -- screening ---------------------------------------------------------------------
@@ -635,19 +580,13 @@ def screen(
     summary whose ``n_diverged`` counts the non-islanding outages whose
     re-solve did not converge; such an outage gets the note "oracle did not
     converge" unless its transfer matrix is singular.  ``sol`` must solve
-    ``case``; the re-solves share its admittance matrix and, where ``sol``
-    holds no reactive pins, its Newton layout and, as the first inverse
-    Jacobian of their Broyden iterations, its own full-mode model
-    (:func:`linearize_at_solution`), the ``lin`` that full mode builds when
-    none is given.  In a connected case whose ``lin`` is that model, one
-    engine pass serves both the severities and the re-solves; otherwise
-    the oracle makes a pass of its own.  The non-islanding outages are
-    iterated together, in groups of whole engine blocks (all of case118
-    in one), and each gives the :func:`oracle_outage` result bit for bit
-    in either mode; each group's states become monitor changes and
-    oracle severities before the next group is iterated, so no more than
-    one group's states are held at once.  They use the tolerance and
-    Q-limit settings of ``sol`` with twice its iteration budget.
+    ``case``.  The re-solves are those of :class:`_Oracle` with ``metric``,
+    so each oracle severity is that of :func:`oracle_outage` bit for bit,
+    in either mode, and no more than one Broyden group's states are held
+    at once.  In a connected case whose ``lin`` is the full-mode model of
+    ``sol`` (the one full mode builds when none is given), one engine pass
+    serves both the severities and the re-solves; otherwise the oracle
+    makes a pass of its own.
     ``top_k`` below 1 raises ``ValueError``.
     """
     if metric not in SEVERITY_METRICS:
@@ -665,12 +604,12 @@ def screen(
     if with_oracle:
         connected = is_connected(case)
         # in a connected case exactly the bridges island it; in a disconnected one, every outage
-        oracle = _Oracle(case, sol, bridges if connected else set(range(case.n_branch)))
-        oracle_severities = partial(oracle.severities, metric)
+        islands = bridges if connected else set(range(case.n_branch))
+        oracle = _Oracle(sol, metric)
         if connected and oracle._lin is lin:
             # the oracle iterates on the screen's model, so it reads the screen's engine pass
             chorded = {}
-            chunks = oracle._chord_stage(chunks, chorded, oracle_severities)
+            chunks = oracle._chord_stage(chunks, chorded)
     severities = _outage_severities(sol, lin, outages, metric, chunks)
 
     entries: list[ScreenEntry] = []
@@ -693,8 +632,7 @@ def screen(
         entries.append(entry)
 
     if with_oracle:
-        islands = oracle._islands
-        solved = oracle.solve([e.branch for e in entries if e.branch not in islands], chorded, oracle_severities)
+        solved = oracle.solve([e.branch for e in entries if e.branch not in islands], chorded)
         for entry in entries:
             entry.oracle_islanded = entry.branch in islands
             entry.oracle_converged = not entry.oracle_islanded and not isinstance(solved[entry.branch], PowerFlowError)

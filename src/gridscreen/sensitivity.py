@@ -119,8 +119,7 @@ def _bus_solve(lin: LinearizedSystem, buses: list[int]) -> np.ndarray:
 def injection_sensitivity(lin: LinearizedSystem, branch_idx: int) -> InjectionSensitivity:
     """Solve the linear model for the four terminal injection directions."""
     case = lin.case
-    if not 0 <= branch_idx < case.n_branch:
-        raise ValueError(f"branch index {branch_idx} out of range")
+    _closed_branch(case, branch_idx)
     br = case.branches[branch_idx]
     term = (case.bus_index(br.from_bus), case.bus_index(br.to_bus))
     rows = np.full(4, -1, dtype=np.int64)

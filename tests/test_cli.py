@@ -97,6 +97,14 @@ def test_solve_numerical_failure_exits_two(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_dclodf_zero_reactance_exits_one(tmp_path, capsys):
+    zero_x = tmp_path / "zero_x.json"
+    zero_x.write_text(case_to_json(two_bus(r=0.05, x=0.0)))
+    code, out, err = run(capsys, "dclodf", str(zero_x))
+    assert code == 1 and out == ""
+    assert err.startswith("error: branch 0 (1-2) is closed with zero reactance") and "Traceback" not in err
+
+
 def test_dump_round_trip(capsys, case14):
     code, out, _ = run(capsys, "dump", CASE14)
     assert code == 0
@@ -312,6 +320,17 @@ def test_compare_rejects_non_report(tmp_path, capsys):
 
     code, _, err = run(capsys, "compare", str(tmp_path / "missing.json"), str(bogus))
     assert code == 1
+
+    # a top-level array, then entries without a branch, not an object, or with a non-numeric severity
+    bogus.write_text("[]")
+    code, _, err = run(capsys, "compare", str(bogus), str(bogus))
+    assert code == 1 and "entries" in err and "Traceback" not in err
+    good = {"branch": 0, "severity": 0.5, "islanding": False}
+    for bad in ({"severity": 0.5}, [3], "x", {"branch": 2, "severity": "x"}, {"branch": [1], "severity": 0.5}):
+        bogus.write_text(json.dumps({"entries": [good, bad]}))
+        code, _, err = run(capsys, "compare", str(bogus), str(bogus))
+        assert code == 1, bad
+        assert err.startswith("error: ") and str(bogus) in err and "entry 1" in err, (bad, err)
 
 
 def test_compare_rejects_invalid_json(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """DC power flow, PTDF and LODF baseline tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gridscreen.case_io import Branch, Bus, BusKind, GridCase
 from gridscreen.dcmodel import build_dc_model, dc_lodf, dc_ptdf, solve_dc
-from gridscreen.errors import IslandingError
+from gridscreen.errors import CaseError, IslandingError
 from gridscreen.powerflow import branch_power_flows
 from gridscreen.screening import find_bridges
 
@@ -160,6 +162,18 @@ def test_lodf_rejects_bad_branch_arguments(case14):
         dc_lodf(model, 2)
     with pytest.raises(ValueError, match="range"):
         dc_lodf(model, 99)
+
+
+def test_zero_reactance_branch_is_rejected(case14):
+    """A closed branch with x = 0 and r > 0 is a valid AC case but has no DC susceptance."""
+    case = two_bus(r=0.05, x=0.0)
+    case.validate()
+    with pytest.raises(CaseError, match=r"branch 0 \(1-2\) is closed with zero reactance"):
+        build_dc_model(case)
+    # open, the same branch carries no flow and needs no susceptance
+    branches = case14.branches + (replace(case14.branches[0], r=0.05, x=0.0),)
+    extended = GridCase("case14_zero_x", case14.base_mva, case14.buses, branches, case14.generators)
+    assert build_dc_model(extended.with_branch_open(case14.n_branch)).b_branch[-1] == 0.0
 
 
 def test_lodf_marks_open_branches_nan(case14):

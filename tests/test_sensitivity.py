@@ -77,6 +77,11 @@ def test_injection_sensitivity_slack_terminal_columns_zero(sol14, lin14):
 def test_injection_sensitivity_rejects_bad_branch(lin14):
     with pytest.raises(ValueError, match="range"):
         injection_sensitivity(lin14, 99)
+    # an open branch, as branch_current_jacobian, evaluate_outage and circuit_lodf reject it
+    case = lin14.case.with_branch_open(2)
+    lin = linearize_at_solution(solve_ac_powerflow(case))
+    with pytest.raises(ValueError, match="branch 2 is open"):
+        injection_sensitivity(lin, 2)
 
 
 def test_network_mode_responses_are_complex_linear(sol14, lin14_network):
@@ -806,7 +811,7 @@ def test_engine_results_do_not_depend_on_worker_count(sol118, lin118, which, mon
     assert pooled == inline
 
 
-def test_single_outage_queries_make_no_pool(case118, sol118, lin118, monkeypatch):
+def test_single_outage_queries_make_no_pool(sol118, lin118, monkeypatch):
     """A block of one solves inline, whatever the number of usable CPUs."""
 
     def no_pool(*args, **kwargs):
@@ -815,7 +820,7 @@ def test_single_outage_queries_make_no_pool(case118, sol118, lin118, monkeypatch
     monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(sensitivity, "ThreadPoolExecutor", no_pool)
     evaluate_outage(sol118, lin118, 10)
-    assert _Oracle(case118, sol118, find_bridges(case118)).outcomes([10])[10].converged
+    assert _Oracle(sol118).solve([10])[10].converged
 
 
 def test_pool_shuts_down_on_error_and_early_close(sol118, lin118, monkeypatch):
