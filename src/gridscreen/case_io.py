@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -195,7 +196,14 @@ class GridCase:
 
 
 def _closed_branch(case: GridCase, k: int) -> None:
-    """Raise ``ValueError`` unless ``k`` indexes a closed branch of ``case``."""
+    """Raise unless ``k`` indexes a closed branch of ``case``.
+
+    An index that is not a Python or numpy integer, ``bool`` included,
+    raises ``TypeError``; one out of range, or of an open branch,
+    ``ValueError``.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise TypeError(f"branch index {k!r} is not an integer")
     if not 0 <= k < case.n_branch:
         raise ValueError(f"branch index {k} out of range")
     if not case.branches[k].closed:
@@ -495,6 +503,32 @@ def branch_admittances(branch: Branch) -> tuple[complex, complex, complex, compl
     return yff, yft, ytf, ytt
 
 
+# a branch block is the 2x2 real form of multiplication by each admittance:
+# its entries, as positions in [yff.real, yff.imag, yft.real, ..., ytt.imag],
+# and their signs
+_BLOCK_PARTS = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [4, 5, 6, 7], [5, 4, 7, 6]])
+_BLOCK_SIGNS = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, 1.0, 1.0]] * 2)
+# the state rows of a branch's terminals [2f, 2f + 1, 2t, 2t + 1], less 2f and 2t
+_ROW_OFFSETS = np.array([0, 1, 0, 1])
+
+
+def _branch_blocks(
+    f: np.ndarray, t: np.ndarray, yff: np.ndarray, yft: np.ndarray, ytf: np.ndarray, ytt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The terminal state rows (c, 4) and current blocks (c, 4, 4) of c branches.
+
+    ``f`` and ``t`` are the branches' terminal buses, the others their
+    two-port admittances (see :func:`branch_admittances`).  Row ``i`` of
+    both is the :class:`~gridscreen.sensitivity.BranchCurrentJacobian` of
+    branch ``i``: the state rows ``[2f, 2f + 1, 2t, 2t + 1]`` of its
+    terminal voltages and the derivative of its terminal currents wrt them.
+    """
+    rows = 2 * np.array([f, f, t, t]).T + _ROW_OFFSETS
+    y = np.empty((len(f), 4), dtype=complex)
+    y[:, 0], y[:, 1], y[:, 2], y[:, 3] = yff, yft, ytf, ytt
+    return rows, y.view(float).take(_BLOCK_PARTS, axis=1) * _BLOCK_SIGNS
+
+
 @dataclass
 class AdmittanceMatrix:
     """Sparse bus admittance matrix with its per-branch stamps.
@@ -513,6 +547,17 @@ class AdmittanceMatrix:
     ytf: np.ndarray
     ytt: np.ndarray
     y_shunt: np.ndarray
+
+    @cached_property
+    def _branch_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The state rows (m, 4) and current blocks (m, 4, 4) of every branch, read-only.
+
+        Built from the stamps on first use (see :func:`_branch_blocks`);
+        open branches have zero blocks.
+        """
+        rows, blocks = _branch_blocks(self.from_idx, self.to_idx, self.yff, self.yft, self.ytf, self.ytt)
+        rows.flags.writeable = blocks.flags.writeable = False
+        return rows, blocks
 
 
 def build_ybus(case: GridCase) -> AdmittanceMatrix:

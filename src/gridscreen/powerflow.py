@@ -375,15 +375,20 @@ class _NewtonProblem:
 class _BranchBaseline:
     """Pre-outage branch quantities shared by every outage evaluation."""
 
-    v: np.ndarray  # complex (n,) bus voltages
+    v_re: np.ndarray  # (n,) real parts of the bus voltages
+    v_im: np.ndarray  # (n,) their imaginary parts
     v_mag: np.ndarray
+    zero_voltage: bool  # some |V| is below 1e-12, where |V| is not differentiable
     closed: np.ndarray  # bool (m,)
     opened: np.ndarray  # indices of the open branches
     v_from: np.ndarray  # complex (m,) from-bus voltage
     i_from: np.ndarray  # complex (m,)
+    i_from_re: np.ndarray  # (m,) real parts of i_from
+    i_from_im: np.ndarray  # (m,) its imaginary parts
     i_from_conj: np.ndarray
     i_terminal: np.ndarray  # (m, 4) [Re i_from, Im i_from, Re i_to, Im i_to]
     tiny: np.ndarray  # bool (m,) closed with |i_from| below _CURRENT_FLOOR
+    any_tiny: bool  # tiny.any()
     safe_mag: np.ndarray  # (m,) |i_from|, 1 where below _CURRENT_FLOOR
     p_from: np.ndarray
 
@@ -438,16 +443,28 @@ class PowerFlowSolution:
         i_to = yb.ytf * vf + yb.ytt * vt
         closed = np.array([br.closed for br in self.case.branches])
         mag = np.abs(i_from)
+        v_mag = np.abs(v)
+        tiny = closed & (mag < _CURRENT_FLOOR)
+        # contiguous, read-only parts for the monitor chain rule
+        parts = [z.copy() for z in (v.real, v.imag, i_from.real, i_from.imag)]
+        for part in parts:
+            part.flags.writeable = False
+        v_re, v_im, i_from_re, i_from_im = parts
         return _BranchBaseline(
-            v=v,
-            v_mag=np.abs(v),
+            v_re=v_re,
+            v_im=v_im,
+            v_mag=v_mag,
+            zero_voltage=bool((v_mag < 1e-12).any()),
             closed=closed,
             opened=np.flatnonzero(~closed),
             v_from=vf,
             i_from=i_from,
+            i_from_re=i_from_re,
+            i_from_im=i_from_im,
             i_from_conj=np.conj(i_from),
             i_terminal=np.stack([i_from.real, i_from.imag, i_to.real, i_to.imag], axis=1),
-            tiny=closed & (mag < _CURRENT_FLOOR),
+            tiny=tiny,
+            any_tiny=bool(tiny.any()),
             safe_mag=np.where(mag < _CURRENT_FLOOR, 1.0, mag),
             p_from=(vf * np.conj(i_from)).real,
         )

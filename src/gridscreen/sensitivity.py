@@ -17,12 +17,18 @@ solves the linear model once per distinct terminal bus: a block solves only
 the buses that no earlier block left in the pass's slot array, and each bus
 keeps its two response columns there from its first use to its last.  The
 block then stacks the transfer matrices, the injections and the monitors.
-A single-outage query is a block of one, so every caller gets the same
-arithmetic for the same outage.  The terminal solves release the
-interpreter lock and run ahead on a small thread pool (one worker per
-usable CPU; none for a single block); the rest of each block, the copy of
-its solved columns into the slot array included, runs on the calling
-thread, in block order, so results do not depend on the number of workers.
+What does not depend on the pass is built once: the terminal state rows and
+4x4 current blocks of every branch per admittance matrix (its branch
+table), and the pre-outage currents, the zero-voltage guard and the parts
+the monitors read per solution.  A single-outage query is a pass of one
+block, so every caller gets the same arithmetic for the same outage; such a
+pass plans its slots directly, and its cost is its one solve of four
+right-hand sides and a fixed cost of small dense steps.  The terminal
+solves release the interpreter lock and run ahead on a small thread pool
+(one worker per usable CPU; none for a single block); the rest of each
+block, the copy of its solved columns into the slot array included, runs
+on the calling thread, in block order, so results do not depend on the
+number of workers.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from itertools import chain
 
 import numpy as np
 
-from .case_io import AdmittanceMatrix, GridCase, _closed_branch, branch_admittances, build_ybus
+from .case_io import AdmittanceMatrix, GridCase, _branch_blocks, _closed_branch, branch_admittances, build_ybus
 from .errors import IslandingError, SingularSystemError
 from .powerflow import (
     BranchTerminalCurrents,
@@ -70,6 +76,10 @@ COND_LIMIT = 1e12
 
 # outages per block of the outage engine
 _CHUNK = 32
+
+# the identity the transfer matrices start from
+_EYE4 = np.eye(4)
+_EYE4.flags.writeable = False
 
 # terminal buses whose response columns one engine pass keeps at a time; a
 # block has at most 2 * _CHUNK, and a bus pushed out by this bound is solved
@@ -157,29 +167,6 @@ def branch_current_jacobian(case: GridCase, branch_idx: int) -> BranchCurrentJac
     return BranchCurrentJacobian(branch=branch_idx, rows=rows[0], block=blocks[0])
 
 
-# a branch block is the 2x2 real form of multiplication by each admittance:
-# its entries, as positions in [yff.real, yff.imag, yft.real, ..., ytt.imag],
-# and their signs
-_BLOCK_PARTS = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [4, 5, 6, 7], [5, 4, 7, 6]])
-_BLOCK_SIGNS = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, 1.0, 1.0]] * 2)
-# the state rows of a branch's terminals [2f, 2f + 1, 2t, 2t + 1], less 2f and 2t
-_ROW_OFFSETS = np.array([0, 1, 0, 1])
-
-
-def _branch_blocks(
-    f: np.ndarray, t: np.ndarray, yff: np.ndarray, yft: np.ndarray, ytf: np.ndarray, ytt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The :class:`BranchCurrentJacobian` rows (c, 4) and blocks (c, 4, 4) of c branches.
-
-    ``f`` and ``t`` are the branches' terminal buses, the others their
-    two-port admittances (see :func:`branch_admittances`).
-    """
-    rows = 2 * np.array([f, f, t, t]).T + _ROW_OFFSETS
-    y = np.empty((len(f), 4), dtype=complex)
-    y[:, 0], y[:, 1], y[:, 2], y[:, 3] = yff, yft, ytf, ytt
-    return rows, y.view(float).take(_BLOCK_PARTS, axis=1) * _BLOCK_SIGNS
-
-
 @dataclass
 class OutageTransferMatrix:
     """Self-consistency matrix of the equivalent-injection outage model."""
@@ -202,6 +189,21 @@ def _singular(cond):
     Infinite and NaN condition numbers count as singular.
     """
     return np.logical_not(cond <= COND_LIMIT)
+
+
+def _cond(t: np.ndarray) -> np.ndarray:
+    """Condition numbers (c,) of a stack of matrices (c, 4, 4), as ``np.linalg.cond`` computes them.
+
+    The ratio of the largest to the smallest singular value; a NaN ratio
+    of a matrix without NaN entries reads inf.
+    """
+    s = np.linalg.svd(t, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = s[:, 0] / s[:, -1]
+    nan = np.isnan(cond)
+    if nan.any():
+        cond[nan & ~np.isnan(t).any(axis=(1, 2))] = np.inf
+    return cond
 
 
 def _islanding_error(branch: int, cond: float) -> IslandingError:
@@ -279,7 +281,7 @@ def _ordered_map(fn: Callable, items: list) -> Iterator:
 
 def _slot_plan(
     lin: LinearizedSystem, f: np.ndarray, t: np.ndarray
-) -> tuple[list[tuple[list[int], list[int], np.ndarray]], int]:
+) -> tuple[list[tuple[list[int], list[int] | slice, np.ndarray]], int]:
     """Which buses each block of an engine pass solves, and where their columns live.
 
     ``f`` and ``t`` (c,) hold the from and to bus of each outage, in engine
@@ -288,25 +290,43 @@ def _slot_plan(
     slot array, from its first use to its last; a freed slot is reused.
     Column 0 of that array is zero and serves every slack terminal, because
     the slack absorbs any injected current without a voltage response; slot
-    ``s`` is columns ``1 + 2s`` and ``2 + 2s``.  A block with an odd number
-    of new buses also solves one bus of the next block, so that its solve
-    fills whole groups of four columns (see :func:`_bus_solve`).  With
-    ``_LIVE_BUSES`` slots taken, the bus not in the block whose next use is
-    furthest away loses its slot and is solved again at that use.  Returns
-    one ``(new, at, cols)`` per block and the number of slots: the buses
-    the block solves, the list of slot-array columns their responses go
-    to, and each outage's four columns (c, 4) for the directions
-    ``[from_real, from_imag, to_real, to_imag]``.
+    ``s`` is columns ``1 + 2s`` and ``2 + 2s``.  Returns one ``(new, at,
+    cols)`` per block and the number of slots: the buses the block solves,
+    the slot-array columns their responses go to, and each outage's four
+    columns (c, 4) for the directions ``[from_real, from_imag, to_real,
+    to_imag]``.  A pass of several blocks takes :func:`_shared_slot_plan`.
+    A pass of one block, such as a single-outage query, shares nothing and
+    evicts nothing: its buses take slots ``0, 1, ...`` in order, as in that
+    plan, and ``at`` is the slice of their columns.
     """
     pairs = list(zip(f.tolist(), t.tolist()))
+    if not 0 < len(pairs) <= _CHUNK:
+        return _shared_slot_plan(lin, pairs)
+    new = sorted(set(chain.from_iterable(pairs)) - {lin.slack})
+    return [(new, slice(1, 1 + 2 * len(new)), _columns(pairs, new, dict(zip(new, range(len(new))))))], len(new)
+
+
+def _columns(block: list[tuple[int, int]], block_buses: list[int], live: dict[int, int]) -> np.ndarray:
+    """The four slot-array columns (c, 4) of each outage ``(f, t)`` of ``block``, the buses in slots ``live``."""
+    col = {b: (1 + 2 * live[b], 2 + 2 * live[b]) for b in block_buses}
+    return np.array([col.get(a, (0, 0)) + col.get(b, (0, 0)) for a, b in block], dtype=np.int64)
+
+
+def _shared_slot_plan(
+    lin: LinearizedSystem, pairs: list[tuple[int, int]]
+) -> tuple[list[tuple[list[int], list[int], np.ndarray]], int]:
+    """The plan of :func:`_slot_plan` for the terminal ``pairs`` of an engine pass of any length.
+
+    A bus keeps its slot across blocks from its first use to its last.  A
+    block with an odd number of new buses also solves one bus of the next
+    block, so that its solve fills whole groups of four columns (see
+    :func:`_bus_solve`).  With ``_LIVE_BUSES`` slots taken, the bus not in
+    the block whose next use is furthest away loses its slot and is solved
+    again at that use.  ``at`` is the list of the block's new columns.
+    """
     blocks = [pairs[start : start + _CHUNK] for start in range(0, len(pairs), _CHUNK)]
     slack = {lin.slack}
     buses = [sorted(set(chain.from_iterable(block)) - slack) for block in blocks]
-
-    def columns(block, block_buses, live):
-        col = {b: (1 + 2 * live[b], 2 + 2 * live[b]) for b in block_buses}
-        return np.array([col.get(a, (0, 0)) + col.get(b, (0, 0)) for a, b in block], dtype=np.int64)
-
     later: dict[int, list[int]] = {}  # bus -> the blocks that still use it, the next one last
     for j in range(len(buses) - 1, -1, -1):
         for b in buses[j]:
@@ -327,7 +347,7 @@ def _slot_plan(
                 idle = set(live).difference(block_buses)
                 live[b] = live.pop(max(idle, key=lambda v: (later[v][-1], v)))
         at = [c for b in new for c in (1 + 2 * live[b], 2 + 2 * live[b])]
-        plan.append((new, at, columns(block, block_buses, live)))
+        plan.append((new, at, _columns(block, block_buses, live)))
         for b in block_buses:
             uses = later[b]
             uses.pop()
@@ -347,8 +367,9 @@ def _transfer_chunks(
     ``SuperLU.solve`` releases the interpreter lock, so these solves run
     ahead on a thread pool of one worker per usable CPU (inline for one
     block or one CPU); the blocks are yielded in order and the results do
-    not depend on the worker count.  The branch blocks come from the stamp
-    arrays of ``ybus``, the admittance matrix of ``case``.  Yields
+    not depend on the worker count.  The branch rows and blocks are those
+    of the branch table of ``ybus``, the admittance matrix of ``case``,
+    built once per matrix.  Yields
     ``(idx, rows, blocks, resp, cols, t, cond)`` per block: the outages
     (c,), their terminal state rows (c, 4) and branch blocks
     ``B_k`` (c, 4, 4) (see :class:`BranchCurrentJacobian`); ``resp``, the
@@ -359,14 +380,16 @@ def _transfer_chunks(
     (c, 4, 4) and their condition numbers (c,).  ``resp`` is reused: it
     holds this block's columns only until the next block is requested.
     """
-    idx = np.fromiter(outages, dtype=np.int64)
-    for k in idx.tolist():
+    outages = list(outages)
+    for k in outages:  # before any conversion: 3.7 and True are no branch indices
         _closed_branch(case, k)
+    idx = np.array(outages, dtype=np.int64)
     if len(idx) > 1:
         f, to = ybus.from_idx[idx], ybus.to_idx[idx]
         idx = idx[np.lexsort((np.maximum(f, to), np.minimum(f, to)))]  # stable
     f, to = ybus.from_idx[idx], ybus.to_idx[idx]
-    rows, blocks = _branch_blocks(f, to, ybus.yff[idx], ybus.yft[idx], ybus.ytf[idx], ybus.ytt[idx])
+    table_rows, table_blocks = ybus._branch_table
+    rows, blocks = table_rows[idx], table_blocks[idx]
     plan, n_slots = _slot_plan(lin, f, to)
     resp = np.zeros((lin.size, 1 + 2 * n_slots), order="F")
     solves = _ordered_map(lambda new: _bus_solve(lin, new), [new for new, _, _ in plan])
@@ -375,8 +398,8 @@ def _transfer_chunks(
             resp[:, at] = solved
             block = slice(start, start + _CHUNK)
             at_terminals = resp[rows[block, :, None], cols[:, None, :]]  # dv[rows, :] of each outage
-            t = np.eye(4) - blocks[block] @ at_terminals
-            yield idx[block], rows[block], blocks[block], resp, cols, t, np.linalg.cond(t)
+            t = _EYE4 - blocks[block] @ at_terminals
+            yield idx[block], rows[block], blocks[block], resp, cols, t, _cond(t)
 
 
 @dataclass
@@ -435,25 +458,39 @@ def _monitors(
     directional derivative of |I|; its |I| change is the magnitude of its
     current change instead.  Open branches read 0.  With ``"vmag"`` asked
     for, no bus voltage may be zero; :func:`_impact_chunks` checks that.
+    The sums and quotients are taken in place, in the order the formulas
+    give them, and steps that would change nothing are skipped.
     """
     base = sol._baseline
     yb = sol.ybus
     delta_vmag = delta_imag = delta_p = None
     if "vmag" in quantities:
         # the real and imaginary parts straight from the interleaved rows
-        delta_vmag = (base.v.real * delta_state[:, 0::2] + base.v.imag * delta_state[:, 1::2]) / base.v_mag
+        delta_vmag = base.v_re * delta_state[:, 0::2]
+        delta_vmag += base.v_im * delta_state[:, 1::2]
+        delta_vmag /= base.v_mag
     if "imag" in quantities or "pline" in quantities:
         dvc = state_to_complex(delta_state)
-        dv_from = dvc[:, yb.from_idx]
-        di_from = yb.yff * dv_from + yb.yft * dvc[:, yb.to_idx]
+        dv_from = dvc.take(yb.from_idx, axis=1)
+        di_from = yb.yff * dv_from
+        di_from += yb.yft * dvc.take(yb.to_idx, axis=1)
         di_from[np.arange(len(outages)), outages] = -base.i_from[outages]
         if "imag" in quantities:
-            aligned = (base.i_from.real * di_from.real + base.i_from.imag * di_from.imag) / base.safe_mag
-            delta_imag = np.where(base.tiny, np.abs(di_from), aligned)
-            delta_imag[:, base.opened] = 0.0
+            delta_imag = base.i_from_re * di_from.real
+            delta_imag += base.i_from_im * di_from.imag
+            delta_imag /= base.safe_mag
+            if base.any_tiny:
+                delta_imag = np.where(base.tiny, np.abs(di_from), delta_imag)
+            if len(base.opened):
+                delta_imag[:, base.opened] = 0.0
         if "pline" in quantities:
-            delta_p = (dv_from * base.i_from_conj).real + (base.v_from * np.conj(di_from)).real
-            delta_p[:, base.opened] = 0.0
+            # the last use of di_from: its conjugate and product go in its place
+            dp_from = dv_from * base.i_from_conj
+            np.conjugate(di_from, out=di_from)
+            np.multiply(base.v_from, di_from, out=di_from)
+            delta_p = np.add(dp_from.real, di_from.real)
+            if len(base.opened):
+                delta_p[:, base.opened] = 0.0
     return delta_vmag, delta_imag, delta_p
 
 
@@ -476,7 +513,7 @@ def _impact_chunks(
     ``ValueError`` before any solve.
     """
     base = sol._baseline
-    if "vmag" in quantities and (base.v_mag < 1e-12).any():
+    if "vmag" in quantities and base.zero_voltage:
         raise ValueError("voltage magnitude is zero at some bus; |V| is not differentiable")
     n2 = 2 * sol.n
     if chunks is None:
@@ -487,7 +524,7 @@ def _impact_chunks(
             i_pre = base.i_terminal[idx]
             masked = singular.any()
             if masked:
-                t = np.where(singular[:, None, None], np.eye(4), t)
+                t = np.where(singular[:, None, None], _EYE4, t)
             injection = np.linalg.solve(t, i_pre[..., None])[..., 0]
             if masked:
                 injection[singular] = np.nan
@@ -563,8 +600,12 @@ class OutageImpact:
 def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) -> OutageImpact:
     """Predict the impact of removing one closed branch.
 
-    Raises :class:`IslandingError` when the outage would disconnect the
-    network (singular transfer matrix).
+    A pass of the outage engine over one outage: its cost is one solve of
+    four right-hand sides on the factorization of ``lin`` plus a fixed
+    cost of small dense steps.  Raises :class:`IslandingError` when the
+    outage would disconnect the network (singular transfer matrix),
+    ``ValueError`` for an out-of-range or open branch and ``TypeError``
+    when ``outage`` is not a Python or NumPy integer (``bool`` included).
     """
     return next(_impact_chunks(sol, lin, [outage])).impact(0)
 
@@ -630,6 +671,13 @@ class CircuitLodfResult:
 
 
 def circuit_lodf(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) -> CircuitLodfResult:
+    """AC line outage distribution factors of removing one closed branch.
+
+    The power changes are those of :func:`evaluate_outage`, whose errors
+    this raises: :class:`IslandingError` for an islanding outage,
+    ``ValueError`` for an out-of-range or open branch and ``TypeError``
+    when ``outage`` is not a Python or NumPy integer (``bool`` included).
+    """
     base = sol._baseline
     impact = evaluate_outage(sol, lin, outage)
     p_ref = base.p_from[outage]

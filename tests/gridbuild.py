@@ -8,6 +8,10 @@ import numpy as np
 
 from gridscreen.case_io import Branch, Bus, BusKind, Generator, GridCase
 
+# objects that are no branch index, though NumPy would convert each of them
+# (or, for the string, Python's int) to 3 or 1; bool is an int to Python
+NON_INTEGER_INDICES = (3.7, "3", True, np.float64(3.0), np.bool_(True))
+
 
 def two_bus(
     p: float = 0.5,

@@ -11,7 +11,7 @@ from gridscreen.errors import CaseError, IslandingError
 from gridscreen.powerflow import branch_power_flows
 from gridscreen.screening import find_bridges
 
-from gridbuild import radial_chain, triangle, two_bus
+from gridbuild import NON_INTEGER_INDICES, radial_chain, triangle, two_bus
 
 
 def _nodal_injections(model, flows):
@@ -162,6 +162,9 @@ def test_lodf_rejects_bad_branch_arguments(case14):
         dc_lodf(model, 2)
     with pytest.raises(ValueError, match="range"):
         dc_lodf(model, 99)
+    for k in NON_INTEGER_INDICES:
+        with pytest.raises(TypeError, match="is not an integer"):
+            dc_lodf(model, k)
 
 
 def test_zero_reactance_branch_is_rejected(case14):

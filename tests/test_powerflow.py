@@ -26,7 +26,17 @@ from gridscreen.powerflow import (
 )
 
 import reference
-from gridbuild import parallel_pair, pv_case, radial_chain, random_meshed, ring5, triangle, two_bus, with_devices
+from gridbuild import (
+    NON_INTEGER_INDICES,
+    parallel_pair,
+    pv_case,
+    radial_chain,
+    random_meshed,
+    ring5,
+    triangle,
+    two_bus,
+    with_devices,
+)
 
 # solved IEEE 14-bus voltages as published with the case
 CASE14_VMAG = [
@@ -259,6 +269,9 @@ def test_branch_terminal_currents_rejects_bad_branches(case14):
         branch_terminal_currents(sol, 5)
     with pytest.raises(ValueError, match="range"):
         branch_terminal_currents(sol, 99)
+    for k in NON_INTEGER_INDICES:
+        with pytest.raises(TypeError, match="is not an integer"):
+            branch_terminal_currents(sol, k)
 
 
 def test_branch_power_flows_match_reference(sol14):

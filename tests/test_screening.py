@@ -1,6 +1,7 @@
 """Connectivity analysis, nonlinear oracle and end-to-end screening tests."""
 
 import math
+import re
 import threading
 import warnings
 from dataclasses import replace
@@ -36,6 +37,7 @@ from gridscreen import powerflow, screening, sensitivity
 from gridscreen.sensitivity import _CHUNK, SEVERITY_METRICS, _transfer_chunks, evaluate_outage, severity_from_deltas
 
 from gridbuild import (
+    NON_INTEGER_INDICES,
     RING5_BRIDGE,
     overload_pair,
     parallel_pair,
@@ -499,13 +501,17 @@ def test_oracle_outage_factorizes_the_base_once(monkeypatch, case118):
 
 @pytest.mark.parametrize("q_limits", [False, True])
 def test_oracle_rejects_bad_branch_indices(monkeypatch, case118, q_limits):
-    """An index past either end raises before any solve, with or without base pins."""
+    """An index past either end, or one that is not an integer, raises before any solve,
+    with or without base pins."""
     sol = solve_ac_powerflow(case118, PowerFlowOptions(enforce_q_limits=q_limits))
     assert bool(sol.q_limited) == q_limits
     monkeypatch.setattr(screening, "_transfer_chunks", _no_engine_pass)
     monkeypatch.setattr(screening, "_newton", _no_engine_pass)
     for k in (-1, case118.n_branch):
         with pytest.raises(ValueError, match=f"branch index {k} out of range"):
+            oracle_outage(case118, k, sol)
+    for k in NON_INTEGER_INDICES:
+        with pytest.raises(TypeError, match=f"branch index {re.escape(repr(k))} is not an integer"):
             oracle_outage(case118, k, sol)
 
 

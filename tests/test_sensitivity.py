@@ -1,5 +1,6 @@
 """Outage sensitivity machinery tests: injections, transfer matrices, monitors."""
 
+import re
 import threading
 from dataclasses import fields, replace
 
@@ -22,9 +23,11 @@ from gridscreen.sensitivity import (
     COND_LIMIT,
     SEVERITY_METRICS,
     _branch_blocks,
+    _cond,
     _impact_chunks,
     _monitors,
     _outage_severities,
+    _shared_slot_plan,
     _slot_plan,
     _transfer_chunks,
     branch_current_jacobian,
@@ -37,11 +40,12 @@ from gridscreen.sensitivity import (
     solve_outage_injection,
 )
 from gridscreen.screening import _Oracle, find_bridges, is_connected, screen
-from gridscreen.case_io import GridCase, build_ybus, scale_loading
-from gridscreen import sensitivity
+from gridscreen.case_io import GridCase, _without_branch, build_ybus, scale_loading
+from gridscreen import case_io, sensitivity
 
 import reference
 from gridbuild import (
+    NON_INTEGER_INDICES,
     RING5_BRIDGE,
     SLACK_SPLIT_LOOP_BRANCH,
     SLACK_SPLIT_SPUR_BRANCH,
@@ -74,9 +78,19 @@ def test_injection_sensitivity_slack_terminal_columns_zero(sol14, lin14):
     assert not np.all(sens.full[:, 2] == 0.0)
 
 
+def _not_an_index(k) -> str:
+    """The message of the ``TypeError`` that rejects ``k`` as a branch index."""
+    return f"branch index {re.escape(repr(k))} is not an integer"
+
+
 def test_injection_sensitivity_rejects_bad_branch(lin14):
     with pytest.raises(ValueError, match="range"):
         injection_sensitivity(lin14, 99)
+    for k in NON_INTEGER_INDICES:
+        with pytest.raises(TypeError, match=_not_an_index(k)):
+            injection_sensitivity(lin14, k)
+        with pytest.raises(TypeError, match=_not_an_index(k)):
+            branch_current_jacobian(lin14.case, k)
     # an open branch, as branch_current_jacobian, evaluate_outage and circuit_lodf reject it
     case = lin14.case.with_branch_open(2)
     lin = linearize_at_solution(solve_ac_powerflow(case))
@@ -602,7 +616,16 @@ def test_engine_rejects_open_outage(case14):
     with pytest.raises(ValueError, match="open"):
         evaluate_outage(sol, lin, 2)
     with pytest.raises(ValueError, match="open"):
+        circuit_lodf(sol, lin, 2)
+    with pytest.raises(ValueError, match="open"):
         list(_transfer_chunks(lin, opened, [1, 2], sol.ybus))
+    # each would pass for branch 3 or 1 once converted to an integer
+    for k in NON_INTEGER_INDICES:
+        for query in (evaluate_outage, circuit_lodf):
+            with pytest.raises(TypeError, match=_not_an_index(k)):
+                query(sol, lin, k)
+        with pytest.raises(TypeError, match=_not_an_index(k)):
+            list(_transfer_chunks(lin, opened, [1, k], sol.ybus))
 
 
 def test_engine_blocks_cover_case118(sol118, lin118):
@@ -615,27 +638,102 @@ def test_engine_blocks_cover_case118(sol118, lin118):
     assert sorted(int(k) for idx in blocks for k in idx) == closed
 
 
-@pytest.mark.parametrize("variant", ["case14", "phase_shifted"])
+@pytest.mark.parametrize("variant", ["case14", "phase_shifted", "with_open"])
 def test_branch_blocks_equal_branch_current_jacobian(case14, variant):
-    """The engine's blocks, built from the Y-bus stamps, are the per-branch ones and the
-    2x2 real form of each two-port admittance."""
-    case = case14 if variant == "case14" else phase_shifted_case14(case14)
+    """The engine's blocks, the cached branch table of the Y-bus, are the per-branch ones
+    and the 2x2 real form of each two-port admittance; open branches have zero blocks."""
+    case = {
+        "case14": case14,
+        "phase_shifted": phase_shifted_case14(case14),
+        "with_open": case14.with_branch_open(2).with_branch_open(9),
+    }[variant]
     ybus = build_ybus(case)
-    closed = np.array([k for k, br in enumerate(case.branches) if br.closed])
-    stamps = (ybus.yff[closed], ybus.yft[closed], ybus.ytf[closed], ybus.ytt[closed])
-    rows, blocks = _branch_blocks(ybus.from_idx[closed], ybus.to_idx[closed], *stamps)
-    for i, k in enumerate(closed.tolist()):
+    rows, blocks = table = ybus._branch_table
+    assert ybus._branch_table is table  # built once per matrix
+    assert rows.shape == (case.n_branch, 4) and blocks.shape == (case.n_branch, 4, 4)
+    assert not rows.flags.writeable and not blocks.flags.writeable
+    for k, br in enumerate(case.branches):
+        f, t = case.bus_index(br.from_bus), case.bus_index(br.to_bus)
+        assert rows[k].tolist() == [2 * f, 2 * f + 1, 2 * t, 2 * t + 1]
+        if not br.closed:
+            assert not blocks[k].any()
+            continue
         jac = branch_current_jacobian(case, k)
-        assert np.array_equal(jac.rows, rows[i])
-        assert jac.block.tobytes() == blocks[i].tobytes()
-        yff, yft, ytf, ytt = (complex(y[i]) for y in stamps)
+        assert np.array_equal(jac.rows, rows[k])
+        assert jac.block.tobytes() == blocks[k].tobytes()
+        yff, yft, ytf, ytt = (complex(y[k]) for y in (ybus.yff, ybus.yft, ybus.ytf, ybus.ytt))
         expected = [
             [yff.real, -yff.imag, yft.real, -yft.imag],
             [yff.imag, yff.real, yft.imag, yft.real],
             [ytf.real, -ytf.imag, ytt.real, -ytt.imag],
             [ytf.imag, ytf.real, ytt.imag, ytt.real],
         ]
-        assert blocks[i].tobytes() == np.array(expected).tobytes()
+        assert blocks[k].tobytes() == np.array(expected).tobytes()
+    # the builder the table and branch_current_jacobian share, on a gathered subset
+    closed = np.array([k for k, br in enumerate(case.branches) if br.closed])
+    stamps = (ybus.yff[closed], ybus.yft[closed], ybus.ytf[closed], ybus.ytt[closed])
+    sub_rows, sub_blocks = _branch_blocks(ybus.from_idx[closed], ybus.to_idx[closed], *stamps)
+    assert sub_rows.tobytes() == rows[closed].tobytes() and sub_blocks.tobytes() == blocks[closed].tobytes()
+    # a matrix with one more branch switched out has its own table
+    k = int(closed[0])
+    opened_rows, opened_blocks = _without_branch(ybus, k)._branch_table
+    assert np.array_equal(opened_rows, rows) and not opened_blocks[k].any()
+    assert np.delete(opened_blocks, k, axis=0).tobytes() == np.delete(blocks, k, axis=0).tobytes()
+
+
+def test_engine_cond_equals_numpy_cond(monkeypatch, case14, case118, sol118, lin118):
+    """The engine's condition numbers are ``np.linalg.cond``'s bit for bit: on every closed
+    non-bridge outage of case118, on the series transfer matrices of the islanding check of
+    both bundled cases, and where a ratio is infinite or 0/0."""
+    seen = []
+    transfer_chunks = sensitivity._transfer_chunks
+
+    def recording_transfer_chunks(*args):
+        for chunk in transfer_chunks(*args):
+            seen.append(chunk[-2:])
+            yield chunk
+
+    monkeypatch.setattr(sensitivity, "_transfer_chunks", recording_transfer_chunks)
+    bridges = find_bridges(case118)
+    outages = [k for k, br in enumerate(case118.branches) if br.closed and k not in bridges]
+    assert len(list(sensitivity._transfer_chunks(lin118, case118, outages, sol118.ybus))) > 1
+    assert sum(len(cond) for _, cond in seen) == len(outages)
+    assert singular_outage_branches(case14) == find_bridges(case14)
+    assert singular_outage_branches(case118) == bridges
+    for t, cond in seen:
+        assert cond.tobytes() == np.linalg.cond(t).tobytes()
+    assert max(cond.max() for _, cond in seen) > COND_LIMIT  # the series bridges
+
+    crafted = np.stack([np.eye(4), np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, 0.0]), np.diag([1e300, 1, 1, 1e-300])])
+    cond = _cond(crafted)
+    assert cond.tobytes() == np.linalg.cond(crafted).tobytes()
+    assert cond[0] == 1.0 and np.isinf(cond[1:]).all()  # 0/0, x/0 and an overflow read inf
+    nan = np.full((1, 4, 4), np.nan)
+    for cond_of in (_cond, np.linalg.cond):
+        with pytest.raises(np.linalg.LinAlgError):
+            cond_of(nan)
+
+
+@pytest.mark.parametrize("which", ["case14", "case118"])
+def test_one_block_plan_equals_shared_plan(sol14, lin14, sol118, lin118, which):
+    """The slot plan of a one-block pass is the cross-block algorithm's for that pass:
+    for every closed outage alone, slack terminals included, and for a whole one-block pass."""
+    sol, lin = (sol14, lin14) if which == "case14" else (sol118, lin118)
+    ybus = sol.ybus
+    closed = [k for k, br in enumerate(sol.case.branches) if br.closed]
+    passes = [np.array([k]) for k in closed]
+    passes.append(np.concatenate([idx for idx, *_ in _transfer_chunks(lin, sol.case, closed[:_CHUNK], ybus)]))
+    touches_slack = 0
+    for idx in passes:
+        f, t = ybus.from_idx[idx], ybus.to_idx[idx]
+        (plan, n_slots), (shared, shared_slots) = _slot_plan(lin, f, t), _shared_slot_plan(lin, list(zip(f, t)))
+        assert n_slots == shared_slots and len(plan) == len(shared) == 1
+        (new, at, cols), (shared_new, shared_at, shared_cols) = plan[0], shared[0]
+        assert new == shared_new
+        assert list(range(1 + 2 * n_slots))[at] == shared_at
+        assert cols.tobytes() == shared_cols.tobytes()
+        touches_slack += lin.slack in f or lin.slack in t
+    assert touches_slack >= 2
 
 
 class _CountingLU:
@@ -821,6 +919,38 @@ def test_single_outage_queries_make_no_pool(sol118, lin118, monkeypatch):
     monkeypatch.setattr(sensitivity, "ThreadPoolExecutor", no_pool)
     evaluate_outage(sol118, lin118, 10)
     assert _Oracle(sol118).solve([10])[10].converged
+
+
+def test_queries_do_only_their_own_work(monkeypatch, case118):
+    """On one model, every evaluate_outage call after the first makes exactly one solve of
+    four right-hand sides, and the branch table is built once per admittance matrix."""
+    sol = solve_ac_powerflow(case118)
+    lin = linearize_at_solution(sol)
+    lu = _CountingLU(lin._lu)
+    lin = replace(lin, _lu=lu)
+    tables = []
+    branch_blocks = case_io._branch_blocks
+
+    def counting_branch_blocks(f, *args):
+        tables.append(len(f))
+        return branch_blocks(f, *args)
+
+    monkeypatch.setattr(case_io, "_branch_blocks", counting_branch_blocks)
+    bridges = find_bridges(case118)
+    outages = [k for k, br in enumerate(case118.branches) if br.closed and k not in bridges]
+    assert any(lin.slack in (sol.ybus.from_idx[k], sol.ybus.to_idx[k]) for k in outages)
+    evaluate_outage(sol, lin, outages[0])
+    assert tables == [case118.n_branch]
+    for k in outages[1:]:
+        lu.calls.clear()
+        evaluate_outage(sol, lin, k)
+        assert len(lu.calls) == 1 and sum(lu.calls[0]) == 4, (k, lu.calls)
+    assert tables == [case118.n_branch]
+    # a new matrix of the same case builds its own table, once
+    other = solve_ac_powerflow(case118)
+    for k in outages[:3]:
+        evaluate_outage(other, linearize_at_solution(other), k)
+    assert tables == [case118.n_branch] * 2
 
 
 def test_pool_shuts_down_on_error_and_early_close(sol118, lin118, monkeypatch):
