@@ -10,10 +10,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from enum import IntEnum
 from functools import cached_property
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
@@ -145,9 +146,12 @@ class GridCase:
         return [g for g in self.generators if g.bus == bus_id]
 
     def with_branch_open(self, branch_idx: int) -> "GridCase":
-        """Copy of the case with one branch switched out (indices preserved)."""
-        if not 0 <= branch_idx < len(self.branches):
-            raise CaseError(f"branch index {branch_idx} out of range")
+        """Copy of the case with one branch switched out (indices preserved).
+
+        A ``branch_idx`` that is not an integer raises ``TypeError``, one out
+        of range ``ValueError``; an open branch may be opened again.
+        """
+        _branch_index(self, branch_idx)
         branches = list(self.branches)
         branches[branch_idx] = replace(branches[branch_idx], closed=False)
         return GridCase(self.name, self.base_mva, self.buses, tuple(branches), self.generators)
@@ -195,17 +199,25 @@ class GridCase:
                 )
 
 
-def _closed_branch(case: GridCase, k: int) -> None:
-    """Raise unless ``k`` indexes a closed branch of ``case``.
+def _branch_index(case: GridCase, k: int) -> None:
+    """Raise unless ``k`` indexes a branch of ``case``.
 
     An index that is not a Python or numpy integer, ``bool`` included,
-    raises ``TypeError``; one out of range, or of an open branch,
-    ``ValueError``.
+    raises ``TypeError``; one out of range, ``ValueError``.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise TypeError(f"branch index {k!r} is not an integer")
     if not 0 <= k < case.n_branch:
         raise ValueError(f"branch index {k} out of range")
+
+
+def _closed_branch(case: GridCase, k: int) -> None:
+    """Raise unless ``k`` indexes a closed branch of ``case``.
+
+    Checks ``k`` as :func:`_branch_index` does; an open branch raises
+    ``ValueError``.
+    """
+    _branch_index(case, k)
     if not case.branches[k].closed:
         raise ValueError(f"branch {k} is open")
 
@@ -370,92 +382,66 @@ def bundled_case(name: str) -> GridCase:
 _SCHEMA_VERSION = 1
 
 
+def _schema(record_type: type) -> list[tuple[Field, type]]:
+    """The fields of a case record type, each with its resolved annotation."""
+    hints = get_type_hints(record_type)
+    return [(f, hints[f.name]) for f in fields(record_type)]
+
+
+def _unbounded(f: Field) -> bool:
+    """True for a field whose default is an infinite limit; JSON writes that limit as null."""
+    return isinstance(f.default, float) and math.isinf(f.default)
+
+
+def _records_to_dicts(record_type: type, records) -> list[dict]:
+    schema = _schema(record_type)
+    docs = []
+    for record in records:
+        doc = {}
+        for f, typ in schema:
+            value = getattr(record, f.name)
+            if _unbounded(f) and value == f.default:
+                value = None
+            elif issubclass(typ, IntEnum):
+                value = int(value)
+            doc[f.name] = value
+        docs.append(doc)
+    return docs
+
+
+def _records_from_dicts(record_type: type, docs) -> tuple:
+    schema = _schema(record_type)
+    records = []
+    for doc in docs:
+        values = {}
+        for f, typ in schema:
+            # a missing optional field, or a null limit, takes the dataclass default; required
+            # fields come first, so a record that is no dict fails on its first key
+            if f.default is not MISSING and (f.name not in doc or doc[f.name] is None and _unbounded(f)):
+                continue
+            value = doc[f.name]
+            values[f.name] = typ(int(value)) if issubclass(typ, IntEnum) else typ(value)
+        records.append(record_type(**values))
+    return tuple(records)
+
+
 def case_to_dict(case: GridCase) -> dict:
     return {
         "schema_version": _SCHEMA_VERSION,
         "name": case.name,
         "base_mva": case.base_mva,
-        "buses": [
-            {
-                "id": b.id,
-                "kind": int(b.kind),
-                "p_load": b.p_load,
-                "q_load": b.q_load,
-                "g_shunt": b.g_shunt,
-                "b_shunt": b.b_shunt,
-                "v_init": b.v_init,
-                "theta_init": b.theta_init,
-                "i_load_r": b.i_load_r,
-                "i_load_i": b.i_load_i,
-            }
-            for b in case.buses
-        ],
-        "branches": [
-            {
-                "from_bus": br.from_bus,
-                "to_bus": br.to_bus,
-                "r": br.r,
-                "x": br.x,
-                "b_charging": br.b_charging,
-                "tap": br.tap,
-                "shift": br.shift,
-                "closed": br.closed,
-            }
-            for br in case.branches
-        ],
-        "generators": [
-            {
-                "bus": g.bus,
-                "p_set": g.p_set,
-                "v_set": g.v_set,
-                "q_min": None if g.q_min == -math.inf else g.q_min,
-                "q_max": None if g.q_max == math.inf else g.q_max,
-            }
-            for g in case.generators
-        ],
+        "buses": _records_to_dicts(Bus, case.buses),
+        "branches": _records_to_dicts(Branch, case.branches),
+        "generators": _records_to_dicts(Generator, case.generators),
     }
 
 
 def case_from_dict(data: dict) -> GridCase:
+    """Read a case from :func:`case_to_dict`'s form; a missing optional field takes its default."""
     try:
-        buses = tuple(
-            Bus(
-                id=int(b["id"]),
-                kind=BusKind(int(b["kind"])),
-                p_load=float(b.get("p_load", 0.0)),
-                q_load=float(b.get("q_load", 0.0)),
-                g_shunt=float(b.get("g_shunt", 0.0)),
-                b_shunt=float(b.get("b_shunt", 0.0)),
-                v_init=float(b.get("v_init", 1.0)),
-                theta_init=float(b.get("theta_init", 0.0)),
-                i_load_r=float(b.get("i_load_r", 0.0)),
-                i_load_i=float(b.get("i_load_i", 0.0)),
-            )
-            for b in data["buses"]
-        )
-        branches = tuple(
-            Branch(
-                from_bus=int(br["from_bus"]),
-                to_bus=int(br["to_bus"]),
-                r=float(br["r"]),
-                x=float(br["x"]),
-                b_charging=float(br.get("b_charging", 0.0)),
-                tap=float(br.get("tap", 1.0)),
-                shift=float(br.get("shift", 0.0)),
-                closed=bool(br.get("closed", True)),
-            )
-            for br in data["branches"]
-        )
-        generators = tuple(
-            Generator(
-                bus=int(g["bus"]),
-                p_set=float(g.get("p_set", 0.0)),
-                v_set=float(g.get("v_set", 1.0)),
-                q_min=-math.inf if g.get("q_min") is None else float(g["q_min"]),
-                q_max=math.inf if g.get("q_max") is None else float(g["q_max"]),
-            )
-            for g in data["generators"]
-        )
+        buses = _records_from_dicts(Bus, data["buses"])
+        branches = _records_from_dicts(Branch, data["branches"])
+        generators = _records_from_dicts(Generator, data["generators"])
         case = GridCase(
             name=str(data.get("name", "case")),
             base_mva=float(data["base_mva"]),

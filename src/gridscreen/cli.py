@@ -383,8 +383,8 @@ def _cmd_screen(args) -> int:
     report = screen(
         case,
         sol,
+        linearize_at_solution(sol, args.mode),
         metric=args.metric,
-        mode=args.mode,
         top_k=top_k,
         with_oracle=args.with_oracle,
     )

@@ -373,7 +373,7 @@ class _NewtonProblem:
 
 @dataclass
 class _BranchBaseline:
-    """Pre-outage branch quantities shared by every outage evaluation."""
+    """Pre-outage branch quantities shared by every outage evaluation; every array is read-only."""
 
     v_re: np.ndarray  # (n,) real parts of the bus voltages
     v_im: np.ndarray  # (n,) their imaginary parts
@@ -445,22 +445,17 @@ class PowerFlowSolution:
         mag = np.abs(i_from)
         v_mag = np.abs(v)
         tiny = closed & (mag < _CURRENT_FLOOR)
-        # contiguous, read-only parts for the monitor chain rule
-        parts = [z.copy() for z in (v.real, v.imag, i_from.real, i_from.imag)]
-        for part in parts:
-            part.flags.writeable = False
-        v_re, v_im, i_from_re, i_from_im = parts
-        return _BranchBaseline(
-            v_re=v_re,
-            v_im=v_im,
+        baseline = _BranchBaseline(
+            v_re=v.real.copy(),  # contiguous parts for the monitor chain rule
+            v_im=v.imag.copy(),
             v_mag=v_mag,
             zero_voltage=bool((v_mag < 1e-12).any()),
             closed=closed,
             opened=np.flatnonzero(~closed),
             v_from=vf,
             i_from=i_from,
-            i_from_re=i_from_re,
-            i_from_im=i_from_im,
+            i_from_re=i_from.real.copy(),
+            i_from_im=i_from.imag.copy(),
             i_from_conj=np.conj(i_from),
             i_terminal=np.stack([i_from.real, i_from.imag, i_to.real, i_to.imag], axis=1),
             tiny=tiny,
@@ -468,6 +463,10 @@ class PowerFlowSolution:
             safe_mag=np.where(mag < _CURRENT_FLOOR, 1.0, mag),
             p_from=(vf * np.conj(i_from)).real,
         )
+        for value in vars(baseline).values():  # every later query shares these arrays
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return baseline
 
     @cached_property
     def _model(self) -> "LinearizedSystem":

@@ -563,7 +563,6 @@ def screen(
     lin: LinearizedSystem | None = None,
     *,
     metric: str = "vmag_inf",
-    mode: str = "full",
     top_k: int = 5,
     with_oracle: bool = False,
 ) -> ScreeningReport:
@@ -580,13 +579,14 @@ def screen(
     summary whose ``n_diverged`` counts the non-islanding outages whose
     re-solve did not converge; such an outage gets the note "oracle did not
     converge" unless its transfer matrix is singular.  ``sol`` must solve
-    ``case``.  The re-solves are those of :class:`_Oracle` with ``metric``,
-    so each oracle severity is that of :func:`oracle_outage` bit for bit,
-    in either mode, and no more than one Broyden group's states are held
-    at once.  In a connected case whose ``lin`` is the full-mode model of
-    ``sol`` (the one full mode builds when none is given), one engine pass
-    serves both the severities and the re-solves; otherwise the oracle
-    makes a pass of its own.
+    ``case``; ``lin`` is the model that predicts the outages, by default
+    ``linearize_at_solution(sol)`` (full mode).  The re-solves are those of
+    :class:`_Oracle` with ``metric``, so each oracle severity is that of
+    :func:`oracle_outage` bit for bit, whatever the model, and no more than
+    one Broyden group's states are held at once.  In a connected case whose
+    ``lin`` is the full-mode model of ``sol``, one engine pass serves both
+    the severities and the re-solves; otherwise the oracle makes a pass of
+    its own.
     ``top_k`` below 1 raises ``ValueError``.
     """
     if metric not in SEVERITY_METRICS:
@@ -596,7 +596,7 @@ def screen(
     if sol is None:
         sol = solve_ac_powerflow(case)
     if lin is None:
-        lin = linearize_at_solution(sol, mode)
+        lin = linearize_at_solution(sol)
     bridges = find_bridges(case)
     outages = [idx for idx, br in enumerate(case.branches) if br.closed and idx not in bridges]
     chunks = _transfer_chunks(lin, sol.case, outages, sol.ybus)

@@ -191,21 +191,6 @@ def _singular(cond):
     return np.logical_not(cond <= COND_LIMIT)
 
 
-def _cond(t: np.ndarray) -> np.ndarray:
-    """Condition numbers (c,) of a stack of matrices (c, 4, 4), as ``np.linalg.cond`` computes them.
-
-    The ratio of the largest to the smallest singular value; a NaN ratio
-    of a matrix without NaN entries reads inf.
-    """
-    s = np.linalg.svd(t, compute_uv=False)
-    with np.errstate(all="ignore"):
-        cond = s[:, 0] / s[:, -1]
-    nan = np.isnan(cond)
-    if nan.any():
-        cond[nan & ~np.isnan(t).any(axis=(1, 2))] = np.inf
-    return cond
-
-
 def _islanding_error(branch: int, cond: float) -> IslandingError:
     return IslandingError(
         f"outage transfer matrix of branch {branch} is singular "
@@ -399,7 +384,7 @@ def _transfer_chunks(
             block = slice(start, start + _CHUNK)
             at_terminals = resp[rows[block, :, None], cols[:, None, :]]  # dv[rows, :] of each outage
             t = _EYE4 - blocks[block] @ at_terminals
-            yield idx[block], rows[block], blocks[block], resp, cols, t, _cond(t)
+            yield idx[block], rows[block], blocks[block], resp, cols, t, np.linalg.cond(t)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Parser, validation, serialization and admittance construction tests."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -24,7 +25,7 @@ from gridscreen.case_io import (
 )
 from gridscreen.errors import CaseError
 
-from gridbuild import triangle, two_bus
+from gridbuild import NON_INTEGER_INDICES, triangle, two_bus
 
 MINI_CASE = """\
 function mpc = mini
@@ -255,6 +256,110 @@ def test_json_round_trip_keeps_unbounded_q_limits():
     assert again.generators[0].q_max == math.inf
 
 
+def test_canonical_json_bytes():
+    """The canonical form of a case with an open branch, current loads, a phase shifter and
+    unbounded reactive limits is pinned byte for byte, and reads back to an equal case."""
+    case = GridCase(
+        "feature",
+        100.0,
+        (
+            Bus(1, BusKind.SLACK, v_init=1.02),
+            Bus(2, BusKind.PV, p_load=0.3, q_load=0.1, g_shunt=0.01, b_shunt=0.05),
+            Bus(3, BusKind.PQ, i_load_r=0.25, i_load_i=-0.125, theta_init=-0.05),
+        ),
+        (
+            Branch(1, 2, 0.01, 0.05, 0.02),
+            Branch(2, 3, 0.0, 0.08, tap=0.98, shift=math.radians(-5)),
+            Branch(1, 3, 0.02, 0.1, closed=False),
+        ),
+        (Generator(1, 0.4, 1.02), Generator(2, 0.2, 1.01, q_min=-0.3)),
+    )
+    text = case_to_json(case)
+    assert text == (
+        '{"base_mva":100.0,"branches":['
+        '{"b_charging":0.02,"closed":true,"from_bus":1,"r":0.01,"shift":0.0,"tap":1.0,"to_bus":2,"x":0.05},'
+        '{"b_charging":0.0,"closed":true,"from_bus":2,"r":0.0,"shift":-0.08726646259971647,"tap":0.98,'
+        '"to_bus":3,"x":0.08},'
+        '{"b_charging":0.0,"closed":false,"from_bus":1,"r":0.02,"shift":0.0,"tap":1.0,"to_bus":3,"x":0.1}],'
+        '"buses":['
+        '{"b_shunt":0.0,"g_shunt":0.0,"i_load_i":0.0,"i_load_r":0.0,"id":1,"kind":3,"p_load":0.0,"q_load":0.0,'
+        '"theta_init":0.0,"v_init":1.02},'
+        '{"b_shunt":0.05,"g_shunt":0.01,"i_load_i":0.0,"i_load_r":0.0,"id":2,"kind":2,"p_load":0.3,"q_load":0.1,'
+        '"theta_init":0.0,"v_init":1.0},'
+        '{"b_shunt":0.0,"g_shunt":0.0,"i_load_i":-0.125,"i_load_r":0.25,"id":3,"kind":1,"p_load":0.0,'
+        '"q_load":0.0,"theta_init":-0.05,"v_init":1.0}],'
+        '"generators":[{"bus":1,"p_set":0.4,"q_max":null,"q_min":null,"v_set":1.02},'
+        '{"bus":2,"p_set":0.2,"q_max":null,"q_min":-0.3,"v_set":1.01}],'
+        '"name":"feature","schema_version":1}'
+    )
+    again = case_from_json(text)
+    assert again == case
+    assert type(again.buses[0].kind) is BusKind
+
+
+def _case_doc():
+    """A two-bus case document with every record field given."""
+    return {
+        "schema_version": 1,
+        "name": "doc",
+        "base_mva": 100.0,
+        "buses": [
+            {"id": 1, "kind": 3},
+            {"id": 2, "kind": 2, "p_load": 0.1, "q_load": 0.02, "v_init": 1.01},
+        ],
+        "branches": [
+            {"from_bus": 1, "to_bus": 2, "r": 0.01, "x": 0.1, "b_charging": 0.02, "tap": 1.0, "shift": 0.0,
+             "closed": False},
+        ],
+        "generators": [{"bus": 2, "p_set": 0.2, "v_set": 1.02, "q_min": -0.5, "q_max": 0.5}],
+    }
+
+
+def _drop(key, table=None):
+    def edit(doc):
+        (doc if table is None else doc[table][-1]).pop(key)
+        return doc
+
+    return edit
+
+
+def _put(table, key, value):
+    def edit(doc):
+        doc[table][-1][key] = value
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (_drop("buses"), "malformed case dictionary: 'buses'"),
+        (_drop("kind", "buses"), "malformed case dictionary: 'kind'"),
+        (
+            _put("buses", "p_load", None),
+            "malformed case dictionary: float() argument must be a string or a real number, not 'NoneType'",
+        ),
+        (_put("buses", "kind", 9), "malformed case dictionary: 9 is not a valid BusKind"),
+        (lambda doc: [doc], "malformed case dictionary: list indices must be integers or slices, not str"),
+        (_put("generators", "q_max", None), Generator(2, 0.2, 1.02, -0.5, math.inf)),
+        (_drop("closed", "branches"), Branch(1, 2, 0.01, 0.1, 0.02, closed=True)),
+    ],
+    ids=["no-buses", "no-kind", "null-p_load", "kind-9", "array", "null-q_max", "no-closed"],
+)
+def test_json_reader_on_malformed_documents(edit, expected):
+    """A malformed document raises CaseError with the reader's message; a null reactive limit
+    reads as unbounded and a branch without ``closed`` as closed."""
+    text = json.dumps(edit(_case_doc()))
+    if isinstance(expected, str):
+        with pytest.raises(CaseError) as err:
+            case_from_json(text)
+        assert str(err.value) == expected
+    else:
+        case = case_from_json(text)
+        assert expected in case.generators + case.branches
+
+
 def test_load_case_dispatches_on_suffix(tmp_path, case14):
     m_path = tmp_path / "mini.m"
     m_path.write_text(MINI_CASE)
@@ -278,6 +383,18 @@ def test_with_branch_open_preserves_indexing(case14):
     for k, br in enumerate(opened.branches):
         if k != 3:
             assert br == case14.branches[k]
+
+
+def test_with_branch_open_checks_the_index(case14):
+    """A branch index is an integer in range; an open branch may be opened again."""
+    for k in NON_INTEGER_INDICES:
+        with pytest.raises(TypeError, match="is not an integer"):
+            case14.with_branch_open(k)
+    for k in (-1, case14.n_branch, np.int64(case14.n_branch)):
+        with pytest.raises(ValueError, match="out of range"):
+            case14.with_branch_open(k)
+    opened = case14.with_branch_open(np.int64(3))
+    assert opened.with_branch_open(3) == opened
 
 
 def test_scale_loading_scales_demand_and_dispatch():

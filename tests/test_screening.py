@@ -580,7 +580,7 @@ def test_screen_oracle_is_the_same_in_both_modes(monkeypatch, case14, sol14, cas
     reports = {}
     for mode in ("full", "network"):
         _recording_monitors(monkeypatch, found[mode])
-        reports[mode] = screen(case, sol, metric="pline_inf", mode=mode, with_oracle=True)
+        reports[mode] = screen(case, sol, linearize_at_solution(sol, mode), metric="pline_inf", with_oracle=True)
         monkeypatch.undo()
     assert found["full"] and found["full"] == found["network"]
     assert _oracle_columns(reports["full"]) == _oracle_columns(reports["network"])
@@ -764,11 +764,11 @@ def test_broyden_sends_no_case14_or_case118_outage_to_newton(monkeypatch, case14
 
     monkeypatch.setattr(_Oracle, "problem", recording_problem)
     monkeypatch.setattr(_ChordBlock, "inverse", counting_inverse)
-    screen(case118, sol118, metric="pline_inf", mode=mode, with_oracle=True)
+    screen(case118, sol118, linearize_at_solution(sol118, mode), metric="pline_inf", with_oracle=True)
     assert opened == []
     assert len(steps) <= 25 and sum(steps) <= 1100, (len(steps), sum(steps))
     steps.clear()
-    screen(case14, sol14, metric="pline_inf", mode=mode, with_oracle=True)
+    screen(case14, sol14, linearize_at_solution(sol14, mode), metric="pline_inf", with_oracle=True)
     assert opened == []
     assert len(steps) <= 20, len(steps)
 
@@ -925,7 +925,7 @@ def test_oracle_screen_makes_one_engine_pass(monkeypatch, case118, sol118, base,
     monkeypatch.setattr(screening, "_transfer_chunks", counting_transfer_chunks)
     sol = solve_ac_powerflow(case118, PowerFlowOptions(enforce_q_limits=True)) if base == "q_pinned" else sol118
     mode = "network" if base == "network" else "full"
-    report = screen(case118, sol, metric="pline_inf", mode=mode, with_oracle=True)
+    report = screen(case118, sol, linearize_at_solution(sol, mode), metric="pline_inf", with_oracle=True)
     assert len(calls) == passes
     assert report.comparison.n_compared == 177 and report.comparison.n_diverged == 0
 

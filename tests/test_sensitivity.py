@@ -23,11 +23,11 @@ from gridscreen.sensitivity import (
     COND_LIMIT,
     SEVERITY_METRICS,
     _branch_blocks,
-    _cond,
     _impact_chunks,
     _monitors,
     _outage_severities,
     _shared_slot_plan,
+    _singular,
     _slot_plan,
     _transfer_chunks,
     branch_current_jacobian,
@@ -481,6 +481,21 @@ def test_circuit_lodf_nan_for_unloaded_reference():
     assert np.all(np.isnan(res.ratio))
 
 
+def test_circuit_lodf_cannot_write_the_shared_baseline(case14):
+    """A result's ``p_pre`` is the solution's baseline, which every later query reads, so a
+    write into it raises; all baseline arrays are read-only."""
+    sol = solve_ac_powerflow(case14)
+    lin = linearize_at_solution(sol)
+    first = circuit_lodf(sol, lin, 5)
+    with pytest.raises(ValueError, match="read-only"):
+        first.p_pre[5] = 1e-20
+    again = circuit_lodf(sol, lin, 5)
+    assert again.ratio.tobytes() == first.ratio.tobytes()
+    assert again.ratio[3] == pytest.approx(0.48875767031698797, rel=1e-12)
+    arrays = [value for value in vars(sol._baseline).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 14 and not any(a.flags.writeable for a in arrays)
+
+
 def test_circuit_lodf_tracks_dc_lodf_at_light_load(case14):
     """The nonlinear distribution factors approach the DC ones as loading
     and losses vanish."""
@@ -684,7 +699,8 @@ def test_branch_blocks_equal_branch_current_jacobian(case14, variant):
 def test_engine_cond_equals_numpy_cond(monkeypatch, case14, case118, sol118, lin118):
     """The engine's condition numbers are ``np.linalg.cond``'s bit for bit: on every closed
     non-bridge outage of case118, on the series transfer matrices of the islanding check of
-    both bundled cases, and where a ratio is infinite or 0/0."""
+    both bundled cases; ``np.linalg.cond`` reads a 0/0, x/0 or overflowing ratio as inf, which
+    the singularity rule counts as singular."""
     seen = []
     transfer_chunks = sensitivity._transfer_chunks
 
@@ -705,13 +721,11 @@ def test_engine_cond_equals_numpy_cond(monkeypatch, case14, case118, sol118, lin
     assert max(cond.max() for _, cond in seen) > COND_LIMIT  # the series bridges
 
     crafted = np.stack([np.eye(4), np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, 0.0]), np.diag([1e300, 1, 1, 1e-300])])
-    cond = _cond(crafted)
-    assert cond.tobytes() == np.linalg.cond(crafted).tobytes()
+    cond = np.linalg.cond(crafted)
     assert cond[0] == 1.0 and np.isinf(cond[1:]).all()  # 0/0, x/0 and an overflow read inf
-    nan = np.full((1, 4, 4), np.nan)
-    for cond_of in (_cond, np.linalg.cond):
-        with pytest.raises(np.linalg.LinAlgError):
-            cond_of(nan)
+    assert _singular(cond).tolist() == [False, True, True, True]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cond(np.full((1, 4, 4), np.nan))
 
 
 @pytest.mark.parametrize("which", ["case14", "case118"])
