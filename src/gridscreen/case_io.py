@@ -420,6 +420,8 @@ def _records_from_dicts(record_type: type, docs) -> tuple:
             if f.default is not MISSING and (f.name not in doc or doc[f.name] is None and _unbounded(f)):
                 continue
             value = doc[f.name]
+            if typ is bool and not isinstance(value, bool):  # bool("false") is True
+                raise TypeError(f"{f.name!r} must be true or false, not {json.dumps(value)}")
             values[f.name] = typ(int(value)) if issubclass(typ, IntEnum) else typ(value)
         records.append(record_type(**values))
     return tuple(records)
@@ -449,7 +451,7 @@ def case_from_dict(data: dict) -> GridCase:
             branches=branches,
             generators=generators,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CaseError(f"malformed case dictionary: {exc}") from exc
     case.validate()
     return case

@@ -20,15 +20,16 @@ block then stacks the transfer matrices, the injections and the monitors.
 What does not depend on the pass is built once: the terminal state rows and
 4x4 current blocks of every branch per admittance matrix (its branch
 table), and the pre-outage currents, the zero-voltage guard and the parts
-the monitors read per solution.  A single-outage query is a pass of one
-block, so every caller gets the same arithmetic for the same outage; such a
-pass plans its slots directly, and its cost is its one solve of four
-right-hand sides and a fixed cost of small dense steps.  The terminal
-solves release the interpreter lock and run ahead on a small thread pool
-(one worker per usable CPU; none for a single block); the rest of each
-block, the copy of its solved columns into the slot array included, runs
-on the calling thread, in block order, so results do not depend on the
-number of workers.
+the monitors read per solution.  A single-outage query runs no engine
+pass: it solves its four terminal injections with the engine's bus solve
+and takes the engine's floating-point operations for that outage's row on
+plain 4x4 and (2n, 4) arrays, so every caller gets the same numbers for the
+same outage, at the cost of one solve of four right-hand sides and a few
+small dense steps.  The terminal solves release the interpreter lock and
+run ahead on a small thread pool (one worker per usable CPU; none for a
+single block); the rest of each block, the copy of its solved columns into
+the slot array included, runs on the calling thread, in block order, so
+results do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -109,20 +110,23 @@ class InjectionSensitivity:
 
 
 def _bus_solve(lin: LinearizedSystem, buses: list[int]) -> np.ndarray:
-    """Responses (size, 2k) of ``lin`` to unit current injections at non-slack ``buses``.
+    """Responses (size, 2k) of ``lin`` to unit current injections at ``buses``.
 
     Bus ``buses[p]`` gets columns ``2p`` (real injection) and ``2p + 1``
-    (imaginary injection).  SuperLU passes the right-hand sides to BLAS,
-    which rounds a column in a last, partial group of four columns
-    differently from one in a full group; a zero pair fills that group, so
-    that a bus's columns have the same bits whatever else is solved with
-    them, and a block of outages gives the bits of each outage alone.
+    (imaginary injection); those of a slack bus are zero, because the slack
+    absorbs any injected current without a voltage response.  SuperLU
+    passes the right-hand sides to BLAS, which rounds a column in a last,
+    partial group of four columns differently from one in a full group; a
+    zero pair fills that group, so that a bus's columns have the same bits
+    whatever else is solved with them, and a block of outages gives the
+    bits of each outage alone.
     """
     k = 2 * len(buses)
     rhs = np.zeros((lin.size, k + k % 4), order="F")  # SuperLU's own layout: no copy to convert
     for p, b in enumerate(buses):
-        (r0, r1) = lin.kcl_rows(b)
-        rhs[r0, 2 * p] = rhs[r1, 2 * p + 1] = 1.0
+        if not lin.is_slack(b):
+            (r0, r1) = lin.kcl_rows(b)
+            rhs[r0, 2 * p] = rhs[r1, 2 * p + 1] = 1.0
     return lin.solve(rhs)[:, :k] if buses else rhs
 
 
@@ -132,12 +136,8 @@ def injection_sensitivity(lin: LinearizedSystem, branch_idx: int) -> InjectionSe
     _closed_branch(case, branch_idx)
     br = case.branches[branch_idx]
     term = (case.bus_index(br.from_bus), case.bus_index(br.to_bus))
-    rows = np.full(4, -1, dtype=np.int64)
-    full = np.zeros((lin.size, 4), order="F")  # a slack terminal's columns stay zero
-    free = [pos for pos, bus in enumerate(term) if not lin.is_slack(bus)]
-    for pos in free:
-        rows[2 * pos], rows[2 * pos + 1] = lin.kcl_rows(term[pos])
-    full[:, [2 * pos + j for pos in free for j in (0, 1)]] = _bus_solve(lin, [term[pos] for pos in free])
+    rows = np.array([r for bus in term for r in lin.kcl_rows(bus) or (-1, -1)], dtype=np.int64)
+    full = _bus_solve(lin, list(term))
     return InjectionSensitivity(branch=branch_idx, rows=rows, dv=full[: 2 * lin.n, :], full=full)
 
 
@@ -242,11 +242,10 @@ def _ordered_map(fn: Callable, items: list) -> Iterator:
     The pool has one worker per usable CPU, at most one per item, and at
     most one result more than it has workers is in flight (submitted and not
     yet taken).  With one item or one usable CPU the calls run inline and no
-    pool is made; one item does not even ask for the CPU count, a system
-    call.  An exception, or a consumer that stops early, cancels the calls
-    not yet started, and the pool waits for the running ones.
+    pool is made.  An exception, or a consumer that stops early, cancels the
+    calls not yet started, and the pool waits for the running ones.
     """
-    workers = min(_usable_cpus(), len(items)) if len(items) > 1 else 1
+    workers = min(_usable_cpus(), len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
@@ -266,7 +265,7 @@ def _ordered_map(fn: Callable, items: list) -> Iterator:
 
 def _slot_plan(
     lin: LinearizedSystem, f: np.ndarray, t: np.ndarray
-) -> tuple[list[tuple[list[int], list[int] | slice, np.ndarray]], int]:
+) -> tuple[list[tuple[list[int], list[int], np.ndarray]], int]:
     """Which buses each block of an engine pass solves, and where their columns live.
 
     ``f`` and ``t`` (c,) hold the from and to bus of each outage, in engine
@@ -279,36 +278,14 @@ def _slot_plan(
     cols)`` per block and the number of slots: the buses the block solves,
     the slot-array columns their responses go to, and each outage's four
     columns (c, 4) for the directions ``[from_real, from_imag, to_real,
-    to_imag]``.  A pass of several blocks takes :func:`_shared_slot_plan`.
-    A pass of one block, such as a single-outage query, shares nothing and
-    evicts nothing: its buses take slots ``0, 1, ...`` in order, as in that
-    plan, and ``at`` is the slice of their columns.
+    to_imag]``.  A block with an odd number of new buses also solves one bus
+    of the next block, so that its solve fills whole groups of four columns
+    (see :func:`_bus_solve`).  With ``_LIVE_BUSES`` slots taken, the bus not
+    in the block whose next use is furthest away loses its slot and is
+    solved again at that use.  A single block takes slots ``0, 1, ...`` in
+    bus order.
     """
     pairs = list(zip(f.tolist(), t.tolist()))
-    if not 0 < len(pairs) <= _CHUNK:
-        return _shared_slot_plan(lin, pairs)
-    new = sorted(set(chain.from_iterable(pairs)) - {lin.slack})
-    return [(new, slice(1, 1 + 2 * len(new)), _columns(pairs, new, dict(zip(new, range(len(new))))))], len(new)
-
-
-def _columns(block: list[tuple[int, int]], block_buses: list[int], live: dict[int, int]) -> np.ndarray:
-    """The four slot-array columns (c, 4) of each outage ``(f, t)`` of ``block``, the buses in slots ``live``."""
-    col = {b: (1 + 2 * live[b], 2 + 2 * live[b]) for b in block_buses}
-    return np.array([col.get(a, (0, 0)) + col.get(b, (0, 0)) for a, b in block], dtype=np.int64)
-
-
-def _shared_slot_plan(
-    lin: LinearizedSystem, pairs: list[tuple[int, int]]
-) -> tuple[list[tuple[list[int], list[int], np.ndarray]], int]:
-    """The plan of :func:`_slot_plan` for the terminal ``pairs`` of an engine pass of any length.
-
-    A bus keeps its slot across blocks from its first use to its last.  A
-    block with an odd number of new buses also solves one bus of the next
-    block, so that its solve fills whole groups of four columns (see
-    :func:`_bus_solve`).  With ``_LIVE_BUSES`` slots taken, the bus not in
-    the block whose next use is furthest away loses its slot and is solved
-    again at that use.  ``at`` is the list of the block's new columns.
-    """
     blocks = [pairs[start : start + _CHUNK] for start in range(0, len(pairs), _CHUNK)]
     slack = {lin.slack}
     buses = [sorted(set(chain.from_iterable(block)) - slack) for block in blocks]
@@ -339,6 +316,12 @@ def _shared_slot_plan(
             if not uses:
                 free.append(live.pop(b))
     return plan, len(free)  # every bus is freed after its last use
+
+
+def _columns(block: list[tuple[int, int]], block_buses: list[int], live: dict[int, int]) -> np.ndarray:
+    """The four slot-array columns (c, 4) of each outage ``(f, t)`` of ``block``, the buses in slots ``live``."""
+    col = {b: (1 + 2 * live[b], 2 + 2 * live[b]) for b in block_buses}
+    return np.array([col.get(a, (0, 0)) + col.get(b, (0, 0)) for a, b in block], dtype=np.int64)
 
 
 def _transfer_chunks(
@@ -479,6 +462,12 @@ def _monitors(
     return delta_vmag, delta_imag, delta_p
 
 
+def _require_voltage(base) -> None:
+    """Raise ``ValueError`` at a zero-voltage bus, where |V| is not differentiable."""
+    if base.zero_voltage:
+        raise ValueError("voltage magnitude is zero at some bus; |V| is not differentiable")
+
+
 def _impact_chunks(
     sol: PowerFlowSolution,
     lin: LinearizedSystem,
@@ -498,8 +487,8 @@ def _impact_chunks(
     ``ValueError`` before any solve.
     """
     base = sol._baseline
-    if "vmag" in quantities and base.zero_voltage:
-        raise ValueError("voltage magnitude is zero at some bus; |V| is not differentiable")
+    if "vmag" in quantities:
+        _require_voltage(base)
     n2 = 2 * sol.n
     if chunks is None:
         chunks = _transfer_chunks(lin, sol.case, outages, sol.ybus)
@@ -585,14 +574,29 @@ class OutageImpact:
 def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) -> OutageImpact:
     """Predict the impact of removing one closed branch.
 
-    A pass of the outage engine over one outage: its cost is one solve of
-    four right-hand sides on the factorization of ``lin`` plus a fixed
-    cost of small dense steps.  Raises :class:`IslandingError` when the
+    No engine pass: one :func:`_bus_solve` of its two terminal buses on the
+    factorization of ``lin`` (unit injections ``[from_real, from_imag,
+    to_real, to_imag]``, zero at a slack terminal), then the 4x4 transfer
+    system and the monitors.  These are the floating-point operations of the
+    engine's row for the outage, so the screen gets the same numbers.  Raises :class:`IslandingError` when the
     outage would disconnect the network (singular transfer matrix),
     ``ValueError`` for an out-of-range or open branch and ``TypeError``
     when ``outage`` is not a Python or NumPy integer (``bool`` included).
     """
-    return next(_impact_chunks(sol, lin, [outage])).impact(0)
+    base = sol._baseline
+    _require_voltage(base)
+    _closed_branch(sol.case, outage)
+    w = _bus_solve(lin, [sol.ybus.from_idx[outage], sol.ybus.to_idx[outage]])
+    table_rows, table_blocks = sol.ybus._branch_table
+    t = _EYE4 - table_blocks[outage] @ w[table_rows[outage]]
+    cond = float(np.linalg.cond(t))
+    if _singular(cond):
+        raise _islanding_error(int(outage), cond)
+    i_pre = base.i_terminal[outage].copy()
+    injection = np.linalg.solve(t, i_pre)
+    delta_state = w[: 2 * sol.n] @ injection
+    monitors = (rows[0] for rows in _monitors(sol, delta_state[None], np.array([outage]), _QUANTITIES))
+    return OutageImpact(int(outage), injection, i_pre, cond, delta_state, *monitors, base.tiny.copy())
 
 
 def severity_from_deltas(

@@ -23,10 +23,11 @@ from gridscreen.powerflow import (
     power_balance,
     solve_ac_powerflow,
 )
-from gridscreen.screening import find_bridges, is_connected, screen
+from gridscreen.screening import find_bridges, is_connected, oracle_outage, screen
 from gridscreen.sensitivity import (
     _monitors,
     branch_current_jacobian,
+    circuit_lodf,
     evaluate_outage,
     singular_outage_branches,
 )
@@ -319,4 +320,52 @@ def test_c8_large_case_screening():
         f"{len(report.entries)} outages ranked in {elapsed:.1f} s, "
         f"{len(flagged)} islanding events flagged, "
         f"sampled injection residual {worst:.2e} < 1e-10",
+    )
+
+
+def test_c9_circuit_lodf_beats_dc_lodf(case14, sol14, lin14, case118, sol118, lin118):
+    """The paper's quantity: the AC circuit LODF predicts the re-solved branch power changes
+    of an outage more closely than the DC LODF applied to the same pre-outage AC flow.
+
+    Per converged non-bridge outage, an error is the worst over the other closed branches
+    divided by the largest re-solved |dP| among them.
+    """
+    start = time.perf_counter()
+    details = []
+    ok = True
+    ac_wins = outages = 0
+    for name, case, sol, lin in (("14-bus", case14, sol14, lin14), ("118-bus", case118, sol118, lin118)):
+        model = build_dc_model(case)
+        dc_base = solve_dc(model)
+        bridges = find_bridges(case)
+        closed = np.array([br.closed for br in case.branches])
+        ac_err, dc_err, dc_better = [], [], []
+        for idx in closed_branches(case):
+            outcome = None if idx in bridges else oracle_outage(case, idx, sol)
+            if outcome is None or not outcome.converged:
+                continue
+            others = closed.copy()
+            others[idx] = False
+            truth = outcome.delta_p[others]
+            scale = np.max(np.abs(truth))
+            ac = circuit_lodf(sol, lin, idx)
+            dc_dp = dc_lodf(model, idx, dc_base).lodf * ac.p_pre[idx]
+            ac_err.append(np.max(np.abs(ac.dp[others] - truth)) / scale)
+            dc_err.append(np.max(np.abs(dc_dp[others] - truth)) / scale)
+            if dc_err[-1] < ac_err[-1]:
+                dc_better.append(idx)
+        ac_median, dc_median = float(np.median(ac_err)), float(np.median(dc_err))
+        ok = ok and ac_median <= 0.025 and ac_median < dc_median
+        ac_wins += len(ac_err) - len(dc_better)
+        outages += len(ac_err)
+        details.append(
+            f"{name} {len(ac_err)} outages, median rel err AC {ac_median:.2%} <= 2.5% and < DC {dc_median:.2%}, "
+            f"AC better in {len(ac_err) - len(dc_better)}, DC better in branches {dc_better}"
+        )
+    elapsed = time.perf_counter() - start
+    ok = ok and ac_wins >= 0.75 * outages
+    record(
+        "C9 AC circuit LODF vs DC LODF",
+        ok,
+        "; ".join(details) + f"; AC better in {ac_wins}/{outages} = {ac_wins / outages:.1%} >= 75%, {elapsed:.1f} s",
     )

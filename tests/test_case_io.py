@@ -344,12 +344,23 @@ def _put(table, key, value):
         (lambda doc: [doc], "malformed case dictionary: list indices must be integers or slices, not str"),
         (_put("generators", "q_max", None), Generator(2, 0.2, 1.02, -0.5, math.inf)),
         (_drop("closed", "branches"), Branch(1, 2, 0.01, 0.1, 0.02, closed=True)),
+        (
+            _put("branches", "closed", "false"),
+            "malformed case dictionary: 'closed' must be true or false, not \"false\"",
+        ),
+        (_put("branches", "closed", None), "malformed case dictionary: 'closed' must be true or false, not null"),
+        (_put("branches", "closed", 0), "malformed case dictionary: 'closed' must be true or false, not 0"),
+        (_put("buses", "id", math.inf), "malformed case dictionary: cannot convert float infinity to integer"),
     ],
-    ids=["no-buses", "no-kind", "null-p_load", "kind-9", "array", "null-q_max", "no-closed"],
+    ids=[
+        "no-buses", "no-kind", "null-p_load", "kind-9", "array", "null-q_max", "no-closed",
+        "string-closed", "null-closed", "integer-closed", "infinite-id",
+    ],
 )
 def test_json_reader_on_malformed_documents(edit, expected):
-    """A malformed document raises CaseError with the reader's message; a null reactive limit
-    reads as unbounded and a branch without ``closed`` as closed."""
+    """A malformed document raises CaseError with the reader's message, ``closed`` included
+    when it is not JSON true or false; a null reactive limit reads as unbounded and a branch
+    without ``closed`` as closed."""
     text = json.dumps(edit(_case_doc()))
     if isinstance(expected, str):
         with pytest.raises(CaseError) as err:
