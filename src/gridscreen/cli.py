@@ -95,8 +95,10 @@ def _parse_outage(value: str, case: GridCase) -> list[int]:
     if value == "all":
         return [i for i, br in enumerate(case.branches) if br.closed]
     try:
+        if not (value.isascii() and value.isdigit()):  # int() also reads "1_0", " 3" and "+3"
+            raise ValueError
         idx = int(value)
-    except ValueError:
+    except ValueError:  # also past int()'s limit on digits
         raise CaseError(f"--outage must be a branch index or 'all', got {value!r}") from None
     if not 0 <= idx < case.n_branch:
         raise CaseError(f"branch index {idx} out of range (case has {case.n_branch} branches)")
@@ -414,21 +416,30 @@ def _severities_from_report(path: str) -> dict[int, float]:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise CaseError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past int()'s limit on digits
         raise CaseError(f"invalid report JSON in {path}: {exc}") from exc
     entries = data.get("entries") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise CaseError(f"{path} is not a screening report (missing 'entries')")
     out: dict[int, float] = {}
+    seen: set[int] = set()
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or "branch" not in e:
             raise CaseError(f"{path}: entry {i} is not a screening entry (an object with a 'branch')")
-        if e.get("islanding") or e.get("severity") is None:
+        branch, severity = e["branch"], e.get("severity")
+        if type(branch) is not int:  # a JSON integer: not 3.7, "1" or true
+            raise CaseError(f"{path}: entry {i} has a branch that is not an integer ({branch!r})")
+        if severity is not None and type(severity) not in (int, float):
+            raise CaseError(f"{path}: entry {i} has a severity that is not a number or null ({severity!r})")
+        if branch in seen:
+            raise CaseError(f"{path}: entry {i} repeats branch {branch}")
+        seen.add(branch)
+        if e.get("islanding") or severity is None:
             continue
         try:
-            out[int(e["branch"])] = float(e["severity"])
-        except (TypeError, ValueError) as exc:
-            raise CaseError(f"{path}: entry {i} has a non-numeric branch or severity ({exc})") from exc
+            out[branch] = float(severity)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise CaseError(f"{path}: entry {i} has a severity out of range ({exc})") from exc
     return out
 
 

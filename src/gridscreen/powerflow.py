@@ -619,6 +619,10 @@ class LinearizedSystem:
     slack: int
     pv: np.ndarray
     _lu: object = field(repr=False)
+    # the read-only slot array of an engine pass that held every terminal bus
+    # in its own slot, and each bus's first column in it (see
+    # ``sensitivity._transfer_chunks``); ``replace`` starts without one
+    _responses: tuple[np.ndarray, dict[int, int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
@@ -644,7 +648,10 @@ def linearize_at_solution(sol: PowerFlowSolution, mode: str = "full") -> Lineari
     point solves the linear system exactly, independent of the residual
     tolerance that stopped the iteration.  Full mode returns the solution's
     own model, which every later call, the screen and the oracle share, so
-    do not mutate it; network mode builds a new model on each call.
+    do not mutate it; network mode builds a new model on each call.  A model
+    of either mode keeps the terminal responses of an engine pass that held
+    every terminal bus (at most ``sensitivity._LIVE_BUSES``), and later
+    queries on it read them instead of solving; they give the same bits.
     """
     if mode == "full":
         return sol._model

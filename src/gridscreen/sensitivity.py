@@ -20,16 +20,19 @@ block then stacks the transfer matrices, the injections and the monitors.
 What does not depend on the pass is built once: the terminal state rows and
 4x4 current blocks of every branch per admittance matrix (its branch
 table), and the pre-outage currents, the zero-voltage guard and the parts
-the monitors read per solution.  A single-outage query runs no engine
-pass: it solves its four terminal injections with the engine's bus solve
-and takes the engine's floating-point operations for that outage's row on
-plain 4x4 and (2n, 4) arrays, so every caller gets the same numbers for the
-same outage, at the cost of one solve of four right-hand sides and a few
-small dense steps.  The terminal solves release the interpreter lock and
-run ahead on a small thread pool (one worker per usable CPU; none for a
-single block); the rest of each block, the copy of its solved columns into
-the slot array included, runs on the calling thread, in block order, so
-results do not depend on the number of workers.
+the monitors read per solution.  A pass of at most ``_LIVE_BUSES`` distinct
+terminal buses gives each its own slot, and the model keeps its slot array
+when the pass ends.  A single-outage query runs no engine pass: it takes
+its four terminal responses from the engine's bus solve, which reads them
+from that kept array where the model holds both buses and solves them
+otherwise, and takes the engine's floating-point operations for that
+outage's row on plain 4x4 and (2n, 4) arrays, so every caller gets the same
+numbers for the same outage, at the cost of a few small dense steps and at
+most one solve of four right-hand sides.  The terminal solves release the
+interpreter lock and run ahead on a small thread pool (one worker per
+usable CPU; none for a single block); the rest of each block, the copy of
+its solved columns into the slot array included, runs on the calling
+thread, in block order, so results do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ _EYE4.flags.writeable = False
 
 # terminal buses whose response columns one engine pass keeps at a time; a
 # block has at most 2 * _CHUNK, and a bus pushed out by this bound is solved
-# again at its next use
+# again at its next use.  A pass of at most this many keeps them all, and so
+# does its model after it
 _LIVE_BUSES = 4 * _CHUNK
 
 # monitored quantity each severity metric reads
@@ -119,8 +123,17 @@ def _bus_solve(lin: LinearizedSystem, buses: list[int]) -> np.ndarray:
     partial group of four columns differently from one in a full group; a
     zero pair fills that group, so that a bus's columns have the same bits
     whatever else is solved with them, and a block of outages gives the
-    bits of each outage alone.
+    bits of each outage alone.  For the same reason a model that keeps the
+    responses of an engine pass (see :func:`_transfer_chunks`) serves a call
+    whose every non-slack bus they hold without a solve: a Fortran-ordered
+    gather of their columns, the slack's pair from the zero column 0.  (A
+    C-ordered copy of the same columns would take another BLAS kernel in
+    the products that read it, and other bits.)  Any other call solves.
     """
+    kept = lin._responses
+    if kept is not None and all(lin.is_slack(b) or b in kept[1] for b in buses):
+        resp, first = kept
+        return resp[:, [c for b in buses for c in ((0, 0) if lin.is_slack(b) else (first[b], first[b] + 1))]]
     k = 2 * len(buses)
     rhs = np.zeros((lin.size, k + k % 4), order="F")  # SuperLU's own layout: no copy to convert
     for p, b in enumerate(buses):
@@ -265,7 +278,7 @@ def _ordered_map(fn: Callable, items: list) -> Iterator:
 
 def _slot_plan(
     lin: LinearizedSystem, f: np.ndarray, t: np.ndarray
-) -> tuple[list[tuple[list[int], list[int], np.ndarray]], int]:
+) -> tuple[list[tuple[list[int], list[int], np.ndarray]], int, dict[int, int] | None]:
     """Which buses each block of an engine pass solves, and where their columns live.
 
     ``f`` and ``t`` (c,) hold the from and to bus of each outage, in engine
@@ -283,7 +296,10 @@ def _slot_plan(
     (see :func:`_bus_solve`).  With ``_LIVE_BUSES`` slots taken, the bus not
     in the block whose next use is furthest away loses its slot and is
     solved again at that use.  A single block takes slots ``0, 1, ...`` in
-    bus order.
+    bus order.  A pass of at most ``_LIVE_BUSES`` distinct non-slack
+    terminal buses gives each its own slot and frees none, so that its slot
+    array ends holding every bus; the third item returned is then each
+    bus's first column, and otherwise None.
     """
     pairs = list(zip(f.tolist(), t.tolist()))
     blocks = [pairs[start : start + _CHUNK] for start in range(0, len(pairs), _CHUNK)]
@@ -293,6 +309,7 @@ def _slot_plan(
     for j in range(len(buses) - 1, -1, -1):
         for b in buses[j]:
             later.setdefault(b, []).append(j)
+    keep = len(later) <= _LIVE_BUSES
     live: dict[int, int] = {}  # bus -> slot
     free: list[int] = []
     plan = []
@@ -313,9 +330,11 @@ def _slot_plan(
         for b in block_buses:
             uses = later[b]
             uses.pop()
-            if not uses:
+            if not uses and not keep:
                 free.append(live.pop(b))
-    return plan, len(free)  # every bus is freed after its last use
+    if keep:
+        return plan, len(live), {b: 1 + 2 * s for b, s in live.items()}
+    return plan, len(free), None  # every bus is freed after its last use
 
 
 def _columns(block: list[tuple[int, int]], block_buses: list[int], live: dict[int, int]) -> np.ndarray:
@@ -346,7 +365,13 @@ def _transfer_chunks(
     injections ``[from_real, from_imag, to_real, to_imag]`` (a zero column
     at a slack terminal); the transfer matrices ``I - B_k dv[rows]``
     (c, 4, 4) and their condition numbers (c,).  ``resp`` is reused: it
-    holds this block's columns only until the next block is requested.
+    holds this block's columns only until the next block is requested.  A
+    pass that gives every terminal bus its own slot has them all in
+    ``resp`` once its last block is consumed; it makes ``resp`` read-only
+    and keeps it on ``lin`` for later calls of :func:`_bus_solve`, unless
+    ``lin`` already keeps as many buses or more.  At most ``size * (1 + 2 *
+    _LIVE_BUSES)`` values are kept per model; a pass closed early keeps
+    nothing.
     """
     outages = list(outages)
     for k in outages:  # before any conversion: 3.7 and True are no branch indices
@@ -358,7 +383,7 @@ def _transfer_chunks(
     f, to = ybus.from_idx[idx], ybus.to_idx[idx]
     table_rows, table_blocks = ybus._branch_table
     rows, blocks = table_rows[idx], table_blocks[idx]
-    plan, n_slots = _slot_plan(lin, f, to)
+    plan, n_slots, first = _slot_plan(lin, f, to)
     resp = np.zeros((lin.size, 1 + 2 * n_slots), order="F")
     solves = _ordered_map(lambda new: _bus_solve(lin, new), [new for new, _, _ in plan])
     with closing(solves):
@@ -368,6 +393,10 @@ def _transfer_chunks(
             at_terminals = resp[rows[block, :, None], cols[:, None, :]]  # dv[rows, :] of each outage
             t = _EYE4 - blocks[block] @ at_terminals
             yield idx[block], rows[block], blocks[block], resp, cols, t, np.linalg.cond(t)
+    kept = lin._responses
+    if first is not None and len(first) > (0 if kept is None else len(kept[1])):
+        resp.flags.writeable = False
+        lin._responses = (resp, first)
 
 
 @dataclass
@@ -575,13 +604,15 @@ def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) 
     """Predict the impact of removing one closed branch.
 
     No engine pass: one :func:`_bus_solve` of its two terminal buses on the
-    factorization of ``lin`` (unit injections ``[from_real, from_imag,
-    to_real, to_imag]``, zero at a slack terminal), then the 4x4 transfer
+    factorization of ``lin`` (unit injections ``[from_real, from_imag, to_real,
+    to_imag]``, zero at a slack terminal), which solves nothing when ``lin``
+    keeps the responses of an earlier pass over them, then the 4x4 transfer
     system and the monitors.  These are the floating-point operations of the
-    engine's row for the outage, so the screen gets the same numbers.  Raises :class:`IslandingError` when the
-    outage would disconnect the network (singular transfer matrix),
-    ``ValueError`` for an out-of-range or open branch and ``TypeError``
-    when ``outage`` is not a Python or NumPy integer (``bool`` included).
+    engine's row for the outage, so the screen gets the same numbers.  Raises
+    :class:`IslandingError` when the outage would disconnect the network
+    (singular transfer matrix), ``ValueError`` for an out-of-range or open
+    branch and ``TypeError`` when ``outage`` is not a Python or NumPy integer
+    (``bool`` included).
     """
     base = sol._baseline
     _require_voltage(base)

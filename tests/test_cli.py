@@ -140,7 +140,10 @@ def test_dclodf_bridge_json_flags_islanding(capsys):
     assert rec["islanding"] is True and "rows" not in rec
 
 
-@pytest.mark.parametrize("value", ["99", "abc", "-3"])
+# int() would read "1_0" as 10, " 3" and "+3" as 3, and "\u0663" (Arabic-Indic three) as 3
+@pytest.mark.parametrize(
+    "value", ["99", "abc", "-3", "1_0", " 3", "+3", "\u0663", pytest.param("9" * 5000, id="5000-digits")]
+)
 def test_dclodf_rejects_bad_outage(capsys, value):
     code, _, err = run(capsys, "dclodf", CASE14, "--outage", value)
     assert code == 1
@@ -321,12 +324,28 @@ def test_compare_rejects_non_report(tmp_path, capsys):
     code, _, err = run(capsys, "compare", str(tmp_path / "missing.json"), str(bogus))
     assert code == 1
 
-    # a top-level array, then entries without a branch, not an object, or with a non-numeric severity
+    # a top-level array, then entries without a branch, not an object, with a non-numeric
+    # severity, with a branch that is no JSON integer (checked on an unscored entry too), with
+    # a boolean severity or one past the float range, and a repeated branch
     bogus.write_text("[]")
     code, _, err = run(capsys, "compare", str(bogus), str(bogus))
     assert code == 1 and "entries" in err and "Traceback" not in err
     good = {"branch": 0, "severity": 0.5, "islanding": False}
-    for bad in ({"severity": 0.5}, [3], "x", {"branch": 2, "severity": "x"}, {"branch": [1], "severity": 0.5}):
+    for bad in (
+        {"severity": 0.5},
+        [3],
+        "x",
+        {"branch": 2, "severity": "x"},
+        {"branch": [1], "severity": 0.5},
+        {"branch": 3.7, "severity": 0.5},
+        {"branch": "1", "severity": 0.5},
+        {"branch": True, "severity": 0.5},
+        {"branch": 1.0, "severity": None, "islanding": True},
+        {"branch": 2, "severity": True},
+        {"branch": 2, "severity": 10**400},
+        {"branch": 0, "severity": 0.7},
+        {"branch": 0, "severity": None, "islanding": True},
+    ):
         bogus.write_text(json.dumps({"entries": [good, bad]}))
         code, _, err = run(capsys, "compare", str(bogus), str(bogus))
         assert code == 1, bad
@@ -339,3 +358,8 @@ def test_compare_rejects_invalid_json(tmp_path, capsys):
     code, _, err = run(capsys, "compare", str(broken), str(broken))
     assert code == 1
     assert "JSON" in err
+    # bytes that are not UTF-8, and an integer past int()'s limit on digits
+    for data in (b"\xff\xfe", b'{"entries": [{"branch": ' + b"9" * 5000 + b', "severity": 1}]}'):
+        broken.write_bytes(data)
+        code, _, err = run(capsys, "compare", str(broken), str(broken))
+        assert code == 1 and err.startswith("error: invalid report JSON"), err

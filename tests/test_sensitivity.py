@@ -1,8 +1,10 @@
 """Outage sensitivity machinery tests: injections, transfer matrices, monitors."""
 
+import importlib.util
 import re
 import threading
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,8 +40,8 @@ from gridscreen.sensitivity import (
     singular_outage_branches,
     solve_outage_injection,
 )
-from gridscreen.screening import _Oracle, find_bridges, is_connected, screen
-from gridscreen.case_io import GridCase, _without_branch, build_ybus, scale_loading
+from gridscreen.screening import _Oracle, find_bridges, is_connected, oracle_outage, screen
+from gridscreen.case_io import GridCase, _without_branch, build_ybus, bundled_case, scale_loading
 from gridscreen import case_io, sensitivity
 
 import reference
@@ -790,7 +792,9 @@ def _impact_arrays(sol, lin, outages):
 
 def test_engine_live_bound_solves_again_with_equal_results(monkeypatch):
     """Buses numbered in reverse give long live ranges: the pass runs out of slots,
-    solves some buses again, and yields the bytes of a pass without the bound."""
+    solves some buses again, and yields the bytes of a pass without the bound.  Without
+    the bound the first stage's pass holds every bus and the model keeps it, so the
+    second stage solves nothing."""
     case = random_meshed(1, n_core=400, n_chords=100, n_spurs=20)
     case = replace(case, buses=case.buses[::-1])
     sol = solve_ac_powerflow(case)
@@ -810,7 +814,7 @@ def test_engine_live_bound_solves_again_with_equal_results(monkeypatch):
     monkeypatch.setattr(sensitivity, "_LIVE_BUSES", 10**6)
     lu.calls.clear()
     unbounded = _impact_arrays(sol, lin, closed)
-    assert lu.columns == 2 * 2 * distinct
+    assert lu.columns == 2 * distinct
     assert unbounded == bounded
 
 
@@ -929,7 +933,8 @@ def test_single_outage_queries_make_no_pool(sol118, lin118, monkeypatch):
 
 def test_queries_do_only_their_own_work(monkeypatch, case118):
     """On one model, every evaluate_outage call after the first makes exactly one solve of
-    four right-hand sides, and the branch table is built once per admittance matrix."""
+    four right-hand sides, and after a screen on that model none; the branch table is
+    built once per admittance matrix."""
     sol = solve_ac_powerflow(case118)
     lin = linearize_at_solution(sol)
     lu = _CountingLU(lin._lu)
@@ -952,11 +957,98 @@ def test_queries_do_only_their_own_work(monkeypatch, case118):
         evaluate_outage(sol, lin, k)
         assert len(lu.calls) == 1 and sum(lu.calls[0]) == 4, (k, lu.calls)
     assert tables == [case118.n_branch]
+    screen(case118, sol, lin)
+    for k in outages:
+        lu.calls.clear()
+        evaluate_outage(sol, lin, k)
+        assert not lu.calls, (k, lu.calls)
+    assert tables == [case118.n_branch]
     # a new matrix of the same case builds its own table, once
     other = solve_ac_powerflow(case118)
     for k in outages[:3]:
         evaluate_outage(other, linearize_at_solution(other), k)
     assert tables == [case118.n_branch] * 2
+
+
+def _same_impact(impact, other) -> bool:
+    """Whether two impacts hold the same bytes in every array and in ``cond``."""
+    return all(
+        np.asarray(getattr(impact, f.name)).tobytes() == np.asarray(getattr(other, f.name)).tobytes()
+        for f in fields(impact)
+    )
+
+
+@pytest.mark.parametrize("mode", ["full", "network"])
+@pytest.mark.parametrize("which", ["14", "118"])
+def test_queries_after_a_screen_read_its_responses(request, which, mode):
+    """A screen's pass holds every terminal bus, and the model keeps its responses, read-only:
+    every non-bridge evaluate_outage on that model then makes no solve and gives, byte for
+    byte, the same query on a fresh model and the engine's row, slack terminals included."""
+    sol = request.getfixturevalue(f"sol{which}")
+    case = sol.case
+    base = linearize_at_solution(sol, mode)
+    lu = _CountingLU(base._lu)
+    lin = replace(base, _lu=lu)
+    screen(case, sol, lin)
+    bridges = find_bridges(case)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    assert any(lin.slack in (sol.ybus.from_idx[k], sol.ybus.to_idx[k]) for k in outages)
+    resp, first = lin._responses
+    assert not resp.flags.writeable and set(first) == _terminal_buses(lin, case, outages)
+    fresh = replace(base)
+    chunks = _impact_chunks(sol, replace(base), outages)
+    rows = {int(k): chunk.impact(i) for chunk in chunks for i, k in enumerate(chunk.outages)}
+    lu.calls.clear()
+    for k in outages:
+        impact = evaluate_outage(sol, lin, k)
+        assert not lu.calls, k
+        assert _same_impact(impact, evaluate_outage(sol, fresh, k)), k
+        assert _same_impact(impact, rows[k]), k
+
+
+def test_later_passes_read_the_kept_responses(case118):
+    """An oracle_outage keeps the responses of its one outage's pass; the screen's pass holds
+    more buses and replaces them, and a second screen on the model solves no terminal and
+    gives the same report."""
+    sol = solve_ac_powerflow(case118)
+    lin = linearize_at_solution(sol)  # the solution's own model, which the oracle takes
+    lu = lin._lu = _CountingLU(lin._lu)
+    assert oracle_outage(case118, 10, sol).converged
+    assert set(lin._responses[1]) == _terminal_buses(lin, case118, [10])
+    report = screen(case118, sol, lin)
+    kept = lin._responses
+    bridges = find_bridges(case118)
+    outages = [k for k, br in enumerate(case118.branches) if br.closed and k not in bridges]
+    assert set(kept[1]) == _terminal_buses(lin, case118, outages)
+    lu.calls.clear()
+    assert screen(case118, sol, lin) == report
+    assert not lu.calls and lin._responses is kept
+
+
+def _tiling():
+    """The benchmark's tiled-case builder, ``perfbench/tiling.py``."""
+    spec = importlib.util.spec_from_file_location("tiling", Path(__file__).parents[1] / "perfbench" / "tiling.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_large_pass_keeps_no_responses():
+    """The 944-bus tiled case has more terminal buses than ``_LIVE_BUSES``: its screen plans
+    the shared slots as before, 49 of them, and the model keeps nothing."""
+    tiling = _tiling()
+    base = bundled_case("case118")
+    case = tiling.tile_case(base, tiling.slack_generation(solve_ac_powerflow(base)), 8, 1)
+    sol = solve_ac_powerflow(case)
+    lin = linearize_at_solution(sol)
+    screen(case, sol, lin)
+    assert case.n == 944 and lin._responses is None
+    bridges = find_bridges(case)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    assert len(_terminal_buses(lin, case, outages)) == 878
+    order = np.concatenate([idx for idx, *_ in _transfer_chunks(lin, case, outages, sol.ybus)])
+    _, n_slots, first = _slot_plan(lin, sol.ybus.from_idx[order], sol.ybus.to_idx[order])
+    assert n_slots == 49 and first is None
 
 
 def test_pool_shuts_down_on_error_and_early_close(sol118, lin118, monkeypatch):
