@@ -13,8 +13,9 @@ import re
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from enum import IntEnum
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
@@ -157,46 +158,100 @@ class GridCase:
         return GridCase(self.name, self.base_mva, self.buses, tuple(branches), self.generators)
 
     def validate(self) -> None:
-        """Raise :class:`CaseError` on any structural inconsistency."""
+        """Raise :class:`CaseError` on any structural inconsistency.
+
+        The error names the first fault in record order: buses, then
+        branches, then generators, and within one record its first failed
+        check.
+        """
         if self.base_mva <= 0:
             raise CaseError(f"base MVA must be positive, got {self.base_mva}")
         if not self.buses:
             raise CaseError("case has no buses")
-        seen: set[int] = set()
-        for bus in self.buses:
-            if bus.id in seen:
-                raise CaseError(f"duplicate bus id {bus.id}")
-            seen.add(bus.id)
-            if bus.v_init <= 0:
-                raise CaseError(f"bus {bus.id}: initial voltage magnitude must be positive")
-        n_slack = sum(1 for b in self.buses if b.kind == BusKind.SLACK)
+        buses, branches, gens = self.buses, self.branches, self.generators
+        repeated = np.zeros(len(buses), dtype=bool)
+        if len(self._index) < len(buses):  # some id names several buses; all but its first repeat it
+            _, first, inverse = np.unique([b.id for b in buses], return_index=True, return_inverse=True)
+            repeated = first[inverse.ravel()] != np.arange(len(buses))
+        _raise_first(
+            (repeated, lambda i: f"duplicate bus id {buses[i].id}"),
+            (
+                np.array([b.v_init for b in buses], dtype=float) <= 0,
+                lambda i: f"bus {buses[i].id}: initial voltage magnitude must be positive",
+            ),
+        )
+        kinds = _bus_kinds(buses)
+        n_slack = int((kinds == BusKind.SLACK).sum())
         if n_slack != 1:
             raise CaseError(f"case must have exactly one slack bus, found {n_slack}")
-        for i, br in enumerate(self.branches):
-            for end in (br.from_bus, br.to_bus):
-                if end not in seen:
-                    raise CaseError(f"branch {i} references unknown bus {end}")
-            if br.from_bus == br.to_bus:
-                raise CaseError(f"branch {i} connects bus {br.from_bus} to itself")
-            if br.closed and br.r == 0 and br.x == 0:
-                raise CaseError(f"branch {i} is closed with zero impedance")
-            if not br.tap > 0:
-                raise CaseError(f"branch {i} has non-positive tap ratio {br.tap}")
-        for g in self.generators:
-            if g.bus not in seen:
-                raise CaseError(f"generator references unknown bus {g.bus}")
-            if g.q_min > g.q_max:
-                raise CaseError(f"generator at bus {g.bus} has q_min > q_max")
-            if g.v_set <= 0:
-                raise CaseError(f"generator at bus {g.bus} has non-positive voltage setpoint")
-        regulated = {b.id for b in self.buses if b.kind in (BusKind.PV, BusKind.SLACK)}
-        v_set: dict[int, float] = {}
-        for g in self.generators:
-            if g.bus in regulated and v_set.setdefault(g.bus, g.v_set) != g.v_set:
-                raise CaseError(
-                    f"bus {g.bus}: generators disagree on the voltage setpoint "
-                    f"({v_set[g.bus]} vs {g.v_set})"
-                )
+        f = _bus_positions(self, [br.from_bus for br in branches], strict=False)
+        t = _bus_positions(self, [br.to_bus for br in branches], strict=False)
+        closed = np.array([br.closed for br in branches], dtype=bool)
+        r = np.array([br.r for br in branches], dtype=float)
+        x = np.array([br.x for br in branches], dtype=float)
+        tap = np.array([br.tap for br in branches], dtype=float)
+        _raise_first(
+            (f < 0, lambda i: f"branch {i} references unknown bus {branches[i].from_bus}"),
+            (t < 0, lambda i: f"branch {i} references unknown bus {branches[i].to_bus}"),
+            (f == t, lambda i: f"branch {i} connects bus {branches[i].from_bus} to itself"),
+            (closed & (r == 0) & (x == 0), lambda i: f"branch {i} is closed with zero impedance"),
+            (~(tap > 0), lambda i: f"branch {i} has non-positive tap ratio {branches[i].tap}"),
+        )
+        at = _bus_positions(self, [g.bus for g in gens], strict=False)
+        v_set = np.array([g.v_set for g in gens], dtype=float)
+        q_min = np.array([g.q_min for g in gens], dtype=float)
+        q_max = np.array([g.q_max for g in gens], dtype=float)
+        _raise_first(
+            (at < 0, lambda i: f"generator references unknown bus {gens[i].bus}"),
+            (q_min > q_max, lambda i: f"generator at bus {gens[i].bus} has q_min > q_max"),
+            (v_set <= 0, lambda i: f"generator at bus {gens[i].bus} has non-positive voltage setpoint"),
+        )
+        # the setpoint of the first generator at each bus, compared with every
+        # generator there, itself included, as a NaN setpoint differs from itself
+        buses_at, first = np.unique(at, return_index=True)
+        first_at = np.empty(len(buses))
+        first_at[buses_at] = v_set[first]
+        regulated = (kinds[at] == BusKind.PV) | (kinds[at] == BusKind.SLACK)
+        _raise_first(
+            (
+                regulated & (first_at[at] != v_set),
+                lambda i: f"bus {gens[i].bus}: generators disagree on the voltage setpoint "
+                f"({gens[first[np.searchsorted(buses_at, at[i])]].v_set} vs {gens[i].v_set})",
+            ),
+        )
+
+
+def _bus_kinds(buses) -> np.ndarray:
+    """The type code of every bus, in record order."""
+    return np.fromiter([b.kind for b in buses], dtype=np.int64, count=len(buses))
+
+
+def _raise_first(*checks: tuple[np.ndarray, Callable[[int], str]]) -> None:
+    """Raise :class:`CaseError` for the first record that fails a check.
+
+    Each check is a mask over one record list and the message of record
+    ``i``; of the checks a record fails, the first listed names it.
+    """
+    for mask, _ in checks:
+        if mask.any():
+            break
+    else:
+        return
+    failed = np.array([mask for mask, _ in checks])
+    i = int(failed.any(axis=0).argmax())
+    raise CaseError(checks[int(failed[:, i].argmax())][1](i))
+
+
+def _bus_positions(case: GridCase, ids: list, strict: bool = True) -> np.ndarray:
+    """Positional indices of the buses with external ids ``ids``.
+
+    An id that names no bus raises :class:`CaseError` as
+    :meth:`GridCase.bus_index` does, or with ``strict`` off reads -1.
+    """
+    positions = np.fromiter(map(case._index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
+    if strict and (positions < 0).any():
+        raise CaseError(f"unknown bus id {ids[int((positions < 0).argmax())]}")
+    return positions
 
 
 def _branch_index(case: GridCase, k: int) -> None:
@@ -237,6 +292,17 @@ def _strip_comment(line: str) -> str:
     return line if pos < 0 else line[:pos]
 
 
+def _integer(value: float, what: str, lineno: int) -> int:
+    """A table entry that must be a whole number, such as a bus id or type code.
+
+    A value that is not finite, or not integral, raises :class:`CaseError`
+    at line ``lineno``.
+    """
+    if not value.is_integer():
+        raise CaseError(f"{what} must be an integer, got {value!r}", line=lineno)
+    return int(value)
+
+
 def parse_case(text: str, name: str = "case") -> GridCase:
     """Parse MATPOWER-format case text into a :class:`GridCase`.
 
@@ -274,7 +340,7 @@ def parse_case(text: str, name: str = "case") -> GridCase:
             if not row_text:
                 continue
             try:
-                row = [float(tok) for tok in row_text.split()]
+                row = list(map(float, row_text.split()))
             except ValueError:
                 raise CaseError(f"malformed numeric row in mpc.{current}", line=lineno) from None
             if len(row) < _MIN_COLS[current]:
@@ -294,16 +360,17 @@ def parse_case(text: str, name: str = "case") -> GridCase:
     base = base_mva
     buses = []
     for lineno, row in tables["bus"]:
-        code = int(row[1])
+        bus_id = _integer(row[0], "bus id", lineno)
+        code = _integer(row[1], "bus type code", lineno)
         try:
             kind = BusKind(code)
         except ValueError:
-            raise CaseError(f"bus {int(row[0])} has unknown type code {code}", line=lineno) from None
+            raise CaseError(f"bus {bus_id} has unknown type code {code}", line=lineno) from None
         if row[7] <= 0:
-            raise CaseError(f"bus {int(row[0])} has non-positive voltage magnitude", line=lineno)
+            raise CaseError(f"bus {bus_id} has non-positive voltage magnitude", line=lineno)
         buses.append(
             Bus(
-                id=int(row[0]),
+                id=bus_id,
                 kind=kind,
                 p_load=row[2] / base,
                 q_load=row[3] / base,
@@ -317,11 +384,12 @@ def parse_case(text: str, name: str = "case") -> GridCase:
     # out-of-service units are dropped here so downstream code never sees them
     generators = []
     for lineno, row in tables["gen"]:
+        bus_id = _integer(row[0], "generator bus", lineno)
         if row[7] <= 0:
             continue
         generators.append(
             Generator(
-                bus=int(row[0]),
+                bus=bus_id,
                 p_set=row[1] / base,
                 v_set=row[5],
                 q_min=row[4] / base,
@@ -334,8 +402,8 @@ def parse_case(text: str, name: str = "case") -> GridCase:
         ratio = row[8]
         branches.append(
             Branch(
-                from_bus=int(row[0]),
-                to_bus=int(row[1]),
+                from_bus=_integer(row[0], "branch from bus", lineno),
+                to_bus=_integer(row[1], "branch to bus", lineno),
                 r=row[2],
                 x=row[3],
                 b_charging=row[4],
@@ -355,7 +423,7 @@ def load_case(path: str | Path) -> GridCase:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CaseError(f"cannot read case file {path}: {exc}") from exc
     if path.suffix.lower() == ".json":
         return case_from_json(text)
@@ -465,7 +533,7 @@ def case_to_json(case: GridCase) -> str:
 def case_from_json(text: str) -> GridCase:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer beyond Python's digit limit
         raise CaseError(f"invalid case JSON: {exc}") from exc
     return case_from_dict(data)
 
@@ -478,17 +546,67 @@ def branch_admittances(branch: Branch) -> tuple[complex, complex, complex, compl
     Terminal currents follow from the terminal voltages as
     ``I_f = yff*V_f + yft*V_t`` and ``I_t = ytf*V_f + ytt*V_t``, with both
     currents oriented into the branch.  Open branches return four zeros.
+    A one-branch call of the stamps :func:`build_ybus` builds.
     """
-    if not branch.closed:
-        return 0j, 0j, 0j, 0j
-    ys = 1.0 / complex(branch.r, branch.x)
-    bc = 1j * branch.b_charging / 2.0
-    tap = branch.tap * complex(math.cos(branch.shift), math.sin(branch.shift))
-    yff = (ys + bc) / (branch.tap * branch.tap)
-    yft = -ys / tap.conjugate()
-    ytf = -ys / tap
-    ytt = ys + bc
-    return yff, yft, ytf, ytt
+    return tuple(complex(y[0]) for y in _branch_stamps((branch,)))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array of the given parts, bit for bit (``re + 1j * im`` may flip a signed zero)."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _c_prod(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """Parts of ``a * b``, multiplied as CPython multiplies complex numbers."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_quot(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """Parts of ``a / b``, divided as CPython divides complex numbers (Smith's method).
+
+    NumPy's complex division multiplies by a reciprocal, so its quotients
+    can differ from CPython's in the last bit.
+    """
+    ar, ai, br, bi = (np.asarray(part, dtype=float) for part in (ar, ai, br, bi))
+    wide = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wide, bi / br, br / bi)
+        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+        re = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _branch_stamps(branches) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Two-port admittances ``(yff, yft, ytf, ytt)`` of every branch, zeros for open ones.
+
+    The fields are read once into arrays and combined in real arithmetic
+    that repeats CPython's complex operations step by step, so every stamp
+    equals the scalar complex formula of its branch bit for bit.  A closed
+    branch with zero impedance raises :class:`CaseError`.
+    """
+    r = np.array([br.r for br in branches], dtype=float)
+    x = np.array([br.x for br in branches], dtype=float)
+    b_charging = np.array([br.b_charging for br in branches], dtype=float)
+    tap = np.array([br.tap for br in branches], dtype=float)
+    shift = np.array([br.shift for br in branches], dtype=float)
+    closed = np.array([br.closed for br in branches], dtype=bool)
+    short = closed & (r == 0) & (x == 0)
+    if short.any():
+        raise CaseError(f"branch {int(short.argmax())} is closed with zero impedance")
+    cos, sin = np.ones(len(shift)), np.zeros(len(shift))
+    for i in np.flatnonzero(shift):  # math's cos and sin, as the scalar formula; NumPy's may round otherwise
+        cos[i], sin[i] = math.cos(shift[i]), math.sin(shift[i])
+    ys = _c_quot(1.0, 0.0, r, x)  # 1 / (r + jx)
+    bc = _c_quot(*_c_prod(0.0, 1.0, b_charging, 0.0), 2.0, 0.0)  # 1j * b / 2
+    ratio = _c_prod(tap, 0.0, cos, sin)  # tap * (cos + j sin)
+    ys_bc = (ys[0] + bc[0], ys[1] + bc[1])
+    yff = _c_quot(*ys_bc, tap * tap, 0.0)
+    yft = _c_quot(-ys[0], -ys[1], ratio[0], -ratio[1])
+    ytf = _c_quot(-ys[0], -ys[1], *ratio)
+    return tuple(np.where(closed, _complex(*y), 0j) for y in (yff, yft, ytf, ys_bc))
 
 
 # a branch block is the 2x2 real form of multiplication by each admittance:
@@ -555,19 +673,12 @@ def build_ybus(case: GridCase) -> AdmittanceMatrix:
     without line charging, bus shunts, off-nominal taps and phase shifts;
     every row of it sums to zero.
     """
-    n = case.n
-    m = len(case.branches)
-    from_idx = np.fromiter((case.bus_index(br.from_bus) for br in case.branches), dtype=np.int64, count=m)
-    to_idx = np.fromiter((case.bus_index(br.to_bus) for br in case.branches), dtype=np.int64, count=m)
-    yff = np.zeros(m, dtype=complex)
-    yft = np.zeros(m, dtype=complex)
-    ytf = np.zeros(m, dtype=complex)
-    ytt = np.zeros(m, dtype=complex)
-    for i, br in enumerate(case.branches):
-        yff[i], yft[i], ytf[i], ytt[i] = branch_admittances(br)
-
-    y_shunt = np.array([complex(b.g_shunt, b.b_shunt) for b in case.buses])
-    return _assemble_ybus(n, from_idx, to_idx, yff, yft, ytf, ytt, y_shunt)
+    from_idx = _bus_positions(case, [br.from_bus for br in case.branches])
+    to_idx = _bus_positions(case, [br.to_bus for br in case.branches])
+    y_shunt = _complex(
+        np.array([b.g_shunt for b in case.buses], dtype=float), np.array([b.b_shunt for b in case.buses], dtype=float)
+    )
+    return _assemble_ybus(case.n, from_idx, to_idx, *_branch_stamps(case.branches), y_shunt)
 
 
 def _without_branch(ybus: AdmittanceMatrix, branch_idx: int) -> AdmittanceMatrix:

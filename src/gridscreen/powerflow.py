@@ -24,7 +24,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .case_io import AdmittanceMatrix, BusKind, GridCase, _closed_branch, build_ybus
+from .case_io import (
+    AdmittanceMatrix,
+    BusKind,
+    GridCase,
+    _bus_kinds,
+    _bus_positions,
+    _closed_branch,
+    _complex,
+    build_ybus,
+)
 from .errors import DivergenceError, PowerFlowError, SingularSystemError
 
 logger = logging.getLogger(__name__)
@@ -113,6 +122,14 @@ class _CscPattern:
     result equals ``coo_matrix((vals, (rows, cols))).tocsc()`` bit for bit,
     explicit zeros included, as long as no position holds more than two
     entries: a sum of two floats does not depend on their order.
+
+    :meth:`factorize` orders the columns once per pattern.  SuperLU's
+    column order (COLAMD, then an elimination-tree post-order) depends on
+    the positions of the entries only, not on their values, so the order
+    the first factorization returns is the order of every later one, and
+    later factorizations reuse it exactly as SuperLU returned it.  Every
+    copy of the pattern, such as a :meth:`_NewtonProblem.with_ybus`
+    layout, shares it.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, size: int):
@@ -131,11 +148,70 @@ class _CscPattern:
         self._first = order[start]
         self._pair = np.flatnonzero(count == 2)
         self._second = order[start[self._pair] + 1]
+        # the first factorization's column permutation, and this layout
+        # permuted by it (see factorize)
+        self._ordered: tuple[np.ndarray, _CscPattern] | None = None
 
     def matrix(self, vals: np.ndarray) -> sp.csc_matrix:
         data = vals[self._first]
         data[self._pair] += vals[self._second]
         return sp.csc_matrix((data, self._indices.copy(), self._indptr.copy()), shape=self.shape)
+
+    def factorize(self, vals: np.ndarray):
+        """SuperLU factors of :meth:`matrix` ``(vals)``, in the column order of this pattern.
+
+        The first call lets SuperLU order the columns and keeps its
+        ``perm_c``.  A later call factorizes ``P A P^T`` under
+        ``permc_spec="NATURAL"``, with ``P`` the permutation that moves row
+        and column ``i`` to ``perm_c[i]``.  With NATURAL, SciPy skips the
+        post-order, so the stored order is used exactly as returned.  The
+        rows are permuted with the columns so that SuperLU's diagonal pivot
+        preference, which decides a tie for a column's largest entry, names
+        the same entry as in a fresh factorization; each column lists its
+        entries in the order of this layout, unsorted, so SuperLU visits
+        them in the same order.  The pivots, the factors and every solve
+        are then those of a fresh ``splu(matrix(vals))``, bit for bit.
+        Raises ``RuntimeError`` on a singular matrix.
+        """
+        if self._ordered is None:
+            lu = splu(self.matrix(vals))
+            perm_c = lu.perm_c.copy()  # a view of perm_c would keep the factors alive
+            self._ordered = (perm_c, self._permuted(perm_c))
+            return lu
+        perm_c, ordered = self._ordered
+        matrix = ordered.matrix(vals)
+        matrix.has_canonical_format = True  # keeps splu from sorting the row indices of each column
+        return _PermutedLU(splu(matrix, permc_spec="NATURAL"), perm_c)
+
+    def _permuted(self, perm_c: np.ndarray) -> "_CscPattern":
+        """This layout with row and column ``i`` moved to ``perm_c[i]``; each column keeps its entry order."""
+        order = np.argsort(perm_c)
+        counts = np.diff(self._indptr)[order]
+        indptr = np.r_[0, np.cumsum(counts)]
+        # the position in this layout of each entry of the permuted one
+        gather = np.repeat(self._indptr[order] - indptr[:-1], counts) + np.arange(indptr[-1])
+        moved_to = np.empty_like(gather)
+        moved_to[gather] = np.arange(len(gather))
+        permuted = copy.copy(self)
+        permuted._indices = perm_c[self._indices[gather]].astype(self._indices.dtype)
+        permuted._indptr = indptr.astype(self._indptr.dtype)
+        permuted._first = self._first[gather]
+        permuted._pair = moved_to[self._pair]
+        permuted._ordered = None
+        return permuted
+
+
+class _PermutedLU:
+    """Factors of ``P A P^T``, where ``P`` moves row ``i`` to ``perm_c[i]``; :meth:`solve` solves ``A x = b``."""
+
+    def __init__(self, lu, perm_c: np.ndarray):
+        self._lu = lu
+        self._perm_c = perm_c
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        permuted = np.empty_like(rhs)
+        permuted[self._perm_c] = rhs
+        return self._lu.solve(permuted)[self._perm_c]
 
 
 @dataclass
@@ -174,45 +250,42 @@ class _NewtonProblem:
         self.slack = case.slack_index()
         slack_bus = case.buses[self.slack]
 
-        p_fix = np.array([-b.p_load for b in case.buses])
-        q_fix = np.array([-b.q_load for b in case.buses])
-        i_fix = np.array([-complex(b.i_load_r, b.i_load_i) for b in case.buses])
+        buses, gens = case.buses, case.generators
+        p_fix = -np.array([b.p_load for b in buses], dtype=float)
+        q_fix = -np.array([b.q_load for b in buses], dtype=float)
+        i_load_r = np.array([b.i_load_r for b in buses], dtype=float)
+        i_fix = _complex(-i_load_r, -np.array([b.i_load_i for b in buses], dtype=float))
 
-        gens_at: dict[int, list] = {}
-        for g in case.generators:
-            gens_at.setdefault(case.bus_index(g.bus), []).append(g)
+        # each bus's generators in record order: their summed output and
+        # limits, and the setpoint of the first
+        at = _bus_positions(case, [g.bus for g in gens])
+        np.add.at(p_fix, at, np.array([g.p_set for g in gens], dtype=float))
+        gen_buses, first = np.unique(at, return_index=True)
+        bus_vset = np.zeros(n)
+        bus_vset[gen_buses] = np.array([g.v_set for g in gens], dtype=float)[first]
+        bus_qmin, bus_qmax = np.zeros(n), np.zeros(n)
+        np.add.at(bus_qmin, at, np.array([g.q_min for g in gens], dtype=float))
+        np.add.at(bus_qmax, at, np.array([g.q_max for g in gens], dtype=float))
+        pinned = np.fromiter(self.q_pinned, dtype=np.int64, count=len(self.q_pinned))
+        q_fix[pinned] += np.fromiter(self.q_pinned.values(), dtype=float, count=len(pinned))
 
-        pv: list[int] = []
-        vset: list[float] = []
-        qmin: list[float] = []
-        qmax: list[float] = []
-        for k, bus in enumerate(case.buses):
-            gens = gens_at.get(k, [])
-            for g in gens:
-                p_fix[k] += g.p_set
-            if k == self.slack:
-                continue
-            if bus.kind == BusKind.PV and gens and k not in self.q_pinned:
-                pv.append(k)
-                vset.append(gens[0].v_set)
-                qmin.append(sum(g.q_min for g in gens))
-                qmax.append(sum(g.q_max for g in gens))
-        for k, q in self.q_pinned.items():
-            q_fix[k] += q
-
-        self.pv = np.array(pv, dtype=np.int64)
-        self.pv_vset = np.array(vset)
-        self.pv_qmin = np.array(qmin)
-        self.pv_qmax = np.array(qmax)
+        is_pv = np.zeros(n, dtype=bool)
+        is_pv[gen_buses] = _bus_kinds(buses)[gen_buses] == BusKind.PV
+        is_pv[self.slack] = False
+        is_pv[pinned] = False
+        self.pv = np.flatnonzero(is_pv)
+        self.pv_vset = bus_vset[self.pv]
+        self.pv_qmin = bus_qmin[self.pv]
+        self.pv_qmax = bus_qmax[self.pv]
         self.p_fix = p_fix
         self.q_fix = q_fix
         self.i_fix = i_fix
 
-        v_slack = gens_at[self.slack][0].v_set if gens_at.get(self.slack) else slack_bus.v_init
+        v_slack = float(bus_vset[self.slack]) if self.slack in gen_buses else slack_bus.v_init
         self.slack_v = v_slack * complex(math.cos(slack_bus.theta_init), math.sin(slack_bus.theta_init))
 
         self.size = 2 * n + len(self.pv)
-        self._device_idx = np.array([k for k in range(n) if k != self.slack], dtype=np.int64)
+        self._device_idx = np.delete(np.arange(n), self.slack)
         self._static = _pinned_network(ybus.matrix, self.slack)
         self._pattern = _CscPattern(*self._entry_positions(), self.size)
 
@@ -365,8 +438,9 @@ class _NewtonProblem:
         return self._pattern.matrix(self._entries(x))
 
     def factorize(self, x: np.ndarray):
+        """LU factors of the Jacobian at ``x``, in the column order of its pattern (see :class:`_CscPattern`)."""
         try:
-            return splu(self.jacobian(x))
+            return self._pattern.factorize(self._entries(x))
         except RuntimeError as exc:
             raise SingularSystemError(f"singular power flow Jacobian: {exc}") from exc
 
@@ -570,14 +644,19 @@ def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) 
 
     n = case.n
     v = state_to_complex(x, n)
-    q_gen = np.zeros(n)
+    kinds = _bus_kinds(case.buses)
+    own = kinds != BusKind.PQ
+    own[problem.slack] = True
+    pinned = np.fromiter(q_pinned, dtype=np.int64, count=len(q_pinned))
+    own[pinned] = True
+    kinds[pinned] = int(BusKind.PQ)
+    # the reactive power of the constant-current loads, Im(v * conj(i_load)),
+    # multiplied as NumPy multiplies two complex scalars: its array product
+    # may fuse the parts into other bits
+    i_load_conj = np.conj(-problem.i_fix)
+    q_current = v.real * i_load_conj.imag + v.imag * i_load_conj.real
     s_net = v * np.conj(ybus.matrix @ v)
-    for k, bus in enumerate(case.buses):
-        if k == problem.slack or case.buses[k].kind != BusKind.PQ or k in q_pinned:
-            q_gen[k] = s_net.imag[k] + bus.q_load + (v[k] * np.conj(-problem.i_fix[k])).imag
-    kinds = np.array([int(b.kind) for b in case.buses])
-    for k in q_pinned:
-        kinds[k] = int(BusKind.PQ)
+    q_gen = np.where(own, s_net.imag + np.array([b.q_load for b in case.buses], dtype=float) + q_current, 0.0)
 
     return PowerFlowSolution(
         case=case,

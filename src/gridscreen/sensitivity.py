@@ -47,7 +47,7 @@ from itertools import chain
 
 import numpy as np
 
-from .case_io import AdmittanceMatrix, GridCase, _branch_blocks, _closed_branch, branch_admittances, build_ybus
+from .case_io import AdmittanceMatrix, GridCase, _branch_blocks, _branch_stamps, _closed_branch, build_ybus
 from .errors import IslandingError, SingularSystemError
 from .powerflow import (
     BranchTerminalCurrents,
@@ -176,7 +176,7 @@ def branch_current_jacobian(case: GridCase, branch_idx: int) -> BranchCurrentJac
     _closed_branch(case, branch_idx)
     br = case.branches[branch_idx]
     ends = (np.array([case.bus_index(br.from_bus)]), np.array([case.bus_index(br.to_bus)]))
-    rows, blocks = _branch_blocks(*ends, *np.array([branch_admittances(br)]).T)
+    rows, blocks = _branch_blocks(*ends, *_branch_stamps((br,)))
     return BranchCurrentJacobian(branch=branch_idx, rows=rows[0], block=blocks[0])
 
 

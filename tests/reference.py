@@ -7,6 +7,7 @@ loops, deliberately independent of the package's vectorized code paths.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -15,12 +16,16 @@ from gridscreen.powerflow import PowerFlowSolution
 
 
 def branch_pi_admittances(branch):
-    """Two-port admittances of one branch from the series/shunt data."""
+    """Two-port admittances of one branch from the series/shunt data.
+
+    The scalar complex formula that ``case_io`` evaluates in arrays; its
+    stamps must equal these bit for bit.
+    """
     if not branch.closed:
         return 0j, 0j, 0j, 0j
     ys = 1.0 / complex(branch.r, branch.x)
     bc = 1j * branch.b_charging / 2.0
-    tap = branch.tap * cmath.exp(1j * branch.shift)
+    tap = branch.tap * complex(math.cos(branch.shift), math.sin(branch.shift))
     yff = (ys + bc) / (branch.tap * branch.tap)
     yft = -ys / tap.conjugate()
     ytf = -ys / tap
@@ -119,3 +124,88 @@ def directional_derivative(func, x: np.ndarray, direction: np.ndarray, step: flo
     hi = func(x + step * direction)
     lo = func(x - step * direction)
     return (np.asarray(hi) - np.asarray(lo)) / (2.0 * step)
+
+
+def newton_layout(case: GridCase, q_pinned: dict[int, float]) -> dict:
+    """The per-bus Newton data of ``powerflow._NewtonProblem``, record by record.
+
+    ``p_fix``/``q_fix``/``i_fix`` are the constant injections (generation
+    minus load, pinned reactive injections included), ``pv`` the buses that
+    hold their voltage with its first generator's setpoint and the summed
+    reactive limits, and ``slack_v`` the slack bus's complex voltage.
+    """
+    slack = case.slack_index()
+    p_fix = np.array([-b.p_load for b in case.buses])
+    q_fix = np.array([-b.q_load for b in case.buses])
+    i_fix = np.array([-complex(b.i_load_r, b.i_load_i) for b in case.buses])
+    pv, vset, qmin, qmax = [], [], [], []
+    for k, bus in enumerate(case.buses):
+        gens = case.generators_at(bus.id)
+        for g in gens:
+            p_fix[k] += g.p_set
+        if k != slack and bus.kind == BusKind.PV and gens and k not in q_pinned:
+            pv.append(k)
+            vset.append(gens[0].v_set)
+            qmin.append(sum(g.q_min for g in gens))
+            qmax.append(sum(g.q_max for g in gens))
+    for k, q in q_pinned.items():
+        q_fix[k] += q
+    slack_bus = case.buses[slack]
+    slack_gens = case.generators_at(slack_bus.id)
+    v_slack = slack_gens[0].v_set if slack_gens else slack_bus.v_init
+    return {
+        "pv": np.array(pv, dtype=np.int64),
+        "pv_vset": np.array(vset, dtype=float),
+        "pv_qmin": np.array(qmin, dtype=float),
+        "pv_qmax": np.array(qmax, dtype=float),
+        "p_fix": p_fix,
+        "q_fix": q_fix,
+        "i_fix": i_fix,
+        "slack_v": np.array([v_slack * complex(math.cos(slack_bus.theta_init), math.sin(slack_bus.theta_init))]),
+    }
+
+
+def first_case_fault(case: GridCase) -> str | None:
+    """The message of the first structural fault of ``case``, checked record by record.
+
+    Buses come first, then the slack count, branches, generators and the
+    generator setpoints; within one record the checks run in the order
+    below.  None for a valid case.
+    """
+    if case.base_mva <= 0:
+        return f"base MVA must be positive, got {case.base_mva}"
+    if not case.buses:
+        return "case has no buses"
+    seen: set = set()
+    for bus in case.buses:
+        if bus.id in seen:
+            return f"duplicate bus id {bus.id}"
+        seen.add(bus.id)
+        if bus.v_init <= 0:
+            return f"bus {bus.id}: initial voltage magnitude must be positive"
+    n_slack = sum(1 for b in case.buses if b.kind == BusKind.SLACK)
+    if n_slack != 1:
+        return f"case must have exactly one slack bus, found {n_slack}"
+    for i, br in enumerate(case.branches):
+        for end in (br.from_bus, br.to_bus):
+            if end not in seen:
+                return f"branch {i} references unknown bus {end}"
+        if br.from_bus == br.to_bus:
+            return f"branch {i} connects bus {br.from_bus} to itself"
+        if br.closed and br.r == 0 and br.x == 0:
+            return f"branch {i} is closed with zero impedance"
+        if not br.tap > 0:
+            return f"branch {i} has non-positive tap ratio {br.tap}"
+    for g in case.generators:
+        if g.bus not in seen:
+            return f"generator references unknown bus {g.bus}"
+        if g.q_min > g.q_max:
+            return f"generator at bus {g.bus} has q_min > q_max"
+        if g.v_set <= 0:
+            return f"generator at bus {g.bus} has non-positive voltage setpoint"
+    regulated = {b.id for b in case.buses if b.kind in (BusKind.PV, BusKind.SLACK)}
+    v_set: dict = {}
+    for g in case.generators:
+        if g.bus in regulated and v_set.setdefault(g.bus, g.v_set) != g.v_set:
+            return f"bus {g.bus}: generators disagree on the voltage setpoint ({v_set[g.bus]} vs {g.v_set})"
+    return None

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridscreen.case_io import (
     Branch,
@@ -25,7 +27,8 @@ from gridscreen.case_io import (
 )
 from gridscreen.errors import CaseError
 
-from gridbuild import NON_INTEGER_INDICES, triangle, two_bus
+import reference
+from gridbuild import NON_INTEGER_INDICES, random_meshed, triangle, two_bus, with_devices
 
 MINI_CASE = """\
 function mpc = mini
@@ -95,6 +98,34 @@ def test_parse_rejects_short_rows():
     )
     with pytest.raises(CaseError, match="column"):
         parse_case(broken)
+
+
+@pytest.mark.parametrize("value", ["1.5", "inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "row, edited, line",
+    [
+        ("    2  1  90  30", "    {}  1  90  30", 7),  # bus id
+        ("    2  1  90  30", "    2  {}  90  30", 7),  # bus type
+        ("    1  50  0  300", "    {}  50  0  300", 11),  # generator bus
+        ("    2  10  0  100", "    {}  10  0  100", 12),  # generator bus, out of service
+        ("    1  2  0.01", "    {}  2  0.01", 16),  # branch from bus
+        ("    2  1  0.02", "    2  {}  0.02", 17),  # branch to bus
+    ],
+    ids=["bus-id", "bus-type", "gen-bus", "gen-bus-off", "branch-from", "branch-to"],
+)
+def test_parse_rejects_non_integer_ids_and_codes(row, edited, line, value):
+    """Bus ids, bus types and branch and generator buses are whole numbers: a fraction or a
+    value that is not finite raises CaseError at its line, where ``int`` would truncate it or
+    raise OverflowError or ValueError."""
+    assert MINI_CASE.count(row) == 1
+    with pytest.raises(CaseError, match=f"^line {line}: .* must be an integer, got {value}$"):
+        parse_case(MINI_CASE.replace(row, edited.format(value)))
+
+
+def test_parse_accepts_integral_floats():
+    case = parse_case(MINI_CASE.replace("    2  1  90  30", "    2.0  1e0  90  30"))
+    assert case == parse_case(MINI_CASE)
+    assert type(case.buses[1].id) is int
 
 
 def test_parse_requires_tables():
@@ -207,6 +238,74 @@ def test_validate_accepts_open_zero_impedance_branch():
         case.generators,
     )
     case.validate()
+
+
+# one fault each: (record list, what to change); ``pick`` chooses a record
+_FAULTS = {
+    "duplicate-id": ("buses", lambda c, i, pick: {"id": c.buses[pick(c.n)].id}),
+    "v_init": ("buses", lambda c, i, pick: {"v_init": -0.5}),
+    "second-slack": ("buses", lambda c, i, pick: {"kind": BusKind.SLACK}),
+    "unknown-from": ("branches", lambda c, i, pick: {"from_bus": 10**6}),
+    "unknown-to": ("branches", lambda c, i, pick: {"to_bus": 10**6 + 1}),
+    "self-loop": ("branches", lambda c, i, pick: {"to_bus": c.branches[i].from_bus}),
+    "short": ("branches", lambda c, i, pick: {"r": 0.0, "x": 0.0, "closed": True}),
+    "tap": ("branches", lambda c, i, pick: {"tap": [0.0, -1.0, math.nan][pick(3)]}),
+    "unknown-gen-bus": ("generators", lambda c, i, pick: {"bus": 10**6 + 2}),
+    "q-limits": ("generators", lambda c, i, pick: {"q_min": 1.0, "q_max": -1.0}),
+    "v_set": ("generators", lambda c, i, pick: {"v_set": 0.0}),
+    "setpoint": ("generators", lambda c, i, pick: {"bus": c.generators[pick(len(c.generators))].bus, "v_set": 1.1}),
+}
+
+
+def _with_fault(case: GridCase, name: str, pick) -> GridCase:
+    field, change = _FAULTS[name]
+    records = list(getattr(case, field))
+    if not records:
+        return case
+    i = pick(len(records))
+    records[i] = replace(records[i], **change(case, i, pick))
+    return replace(case, **{field: tuple(records)})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(2, 12),
+    faults=st.lists(st.sampled_from(sorted(_FAULTS)), min_size=2, max_size=2),
+    picks=st.lists(st.integers(0, 10**6), min_size=8, max_size=8),
+)
+def test_validate_names_the_first_of_two_faults(seed, n_core, faults, picks):
+    """With two faults anywhere in a case, ``validate`` names the first in record order, in the
+    words of a record-by-record check."""
+    rng = np.random.default_rng(seed)
+    case = with_devices(random_meshed(seed, n_core, 3, 1, 2, 1), rng)
+    draws = iter(picks)
+
+    def pick(size: int) -> int:
+        return next(draws) % size
+
+    for name in faults:
+        case = _with_fault(case, name, pick)
+    expected = reference.first_case_fault(case)
+    if expected is None:  # the two faults undid each other, e.g. a repeated setpoint
+        case.validate()
+        return
+    with pytest.raises(CaseError) as err:
+        case.validate()
+    assert str(err.value) == expected
+
+
+def test_validate_checks_each_record_in_order():
+    """Within one record the first failed check is named; across records the first record."""
+    base = triangle()
+    bus = replace(base.buses[1], id=base.buses[0].id, v_init=0.0)
+    with pytest.raises(CaseError, match="^duplicate bus id"):
+        replace(base, buses=(base.buses[0], bus, base.buses[2])).validate()
+    branches = (replace(base.branches[0], tap=-1.0), replace(base.branches[1], to_bus=99, r=0.0, x=0.0))
+    with pytest.raises(CaseError, match="^branch 0 has non-positive tap"):
+        replace(base, branches=branches + base.branches[2:]).validate()
+    with pytest.raises(CaseError, match="^branch 0 references unknown bus 99$"):  # before its zero impedance
+        replace(base, branches=branches[::-1] + base.branches[2:]).validate()
 
 
 def test_bundled_case14_matches_published_shape(case14):
@@ -424,6 +523,63 @@ def test_scale_loading_scales_demand_and_dispatch():
     assert scaled.buses[1].i_load_i == pytest.approx(-0.075)
     assert scaled.generators[0].p_set == pytest.approx(0.6)
     assert scaled.generators[0].v_set == pytest.approx(1.01)
+
+
+def _stamp_bits(stamps) -> list[bytes]:
+    return [np.asarray(y, dtype=complex).tobytes() for y in stamps]
+
+
+def _reference_stamps(branches) -> list[bytes]:
+    pi = [reference.branch_pi_admittances(br) for br in branches]
+    return _stamp_bits(zip(*pi)) if pi else _stamp_bits([[]] * 4)
+
+
+@pytest.mark.parametrize("name", ["case14", "case118"])
+def test_ybus_stamps_equal_the_scalar_formula_on_bundled_cases(name):
+    """The array-built stamps are the scalar complex formula of each branch, bit for bit."""
+    case = bundled_case(name)
+    ybus = build_ybus(case)
+    assert _stamp_bits((ybus.yff, ybus.yft, ybus.ytf, ybus.ytt)) == _reference_stamps(case.branches)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(1, 16),
+    n_parallel=st.integers(0, 3),
+    n_open=st.integers(0, 3),
+)
+def test_ybus_stamps_equal_the_scalar_formula(seed, n_core, n_parallel, n_open):
+    """Random networks with taps, phase shifts of both signs, open branches, zero resistance,
+    zero or negative reactance and charging, and signed zeros: every stamp, and
+    ``branch_admittances`` of every branch, equals the scalar formula bit for bit."""
+    rng = np.random.default_rng(seed)
+    case = random_meshed(seed, n_core, 3, n_parallel, 2, n_open)
+    branches = []
+    for br in case.branches:
+        u = rng.random(6)
+        br = replace(
+            br,
+            r=0.0 if u[0] < 0.25 else br.r,
+            x=-br.x if u[1] < 0.1 else br.x,
+            shift=[0.0, -0.0, float(rng.uniform(-0.7, 0.7))][int(u[2] * 3)],
+            tap=float(rng.uniform(0.8, 1.2)) if u[3] < 0.4 else br.tap,
+            b_charging=[0.0, -0.0, br.b_charging, float(rng.normal(scale=0.2))][int(u[4] * 4)],
+        )
+        if u[5] < 0.05:
+            br = replace(br, r=0.0, x=0.0, closed=False)
+        branches.append(br)
+    case = replace(case, branches=tuple(branches))
+    ybus = build_ybus(case)
+    assert _stamp_bits((ybus.yff, ybus.yft, ybus.ytf, ybus.ytt)) == _reference_stamps(branches)
+    for br in branches:
+        assert _stamp_bits(branch_admittances(br)) == _stamp_bits(reference.branch_pi_admittances(br))
+
+
+def test_ybus_rejects_a_closed_branch_without_impedance():
+    case = two_bus(r=0.0, x=0.0)
+    with pytest.raises(CaseError, match="branch 0 is closed with zero impedance"):
+        build_ybus(case)
 
 
 def test_branch_admittances_plain_line():

@@ -44,6 +44,41 @@ def test_missing_case_file_exits_one(capsys):
     assert "error:" in err
 
 
+def test_undecodable_case_file_exits_one(tmp_path, capsys):
+    """A case file that is no UTF-8 text is a case error, for either reader."""
+    for name in ("case.m", "case.json"):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "solve", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read case file {bad}") and "Traceback" not in err, err
+
+
+def test_case_json_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
+    """``json.loads`` refuses an integer of more than 4300 digits with a ValueError; it is a case error."""
+    doc = case_to_json(two_bus())
+    bad = tmp_path / "huge.json"
+    bad.write_text(doc.replace('"base_mva":100.0', '"base_mva":' + "9" * 5000))
+    assert bad.read_text() != doc
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid case JSON") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "2.5"])
+def test_non_integer_bus_id_exits_one(tmp_path, capsys, value):
+    """A bus id that is not a whole number is named with its line, not a traceback or a truncation."""
+    lines = open(CASE14).read().splitlines()
+    row = lines.index("mpc.bus = [") + 2  # bus 2
+    assert lines[row].split()[0] == "2"
+    lines[row] = lines[row].replace("2", value, 1)
+    bad = tmp_path / "case.m"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: line {row + 1}: bus id must be an integer, got {value}"), err
+
+
 def test_solve_csv_layout(capsys):
     code, out, _ = run(capsys, "solve", CASE14)
     assert code == 0

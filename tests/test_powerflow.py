@@ -1,14 +1,16 @@
 """Newton solver, linear model extraction and branch quantity tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridscreen.case_io import Bus, BusKind, GridCase, _without_branch, build_ybus
+from gridscreen.case_io import Bus, BusKind, Generator, GridCase, _without_branch, build_ybus, bundled_case
 from gridscreen import powerflow
 from gridscreen.errors import DivergenceError, PowerFlowError, SingularSystemError
 from gridscreen.powerflow import (
@@ -443,3 +445,161 @@ def test_stacked_residual_rows_equal_single_residuals(seed, n_core, n_chords, n_
     assert np.isnan(stacked[2]).all()
     with pytest.raises(DivergenceError, match="collapsed"):
         problem.residual(x[2])
+
+
+# -- the Newton set-up built from arrays, and one column order per pattern ---------
+
+
+def _limited(case: GridCase, rng: np.random.Generator) -> GridCase:
+    """``case`` with finite reactive limits on every generator and a second unit at some of them."""
+    gens = []
+    for g in case.generators:
+        gens.append(replace(g, q_min=-float(rng.uniform(0.0, 0.3)), q_max=float(rng.uniform(0.0, 0.3))))
+        if rng.random() < 0.3:
+            gens.append(Generator(g.bus, p_set=float(rng.uniform(0.0, 0.1)), v_set=g.v_set, q_min=-0.05, q_max=0.05))
+    return replace(case, generators=tuple(gens))
+
+
+def _draw(seed: int, n_core: int, n_chords: int, n_spurs: int, limited: bool, ties: bool = False) -> GridCase:
+    """A random network with devices; with ``ties`` its Jacobian columns hold entries of equal
+    magnitude: half the load buses carry no load, and most lines have no charging, some with
+    r > x."""
+    rng = np.random.default_rng(seed)
+    case = with_devices(random_meshed(seed, n_core, n_chords, 1, n_spurs, 1), rng)
+    if ties:
+        buses = [replace(b, p_load=0.0, q_load=0.0) if b.kind == BusKind.PQ and rng.random() < 0.5 else b for b in case.buses]
+        branches = [
+            replace(br, b_charging=0.0, r=1.5 * br.x if rng.random() < 0.3 else br.r) if rng.random() < 0.6 else br
+            for br in case.branches
+        ]
+        case = replace(case, buses=tuple(buses), branches=tuple(branches))
+    return _limited(case, rng) if limited else case
+
+
+def _layout_bits(problem: _NewtonProblem) -> dict[str, tuple[str, bytes]]:
+    names = ("pv", "pv_vset", "pv_qmin", "pv_qmax", "p_fix", "q_fix", "i_fix")
+    bits = {name: (getattr(problem, name).dtype.str, getattr(problem, name).tobytes()) for name in names}
+    bits["slack_v"] = ("<c16", np.array([problem.slack_v]).tobytes())
+    return bits
+
+
+@pytest.mark.parametrize("name", ["case14", "case118"])
+def test_newton_layout_equals_per_record_reference_on_bundled_cases(name):
+    case = bundled_case(name)
+    for q_pinned in ({}, {int(k): 0.1 * (-1) ** int(k) for k in _NewtonProblem(case, build_ybus(case)).pv[::3]}):
+        problem = _NewtonProblem(case, build_ybus(case), q_pinned)
+        expected = {k: (v.dtype.str, v.tobytes()) for k, v in reference.newton_layout(case, q_pinned).items()}
+        assert _layout_bits(problem) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(1, 16),
+    n_spurs=st.integers(0, 5),
+    limited=st.booleans(),
+    pin_share=st.sampled_from([0.0, 0.5]),
+)
+def test_newton_layout_equals_per_record_reference(seed, n_core, n_spurs, limited, pin_share):
+    """The array-built bus roles, setpoints, summed limits and constant injections of a
+    Newton system equal a record-by-record build bit for bit, with pinned PV buses and
+    several generators at one bus."""
+    case = _draw(seed, n_core, 3, n_spurs, limited)
+    rng = np.random.default_rng(seed + 1)
+    pv = [k for k, bus in enumerate(case.buses) if bus.kind == BusKind.PV]
+    q_pinned = {k: float(rng.uniform(-0.2, 0.2)) for k in pv if rng.random() < pin_share}
+    problem = _NewtonProblem(case, build_ybus(case), q_pinned)
+    expected = {k: (v.dtype.str, v.tobytes()) for k, v in reference.newton_layout(case, q_pinned).items()}
+    assert _layout_bits(problem) == expected
+
+
+def _factor_bits(lu) -> list[bytes]:
+    return [lu.perm_r.tobytes()] + [m.tocsc().data.tobytes() + m.tocsc().indices.tobytes() for m in (lu.L, lu.U)]
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["case118", "ties"])
+def test_reused_column_order_gives_the_factors_of_a_fresh_splu(monkeypatch, ties):
+    """After the first factorization of a pattern, SuperLU orders nothing: each later iterate,
+    and a layout over another admittance matrix of that pattern, factorizes ``P J P^T`` in the
+    stored order under NATURAL, to the pivots, factors and steps of a fresh ``splu(J)``, also
+    where a column's largest magnitude is held by two entries."""
+    specs = []
+
+    def spy(matrix, permc_spec=None):
+        specs.append(permc_spec)
+        return splu(matrix) if permc_spec is None else splu(matrix, permc_spec=permc_spec)
+
+    case = _draw(4, 20, 4, 8, False, ties=True) if ties else bundled_case("case118")
+    ybus = build_ybus(case)
+    problem = _NewtonProblem(case, ybus)
+    outage = problem.with_ybus(_without_branch(ybus, next(k for k, br in enumerate(case.branches) if br.closed)))
+    assert outage._pattern is problem._pattern
+    monkeypatch.setattr(powerflow, "splu", spy)
+    x = problem.initial_state(PowerFlowOptions())
+    for p in (problem, problem, outage, problem, outage):
+        lu = p.factorize(x)
+        jacobian = p.jacobian(x)
+        fresh = splu(jacobian)
+        f = p.residual(x)
+        assert lu.solve(-f).tobytes() == fresh.solve(-f).tobytes()
+        if specs[-1] == "NATURAL":
+            perm_c, ordered = p._pattern._ordered
+            assert perm_c.tobytes() == fresh.perm_c.tobytes()
+            assert perm_c.base is None  # a view of the first factors' perm_c would keep them alive
+            order = np.argsort(perm_c)
+            assert np.array_equal(ordered.matrix(p._entries(x)).toarray(), jacobian.toarray()[np.ix_(order, order)])
+            assert _factor_bits(lu._lu)[1:] == _factor_bits(fresh)[1:]
+            assert lu._lu.perm_r[perm_c].tobytes() == fresh.perm_r.tobytes()
+        x = x + fresh.solve(-f)
+    assert specs == [None] + ["NATURAL"] * 4
+
+
+def _solve_outcome(case: GridCase, options: PowerFlowOptions):
+    try:
+        sol = solve_ac_powerflow(case, options)
+    except PowerFlowError as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        sol.state.tobytes(),
+        sol.q_gen.tobytes(),
+        sol.kinds_effective.tobytes(),
+        sol.iterations,
+        sol.max_mismatch,
+        sorted(sol.q_limited.items()),
+        sol._problem.pv.tobytes(),
+    )
+
+
+def _fresh_splu_outcome(case: GridCase, options: PowerFlowOptions):
+    """The solve with a plain ``splu`` of the Jacobian at every Newton iterate."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_NewtonProblem, "factorize", lambda self, x: splu(self.jacobian(x)))
+        return _solve_outcome(case, options)
+
+
+@pytest.mark.parametrize("name", ["case14", "case118"])
+@pytest.mark.parametrize("q_limits", [False, True])
+def test_solve_equals_newton_with_fresh_splu_on_bundled_cases(name, q_limits):
+    options = PowerFlowOptions(enforce_q_limits=q_limits)
+    case = bundled_case(name)
+    assert _solve_outcome(case, options) == _fresh_splu_outcome(case, options)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_core=st.integers(2, 40),
+    n_chords=st.integers(0, 12),
+    n_spurs=st.integers(0, 8),
+    limited=st.booleans(),
+    ties=st.booleans(),
+    start=st.sampled_from(["flat", "file"]),
+)
+def test_solve_equals_newton_with_fresh_splu(seed, n_core, n_chords, n_spurs, limited, ties, start):
+    """States, reactive outputs, bus kinds, pins and iteration counts equal those of a Newton
+    that lets SuperLU order every iterate afresh, bit for bit, with and without reactive
+    limits, and on networks whose Jacobian columns tie for their largest entry; a draw that
+    fails, fails with the same error."""
+    case = _draw(seed, n_core, n_chords, n_spurs, limited, ties)
+    options = PowerFlowOptions(start=start, enforce_q_limits=limited)
+    assert _solve_outcome(case, options) == _fresh_splu_outcome(case, options)
