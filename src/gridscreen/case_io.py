@@ -15,7 +15,7 @@ from enum import IntEnum
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
@@ -160,65 +160,52 @@ class GridCase:
     def validate(self) -> None:
         """Raise :class:`CaseError` on any structural inconsistency.
 
-        The error names the first fault in record order: buses, then
-        branches, then generators, and within one record its first failed
-        check.
+        The error names the first fault in record order: buses, the slack
+        count, branches, generators, then the generators' voltage
+        setpoints, and within one record its first failed check.
         """
         if self.base_mva <= 0:
             raise CaseError(f"base MVA must be positive, got {self.base_mva}")
         if not self.buses:
             raise CaseError("case has no buses")
-        buses, branches, gens = self.buses, self.branches, self.generators
-        repeated = np.zeros(len(buses), dtype=bool)
-        if len(self._index) < len(buses):  # some id names several buses; all but its first repeat it
-            _, first, inverse = np.unique([b.id for b in buses], return_index=True, return_inverse=True)
-            repeated = first[inverse.ravel()] != np.arange(len(buses))
-        _raise_first(
-            (repeated, lambda i: f"duplicate bus id {buses[i].id}"),
-            (
-                np.array([b.v_init for b in buses], dtype=float) <= 0,
-                lambda i: f"bus {buses[i].id}: initial voltage magnitude must be positive",
-            ),
-        )
-        kinds = _bus_kinds(buses)
-        n_slack = int((kinds == BusKind.SLACK).sum())
+        seen = set()
+        for bus in self.buses:
+            if bus.id in seen:
+                raise CaseError(f"duplicate bus id {bus.id}")
+            seen.add(bus.id)
+            if bus.v_init <= 0:
+                raise CaseError(f"bus {bus.id}: initial voltage magnitude must be positive")
+        n_slack = sum(bus.kind == BusKind.SLACK for bus in self.buses)
         if n_slack != 1:
             raise CaseError(f"case must have exactly one slack bus, found {n_slack}")
-        f = _bus_positions(self, [br.from_bus for br in branches], strict=False)
-        t = _bus_positions(self, [br.to_bus for br in branches], strict=False)
-        closed = np.array([br.closed for br in branches], dtype=bool)
-        r = np.array([br.r for br in branches], dtype=float)
-        x = np.array([br.x for br in branches], dtype=float)
-        tap = np.array([br.tap for br in branches], dtype=float)
-        _raise_first(
-            (f < 0, lambda i: f"branch {i} references unknown bus {branches[i].from_bus}"),
-            (t < 0, lambda i: f"branch {i} references unknown bus {branches[i].to_bus}"),
-            (f == t, lambda i: f"branch {i} connects bus {branches[i].from_bus} to itself"),
-            (closed & (r == 0) & (x == 0), lambda i: f"branch {i} is closed with zero impedance"),
-            (~(tap > 0), lambda i: f"branch {i} has non-positive tap ratio {branches[i].tap}"),
-        )
-        at = _bus_positions(self, [g.bus for g in gens], strict=False)
-        v_set = np.array([g.v_set for g in gens], dtype=float)
-        q_min = np.array([g.q_min for g in gens], dtype=float)
-        q_max = np.array([g.q_max for g in gens], dtype=float)
-        _raise_first(
-            (at < 0, lambda i: f"generator references unknown bus {gens[i].bus}"),
-            (q_min > q_max, lambda i: f"generator at bus {gens[i].bus} has q_min > q_max"),
-            (v_set <= 0, lambda i: f"generator at bus {gens[i].bus} has non-positive voltage setpoint"),
-        )
-        # the setpoint of the first generator at each bus, compared with every
-        # generator there, itself included, as a NaN setpoint differs from itself
-        buses_at, first = np.unique(at, return_index=True)
-        first_at = np.empty(len(buses))
-        first_at[buses_at] = v_set[first]
-        regulated = (kinds[at] == BusKind.PV) | (kinds[at] == BusKind.SLACK)
-        _raise_first(
-            (
-                regulated & (first_at[at] != v_set),
-                lambda i: f"bus {gens[i].bus}: generators disagree on the voltage setpoint "
-                f"({gens[first[np.searchsorted(buses_at, at[i])]].v_set} vs {gens[i].v_set})",
-            ),
-        )
+        index = self._index
+        for i, br in enumerate(self.branches):
+            for end in (br.from_bus, br.to_bus):
+                if end not in index:
+                    raise CaseError(f"branch {i} references unknown bus {end}")
+            if br.from_bus == br.to_bus:
+                raise CaseError(f"branch {i} connects bus {br.from_bus} to itself")
+            if br.closed and br.r == 0 and br.x == 0:
+                raise CaseError(f"branch {i} is closed with zero impedance")
+            if not br.tap > 0:
+                raise CaseError(f"branch {i} has non-positive tap ratio {br.tap}")
+        for g in self.generators:
+            if g.bus not in index:
+                raise CaseError(f"generator references unknown bus {g.bus}")
+            if g.q_min > g.q_max:
+                raise CaseError(f"generator at bus {g.bus} has q_min > q_max")
+            if g.v_set <= 0:
+                raise CaseError(f"generator at bus {g.bus} has non-positive voltage setpoint")
+        # each generator at a regulated bus against the first there, itself
+        # included, as a NaN setpoint differs from itself
+        v_set: dict[int, float] = {}
+        for g in self.generators:
+            if self.buses[index[g.bus]].kind in (BusKind.PV, BusKind.SLACK):
+                first = v_set.setdefault(g.bus, g.v_set)
+                if first != g.v_set:
+                    raise CaseError(
+                        f"bus {g.bus}: generators disagree on the voltage setpoint ({first} vs {g.v_set})"
+                    )
 
 
 def _bus_kinds(buses) -> np.ndarray:
@@ -226,30 +213,14 @@ def _bus_kinds(buses) -> np.ndarray:
     return np.fromiter([b.kind for b in buses], dtype=np.int64, count=len(buses))
 
 
-def _raise_first(*checks: tuple[np.ndarray, Callable[[int], str]]) -> None:
-    """Raise :class:`CaseError` for the first record that fails a check.
-
-    Each check is a mask over one record list and the message of record
-    ``i``; of the checks a record fails, the first listed names it.
-    """
-    for mask, _ in checks:
-        if mask.any():
-            break
-    else:
-        return
-    failed = np.array([mask for mask, _ in checks])
-    i = int(failed.any(axis=0).argmax())
-    raise CaseError(checks[int(failed[:, i].argmax())][1](i))
-
-
-def _bus_positions(case: GridCase, ids: list, strict: bool = True) -> np.ndarray:
+def _bus_positions(case: GridCase, ids: list) -> np.ndarray:
     """Positional indices of the buses with external ids ``ids``.
 
     An id that names no bus raises :class:`CaseError` as
-    :meth:`GridCase.bus_index` does, or with ``strict`` off reads -1.
+    :meth:`GridCase.bus_index` does.
     """
     positions = np.fromiter(map(case._index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
-    if strict and (positions < 0).any():
+    if (positions < 0).any():
         raise CaseError(f"unknown bus id {ids[int((positions < 0).argmax())]}")
     return positions
 
@@ -281,15 +252,13 @@ def _closed_branch(case: GridCase, k: int) -> None:
 
 # column counts for the table rows we understand
 _MIN_COLS = {"bus": 13, "gen": 10, "branch": 11}
+# the real columns read from each table, status columns included: each must be finite,
+# but a generator's reactive limits QMAX and QMIN (columns 3 and 4) may be infinite
+_REAL_COLS = {"bus": (2, 3, 4, 5, 7, 8), "gen": (1, 3, 4, 5, 7), "branch": (2, 3, 4, 8, 9, 10)}
 
 _TABLE_RE = re.compile(r"mpc\.(\w+)\s*=\s*\[")
-_BASE_RE = re.compile(r"mpc\.baseMVA\s*=\s*([0-9eE+.\-]+)\s*;")
+_BASE_RE = re.compile(r"mpc\.baseMVA\s*=\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*;")
 _NAME_RE = re.compile(r"function\s+mpc\s*=\s*(\w+)")
-
-
-def _strip_comment(line: str) -> str:
-    pos = line.find("%")
-    return line if pos < 0 else line[:pos]
 
 
 def _integer(value: float, what: str, lineno: int) -> int:
@@ -307,15 +276,16 @@ def parse_case(text: str, name: str = "case") -> GridCase:
     """Parse MATPOWER-format case text into a :class:`GridCase`.
 
     Only the ``baseMVA``, ``bus``, ``gen`` and ``branch`` tables are read;
-    other assignments are ignored.  Raises :class:`CaseError` with a line
-    number on malformed input.
+    other assignments are ignored, and so are the columns not read.  Raises
+    :class:`CaseError` with a line number on malformed input, a value that
+    is not finite among them (a reactive limit may be infinite).
     """
     base_mva: float | None = None
     tables: dict[str, list[tuple[int, list[float]]]] = {"bus": [], "gen": [], "branch": []}
     current: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.split("%", 1)[0].strip()  # a comment runs from % to the end of the line
         if not line:
             continue
         if current is None:
@@ -325,6 +295,8 @@ def parse_case(text: str, name: str = "case") -> GridCase:
             m = _BASE_RE.search(line)
             if m:
                 base_mva = float(m.group(1))
+                if math.isinf(base_mva):
+                    raise CaseError(f"mpc.baseMVA must be finite, got {m.group(1)}", line=lineno)
                 continue
             m = _TABLE_RE.search(line)
             if m:
@@ -348,6 +320,12 @@ def parse_case(text: str, name: str = "case") -> GridCase:
                     f"mpc.{current} row has {len(row)} columns, expected at least {_MIN_COLS[current]}",
                     line=lineno,
                 )
+            if not math.isfinite(sum(row)):  # some entry is not finite, which a column not read may hold
+                for k in _REAL_COLS[current]:
+                    limit = current == "gen" and k in (3, 4)
+                    if math.isnan(row[k]) or not limit and math.isinf(row[k]):
+                        rule = "a number" if limit else "finite"
+                        raise CaseError(f"mpc.{current} column {k + 1} must be {rule}, got {row[k]!r}", line=lineno)
             tables[current].append((lineno, row))
 
     if current is not None:
@@ -477,6 +455,26 @@ def _records_to_dicts(record_type: type, records) -> list[dict]:
     return docs
 
 
+def _from_json(name: str, typ: type, value, unbounded: bool = False):
+    """``value`` as the field ``name`` of type ``typ``, or a ``TypeError`` naming the field.
+
+    A bool takes only JSON true or false, an integer field only a JSON integer, and a float
+    field only a finite JSON number, or an infinite one for an ``unbounded`` limit.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if typ is bool:
+        ok, rule = isinstance(value, bool), "true or false"  # bool("false") is True
+    elif issubclass(typ, int):
+        ok, rule = number and isinstance(value, int), "an integer"
+    elif unbounded:
+        ok, rule = number and not math.isnan(value), "a number"
+    else:
+        ok, rule = number and math.isfinite(value), "a finite number"
+    if not ok:
+        raise TypeError(f"{name!r} must be {rule}, not {json.dumps(value)}")
+    return typ(value)
+
+
 def _records_from_dicts(record_type: type, docs) -> tuple:
     schema = _schema(record_type)
     records = []
@@ -487,10 +485,7 @@ def _records_from_dicts(record_type: type, docs) -> tuple:
             # fields come first, so a record that is no dict fails on its first key
             if f.default is not MISSING and (f.name not in doc or doc[f.name] is None and _unbounded(f)):
                 continue
-            value = doc[f.name]
-            if typ is bool and not isinstance(value, bool):  # bool("false") is True
-                raise TypeError(f"{f.name!r} must be true or false, not {json.dumps(value)}")
-            values[f.name] = typ(int(value)) if issubclass(typ, IntEnum) else typ(value)
+            values[f.name] = _from_json(f.name, typ, doc[f.name], _unbounded(f))
         records.append(record_type(**values))
     return tuple(records)
 
@@ -514,7 +509,7 @@ def case_from_dict(data: dict) -> GridCase:
         generators = _records_from_dicts(Generator, data["generators"])
         case = GridCase(
             name=str(data.get("name", "case")),
-            base_mva=float(data["base_mva"]),
+            base_mva=_from_json("base_mva", float, data["base_mva"]),
             buses=buses,
             branches=branches,
             generators=generators,

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -126,6 +126,60 @@ def test_parse_accepts_integral_floats():
     case = parse_case(MINI_CASE.replace("    2  1  90  30", "    2.0  1e0  90  30"))
     assert case == parse_case(MINI_CASE)
     assert type(case.buses[1].id) is int
+
+
+def _with_entry(text: str, line: int, column: int, value: str) -> str:
+    """``text`` with the entry in ``column`` (0-based) of table row ``line`` replaced by ``value``."""
+    lines = text.splitlines()
+    row, rest = lines[line - 1].split(";", 1)
+    entries = row.split()
+    entries[column] = value
+    lines[line - 1] = "    " + "  ".join(entries) + ";" + rest
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "table, line, column",
+    [
+        ("bus", 7, 2),  # PD
+        ("bus", 7, 5),  # BS
+        ("bus", 7, 7),  # VM
+        ("bus", 7, 8),  # VA
+        ("gen", 11, 1),  # PG
+        ("gen", 11, 5),  # VG
+        ("gen", 12, 7),  # GEN_STATUS of the unit out of service
+        ("branch", 16, 2),  # BR_R
+        ("branch", 16, 3),  # BR_X
+        ("branch", 17, 8),  # TAP
+        ("branch", 17, 9),  # SHIFT
+        ("branch", 16, 10),  # BR_STATUS
+    ],
+)
+def test_parse_rejects_non_finite_entries(table, line, column, value):
+    """A column the reader takes, status columns included, holds a finite number; anything else
+    raises CaseError at its line, where it would reach the solver as NaN or a dead branch."""
+    with pytest.raises(CaseError, match=f"^line {line}: mpc.{table} column {column + 1} must be finite, got {value}$"):
+        parse_case(_with_entry(MINI_CASE, line, column, value))
+
+
+def test_parse_takes_infinite_reactive_limits_only():
+    """QMAX and QMIN may be infinite, never NaN; columns the reader ignores may hold anything."""
+    unbounded = _with_entry(_with_entry(MINI_CASE, 11, 3, "Inf"), 11, 4, "-Inf")
+    gen = parse_case(unbounded).generators[0]
+    assert (gen.q_min, gen.q_max) == (-math.inf, math.inf)
+    for column in (3, 4):
+        with pytest.raises(CaseError, match=f"^line 11: mpc.gen column {column + 1} must be a number, got nan$"):
+            parse_case(_with_entry(MINI_CASE, 11, column, "NaN"))
+    ignored = _with_entry(_with_entry(_with_entry(MINI_CASE, 7, 9, "Inf"), 11, 8, "Inf"), 16, 5, "NaN")
+    assert parse_case(ignored) == parse_case(MINI_CASE)
+
+
+def test_parse_rejects_an_infinite_base():
+    with pytest.raises(CaseError, match="^line 3: mpc.baseMVA must be finite, got 1e999$"):
+        parse_case(MINI_CASE.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 1e999;"))
+    with pytest.raises(CaseError, match="^missing mpc.baseMVA$"):
+        parse_case(MINI_CASE.replace("mpc.baseMVA = 100;", "mpc.baseMVA = -;"))
 
 
 def test_parse_requires_tables():
@@ -435,10 +489,7 @@ def _put(table, key, value):
     [
         (_drop("buses"), "malformed case dictionary: 'buses'"),
         (_drop("kind", "buses"), "malformed case dictionary: 'kind'"),
-        (
-            _put("buses", "p_load", None),
-            "malformed case dictionary: float() argument must be a string or a real number, not 'NoneType'",
-        ),
+        (_put("buses", "p_load", None), "malformed case dictionary: 'p_load' must be a finite number, not null"),
         (_put("buses", "kind", 9), "malformed case dictionary: 9 is not a valid BusKind"),
         (lambda doc: [doc], "malformed case dictionary: list indices must be integers or slices, not str"),
         (_put("generators", "q_max", None), Generator(2, 0.2, 1.02, -0.5, math.inf)),
@@ -449,7 +500,7 @@ def _put(table, key, value):
         ),
         (_put("branches", "closed", None), "malformed case dictionary: 'closed' must be true or false, not null"),
         (_put("branches", "closed", 0), "malformed case dictionary: 'closed' must be true or false, not 0"),
-        (_put("buses", "id", math.inf), "malformed case dictionary: cannot convert float infinity to integer"),
+        (_put("buses", "id", math.inf), "malformed case dictionary: 'id' must be an integer, not Infinity"),
     ],
     ids=[
         "no-buses", "no-kind", "null-p_load", "kind-9", "array", "null-q_max", "no-closed",
@@ -468,6 +519,66 @@ def test_json_reader_on_malformed_documents(edit, expected):
     else:
         case = case_from_json(text)
         assert expected in case.generators + case.branches
+
+
+@pytest.mark.parametrize(
+    "table, i, key, value, expected",
+    [
+        ("branches", 3, "r", math.nan, "'r' must be a finite number, not NaN"),
+        ("branches", 3, "x", math.inf, "'x' must be a finite number, not Infinity"),
+        ("buses", 3, "p_load", math.nan, "'p_load' must be a finite number, not NaN"),
+        ("generators", 0, "q_max", math.nan, "'q_max' must be a number, not NaN"),
+        ("branches", 3, "from_bus", 2.5, "'from_bus' must be an integer, not 2.5"),
+        ("generators", 1, "bus", 2.7, "'bus' must be an integer, not 2.7"),
+        ("buses", 3, "kind", 2.9, "'kind' must be an integer, not 2.9"),
+        ("buses", 3, "id", 4.0, "'id' must be an integer, not 4.0"),
+        ("branches", 3, "r", "0.01", "'r' must be a finite number, not \"0.01\""),
+        ("buses", 3, "q_load", True, "'q_load' must be a finite number, not true"),
+        ("buses", 3, "kind", True, "'kind' must be an integer, not true"),
+        (None, None, "base_mva", "100", "'base_mva' must be a finite number, not \"100\""),
+        (None, None, "base_mva", math.inf, "'base_mva' must be a finite number, not Infinity"),
+    ],
+)
+def test_json_reader_takes_numbers_only_as_written(case14, table, i, key, value, expected):
+    """An integer field takes only a JSON integer and a float field only a finite JSON number
+    (a reactive limit may be infinite); a bool, a string or a fraction is never converted."""
+    doc = json.loads(case_to_json(case14))
+    (doc if table is None else doc[table][i])[key] = value
+    with pytest.raises(CaseError) as err:
+        case_from_json(json.dumps(doc))
+    assert str(err.value) == f"malformed case dictionary: {expected}"
+
+
+_FIELD_VALUES = [2.5, 2.0, True, "1", None, math.nan, math.inf, -math.inf, [], {}]
+_RECORD_TYPES = {"buses": Bus, "branches": Branch, "generators": Generator}
+_FIELDS = [(None, "base_mva", MISSING)] + [
+    (table, f.name, f.default) for table, record_type in _RECORD_TYPES.items() for f in fields(record_type)
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(where=st.sampled_from(_FIELDS), pick=st.integers(0, 10**6), value=st.sampled_from(_FIELD_VALUES))
+def test_json_reader_keeps_a_field_as_written_or_raises(case14, where, pick, value):
+    """With one field of the case14 document set to a value of the pool, the reader raises
+    CaseError or gives a case whose field holds that value, of that type; null reads as an
+    unbounded reactive limit and nowhere else."""
+    table, key, default = where
+    doc = json.loads(case_to_json(case14))
+    if table is None:
+        record = doc
+    else:
+        i = pick % len(doc[table])
+        record = doc[table][i]
+    record[key] = value
+    try:
+        case = case_from_json(json.dumps(doc))
+    except CaseError:
+        return
+    held = getattr(case if table is None else getattr(case, table)[i], key)
+    if value is None:
+        assert isinstance(default, float) and math.isinf(default) and held == default, (where, held)
+    else:
+        assert type(held) is type(value) and held == value, (where, value, held)
 
 
 def test_load_case_dispatches_on_suffix(tmp_path, case14):

@@ -1,5 +1,6 @@
 """Command-line interface tests, driven through ``main`` with captured output."""
 
+import hashlib
 import json
 
 import pytest
@@ -77,6 +78,37 @@ def test_non_integer_bus_id_exits_one(tmp_path, capsys, value):
     code, out, err = run(capsys, "solve", str(bad))
     assert code == 1 and out == ""
     assert err.startswith(f"error: line {row + 1}: bus id must be an integer, got {value}"), err
+
+
+def test_non_finite_pd_exits_one(tmp_path, capsys):
+    """NaN as bus 4's PD is named with its line and column, where it used to end in a singular Jacobian."""
+    lines = open(CASE14).read().splitlines()
+    row = lines.index("mpc.bus = [") + 4  # bus 4
+    entries = lines[row].split()
+    assert entries[0] == "4"
+    entries[2] = "nan"
+    lines[row] = "\t".join(entries)
+    bad = tmp_path / "case.m"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"error: line {row + 1}: mpc.bus column 3 must be finite, got nan\n", err
+
+
+@pytest.mark.parametrize(
+    "table, i, key, value",
+    [("branches", 3, "r", "NaN"), ("buses", 3, "p_load", "NaN"), ("branches", 3, "x", "Infinity")],
+)
+def test_non_finite_json_field_exits_one(tmp_path, capsys, table, i, key, value):
+    """A NaN resistance or load, or an infinite reactance, in a case JSON is a case error: NaN used
+    to end in a singular Jacobian, and an infinite reactance left a closed branch without current."""
+    doc = json.loads(run(capsys, "dump", CASE14)[1])
+    doc[table][i][key] = "VALUE"
+    bad = tmp_path / "case.json"
+    bad.write_text(json.dumps(doc).replace('"VALUE"', value))
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"error: malformed case dictionary: '{key}' must be a finite number, not {value}\n", err
 
 
 def test_solve_csv_layout(capsys):
@@ -234,6 +266,37 @@ def test_sens_all_outages(capsys):
     lines = out.splitlines()
     # 19 evaluated outages with 14 bus rows each, plus one islanding row
     assert len(lines) == 1 + 19 * 14 + 1
+
+
+def test_sens_json_defaults_to_vmag(capsys):
+    """``sens --json`` without ``--quantity`` reports bus |V| changes for every outage; its bytes are pinned."""
+    code, out, _ = run(capsys, "sens", CASE14, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["quantity"], doc["mode"], len(doc["outages"])) == ("vmag", "full", 20)
+    assert [rec["outage"] for rec in doc["outages"] if rec["islanding"]] == [13]
+    assert all(len(rec["deltas"]) == 14 for rec in doc["outages"] if not rec["islanding"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5448aefce70072848f2c457e50b9b781ddc378b4e9a877aae7da3e9f4c88d9ef"
+    )
+
+
+@pytest.mark.parametrize(
+    "quantity, digest",
+    [
+        ("imag", "4895a6fd2f33d18ad0c3746b5036437e44e6533c46b051a386be792ea6f60612"),
+        ("pline", "b172f80130fa165addd75b13490b6140de904fd46bfb81c50e9be4e9a2b9afc3"),
+    ],
+)
+def test_sens_branch_csv_with_a_bridge(capsys, quantity, digest):
+    """The branch-quantity CSV over every outage prints bridge 13 as one islanding row; its bytes are pinned."""
+    code, out, _ = run(capsys, "sens", CASE14, "--quantity", quantity)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"outage,branch,{'delta_imag' if quantity == 'imag' else 'delta_p'},islanding"
+    # 19 evaluated outages with 20 branch rows each, plus one islanding row
+    assert len(lines) == 1 + 19 * 20 + 1 and lines.index("13,,,true") == 1 + 13 * 20
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_screen_csv_ranking(capsys):

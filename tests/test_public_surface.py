@@ -9,6 +9,74 @@ import sys
 import gridscreen
 
 
+# the public surface, in the order ``gridscreen.__all__`` lists it: a name added
+# to or dropped from the package shows here as an edit of this list
+PUBLIC_NAMES = [
+    "AdmittanceMatrix",
+    "Branch",
+    "BranchCurrentJacobian",
+    "Bus",
+    "BusKind",
+    "CaseError",
+    "CircuitLodfResult",
+    "ComparisonSummary",
+    "DcLodfResult",
+    "DcModel",
+    "DivergenceError",
+    "Generator",
+    "GridCase",
+    "GridScreenError",
+    "InjectionSensitivity",
+    "IslandingError",
+    "LinearizedSystem",
+    "OracleOutcome",
+    "OutageImpact",
+    "OutageTransferMatrix",
+    "PowerFlowError",
+    "PowerFlowOptions",
+    "PowerFlowSolution",
+    "ScreenEntry",
+    "ScreeningReport",
+    "SEVERITY_METRICS",
+    "SingularSystemError",
+    "branch_current_jacobian",
+    "branch_power_flows",
+    "branch_terminal_currents",
+    "build_dc_model",
+    "build_ybus",
+    "bundled_case",
+    "bundled_case_path",
+    "case_from_json",
+    "case_to_json",
+    "circuit_lodf",
+    "compare_severities",
+    "dc_lodf",
+    "dc_ptdf",
+    "evaluate_outage",
+    "find_bridges",
+    "injection_sensitivity",
+    "is_connected",
+    "linearize_at_solution",
+    "load_case",
+    "oracle_outage",
+    "outage_transfer_matrix",
+    "parse_case",
+    "power_balance",
+    "scale_loading",
+    "screen",
+    "singular_outage_branches",
+    "solve_ac_powerflow",
+    "solve_dc",
+    "solve_outage_injection",
+    "__version__",
+]
+
+
+def test_the_public_surface_is_these_57_names():
+    assert gridscreen.__all__ == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 57
+
+
 def test_every_exported_name_resolves():
     assert len(gridscreen.__all__) == len(set(gridscreen.__all__))
     modules = [gridscreen] + [

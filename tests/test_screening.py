@@ -465,6 +465,33 @@ def test_oracle_equals_fresh_resolve_with_q_limits(monkeypatch, case118):
     _assert_oracle_equals_fresh_resolve(case118, sol)
 
 
+def test_oracle_filters_broyden_states_past_reactive_limits(monkeypatch, case14):
+    """On a base without Q pins the oracle runs Broyden's iteration with reactive limits enforced
+    and drops every converged state that breaks a limit; those outages take the Newton path with
+    its Q-limit rounds, and every outcome still equals a fresh re-solve.
+    """
+    sol = solve_ac_powerflow(case14, PowerFlowOptions(enforce_q_limits=True))
+    assert sol.q_limited == {} and _Oracle(sol)._lin is not None
+    iterate, converged, kept = _Oracle._iterate, {}, {}
+
+    def recording(oracle, block):
+        states = iterate(oracle, block)
+        limited = oracle._options
+        oracle._options = replace(limited, enforce_q_limits=False)
+        try:
+            converged.update(iterate(oracle, block))
+        finally:
+            oracle._options = limited
+        kept.update(states)
+        return states
+
+    monkeypatch.setattr(_Oracle, "_iterate", recording)
+    assert len(_assert_oracle_equals_fresh_resolve(case14, sol)) == 19
+    # Broyden's iteration converges on every outage, so the filter alone sends outages to Newton
+    assert len(converged) == 19 and set(kept) < set(converged)
+    assert len(set(converged) - set(kept)) == 5
+
+
 def test_oracle_shares_the_screens_full_model(case118, sol118, lin118):
     """In full mode the oracle's chord model is the screen's own factorization."""
     assert _Oracle(sol118)._lin is lin118
