@@ -458,12 +458,14 @@ def _records_to_dicts(record_type: type, records) -> list[dict]:
 def _from_json(name: str, typ: type, value, unbounded: bool = False):
     """``value`` as the field ``name`` of type ``typ``, or a ``TypeError`` naming the field.
 
-    A bool takes only JSON true or false, an integer field only a JSON integer, and a float
-    field only a finite JSON number, or an infinite one for an ``unbounded`` limit.
+    A bool takes only JSON true or false, a string only a JSON string, an integer only a JSON
+    integer, and a float only a finite JSON number, or an infinite one for an ``unbounded`` limit.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if typ is bool:
         ok, rule = isinstance(value, bool), "true or false"  # bool("false") is True
+    elif typ is str:
+        ok, rule = isinstance(value, str), "a string"
     elif issubclass(typ, int):
         ok, rule = number and isinstance(value, int), "an integer"
     elif unbounded:
@@ -502,13 +504,15 @@ def case_to_dict(case: GridCase) -> dict:
 
 
 def case_from_dict(data: dict) -> GridCase:
-    """Read a case from :func:`case_to_dict`'s form; a missing optional field takes its default."""
+    """Read a case from :func:`case_to_dict`'s form, version 1; a missing optional field or name takes its default."""
     try:
+        if _from_json("schema_version", int, data["schema_version"]) != _SCHEMA_VERSION:
+            raise ValueError(f"'schema_version' must be {_SCHEMA_VERSION}, not {data['schema_version']}")
         buses = _records_from_dicts(Bus, data["buses"])
         branches = _records_from_dicts(Branch, data["branches"])
         generators = _records_from_dicts(Generator, data["generators"])
         case = GridCase(
-            name=str(data.get("name", "case")),
+            name=_from_json("name", str, data.get("name", "case")),
             base_mva=_from_json("base_mva", float, data["base_mva"]),
             buses=buses,
             branches=branches,

@@ -76,6 +76,8 @@ def _at_least_one(flag: str, value: int) -> int:
 
 
 def _powerflow_options(args) -> PowerFlowOptions:
+    if not 0 < args.tol < math.inf:
+        raise CaseError(f"--tol must be a finite positive number, got {args.tol:g}")
     return PowerFlowOptions(
         tol=args.tol,
         max_iter=_at_least_one("--max-iter", args.max_iter),

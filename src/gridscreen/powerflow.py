@@ -632,10 +632,12 @@ def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) 
 
     Reactive generator limits are checked after convergence; violating PV
     buses are converted to PQ at the binding limit and the problem re-solved,
-    for at most five passes.  Raises a
-    :class:`~gridscreen.errors.PowerFlowError` subclass on numerical failure.
+    for at most five passes.  Raises a :class:`~gridscreen.errors.PowerFlowError`
+    subclass on numerical failure, ``ValueError`` for a ``tol`` not finite and positive.
     """
     options = options or PowerFlowOptions()
+    if not 0 < options.tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {options.tol}")
     case.validate()
     ybus = build_ybus(case)
     problem = _NewtonProblem(case, ybus)
@@ -698,10 +700,9 @@ class LinearizedSystem:
     slack: int
     pv: np.ndarray
     _lu: object = field(repr=False)
-    # the read-only slot array of an engine pass that held every terminal bus
-    # in its own slot, and each bus's first column in it (see
-    # ``sensitivity._transfer_chunks``); ``replace`` starts without one
-    _responses: tuple[np.ndarray, dict[int, int]] | None = field(default=None, init=False, repr=False, compare=False)
+    # a solution's baseline and the read-only rows by outage of an engine
+    # pass of it (see ``sensitivity._impact_chunks``); a replace has none
+    _rows: tuple[object, dict[int, tuple]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
@@ -728,9 +729,9 @@ def linearize_at_solution(sol: PowerFlowSolution, mode: str = "full") -> Lineari
     tolerance that stopped the iteration.  Full mode returns the solution's
     own model, which every later call, the screen and the oracle share, so
     do not mutate it; network mode builds a new model on each call.  A model
-    of either mode keeps the terminal responses of an engine pass that held
-    every terminal bus (at most ``sensitivity._LIVE_BUSES``), and later
-    queries on it read them instead of solving; they give the same bits.
+    of either mode keeps the rows of an engine pass over at most 128 terminal
+    buses, such as a case118 screen's, and a later query of the same solution
+    reads its row there instead of solving; both give the same bits.
     """
     if mode == "full":
         return sol._model

@@ -20,19 +20,16 @@ block then stacks the transfer matrices, the injections and the monitors.
 What does not depend on the pass is built once: the terminal state rows and
 4x4 current blocks of every branch per admittance matrix (its branch
 table), and the pre-outage currents, the zero-voltage guard and the parts
-the monitors read per solution.  A pass of at most ``_LIVE_BUSES`` distinct
-terminal buses gives each its own slot, and the model keeps its slot array
-when the pass ends.  A single-outage query runs no engine pass: it takes
-its four terminal responses from the engine's bus solve, which reads them
-from that kept array where the model holds both buses and solves them
-otherwise, and takes the engine's floating-point operations for that
-outage's row on plain 4x4 and (2n, 4) arrays, so every caller gets the same
-numbers for the same outage, at the cost of a few small dense steps and at
-most one solve of four right-hand sides.  The terminal solves release the
-interpreter lock and run ahead on a small thread pool (one worker per
-usable CPU; none for a single block); the rest of each block, the copy of
-its solved columns into the slot array included, runs on the calling
-thread, in block order, so results do not depend on the number of workers.
+the monitors read per solution.  A single-outage query runs no engine pass:
+it copies its row where the model keeps one, from a pass over at most
+``_LIVE_BUSES`` distinct terminal buses, and otherwise takes the engine's
+bus solve and floating-point operations for its row on plain 4x4 and
+(2n, 4) arrays, so every caller gets the same numbers for the same outage.
+The terminal solves release the interpreter lock and run ahead on a small
+thread pool (one worker per usable CPU; none for a single block); the rest
+of each block, the copy of its solved columns into the slot array included,
+runs on the calling thread, in block order, so results do not depend on the
+number of workers.
 """
 
 from __future__ import annotations
@@ -87,8 +84,8 @@ _EYE4.flags.writeable = False
 
 # terminal buses whose response columns one engine pass keeps at a time; a
 # block has at most 2 * _CHUNK, and a bus pushed out by this bound is solved
-# again at its next use.  A pass of at most this many keeps them all, and so
-# does its model after it
+# again at its next use.  The model keeps the rows of an impact pass over at
+# most this many
 _LIVE_BUSES = 4 * _CHUNK
 
 # monitored quantity each severity metric reads
@@ -123,17 +120,8 @@ def _bus_solve(lin: LinearizedSystem, buses: list[int]) -> np.ndarray:
     partial group of four columns differently from one in a full group; a
     zero pair fills that group, so that a bus's columns have the same bits
     whatever else is solved with them, and a block of outages gives the
-    bits of each outage alone.  For the same reason a model that keeps the
-    responses of an engine pass (see :func:`_transfer_chunks`) serves a call
-    whose every non-slack bus they hold without a solve: a Fortran-ordered
-    gather of their columns, the slack's pair from the zero column 0.  (A
-    C-ordered copy of the same columns would take another BLAS kernel in
-    the products that read it, and other bits.)  Any other call solves.
+    bits of each outage alone.
     """
-    kept = lin._responses
-    if kept is not None and all(lin.is_slack(b) or b in kept[1] for b in buses):
-        resp, first = kept
-        return resp[:, [c for b in buses for c in ((0, 0) if lin.is_slack(b) else (first[b], first[b] + 1))]]
     k = 2 * len(buses)
     rhs = np.zeros((lin.size, k + k % 4), order="F")  # SuperLU's own layout: no copy to convert
     for p, b in enumerate(buses):
@@ -278,7 +266,7 @@ def _ordered_map(fn: Callable, items: list) -> Iterator:
 
 def _slot_plan(
     lin: LinearizedSystem, f: np.ndarray, t: np.ndarray
-) -> tuple[list[tuple[list[int], list[int], np.ndarray]], int, dict[int, int] | None]:
+) -> tuple[list[tuple[list[int], list[int], np.ndarray]], int]:
     """Which buses each block of an engine pass solves, and where their columns live.
 
     ``f`` and ``t`` (c,) hold the from and to bus of each outage, in engine
@@ -296,10 +284,7 @@ def _slot_plan(
     (see :func:`_bus_solve`).  With ``_LIVE_BUSES`` slots taken, the bus not
     in the block whose next use is furthest away loses its slot and is
     solved again at that use.  A single block takes slots ``0, 1, ...`` in
-    bus order.  A pass of at most ``_LIVE_BUSES`` distinct non-slack
-    terminal buses gives each its own slot and frees none, so that its slot
-    array ends holding every bus; the third item returned is then each
-    bus's first column, and otherwise None.
+    bus order.
     """
     pairs = list(zip(f.tolist(), t.tolist()))
     blocks = [pairs[start : start + _CHUNK] for start in range(0, len(pairs), _CHUNK)]
@@ -309,7 +294,6 @@ def _slot_plan(
     for j in range(len(buses) - 1, -1, -1):
         for b in buses[j]:
             later.setdefault(b, []).append(j)
-    keep = len(later) <= _LIVE_BUSES
     live: dict[int, int] = {}  # bus -> slot
     free: list[int] = []
     plan = []
@@ -330,11 +314,9 @@ def _slot_plan(
         for b in block_buses:
             uses = later[b]
             uses.pop()
-            if not uses and not keep:
+            if not uses:
                 free.append(live.pop(b))
-    if keep:
-        return plan, len(live), {b: 1 + 2 * s for b, s in live.items()}
-    return plan, len(free), None  # every bus is freed after its last use
+    return plan, len(free)  # every bus is freed after its last use
 
 
 def _columns(block: list[tuple[int, int]], block_buses: list[int], live: dict[int, int]) -> np.ndarray:
@@ -365,13 +347,7 @@ def _transfer_chunks(
     injections ``[from_real, from_imag, to_real, to_imag]`` (a zero column
     at a slack terminal); the transfer matrices ``I - B_k dv[rows]``
     (c, 4, 4) and their condition numbers (c,).  ``resp`` is reused: it
-    holds this block's columns only until the next block is requested.  A
-    pass that gives every terminal bus its own slot has them all in
-    ``resp`` once its last block is consumed; it makes ``resp`` read-only
-    and keeps it on ``lin`` for later calls of :func:`_bus_solve`, unless
-    ``lin`` already keeps as many buses or more.  At most ``size * (1 + 2 *
-    _LIVE_BUSES)`` values are kept per model; a pass closed early keeps
-    nothing.
+    holds this block's columns only until the next block is requested.
     """
     outages = list(outages)
     for k in outages:  # before any conversion: 3.7 and True are no branch indices
@@ -383,7 +359,7 @@ def _transfer_chunks(
     f, to = ybus.from_idx[idx], ybus.to_idx[idx]
     table_rows, table_blocks = ybus._branch_table
     rows, blocks = table_rows[idx], table_blocks[idx]
-    plan, n_slots, first = _slot_plan(lin, f, to)
+    plan, n_slots = _slot_plan(lin, f, to)
     resp = np.zeros((lin.size, 1 + 2 * n_slots), order="F")
     solves = _ordered_map(lambda new: _bus_solve(lin, new), [new for new, _, _ in plan])
     with closing(solves):
@@ -393,10 +369,6 @@ def _transfer_chunks(
             at_terminals = resp[rows[block, :, None], cols[:, None, :]]  # dv[rows, :] of each outage
             t = _EYE4 - blocks[block] @ at_terminals
             yield idx[block], rows[block], blocks[block], resp, cols, t, np.linalg.cond(t)
-    kept = lin._responses
-    if first is not None and len(first) > (0 if kept is None else len(kept[1])):
-        resp.flags.writeable = False
-        lin._responses = (resp, first)
 
 
 @dataclass
@@ -513,16 +485,24 @@ def _impact_chunks(
     :func:`_transfer_chunks`), so that another stage can share it; by
     default the impacts make their own.  Monitoring ``"vmag"`` at a
     zero-voltage bus, where |V| is not differentiable, raises
-    ``ValueError`` before any solve.
+    ``ValueError`` before any solve.  A pass that ends, over at most
+    ``_LIVE_BUSES`` non-slack terminal buses, replaces what ``lin`` kept by
+    the baseline of ``sol`` and the read-only ``(cond, injection,
+    delta_state)`` of each nonsingular outage, which :func:`evaluate_outage` reads.
     """
     base = sol._baseline
     if "vmag" in quantities:
         _require_voltage(base)
     n2 = 2 * sol.n
+    outages = list(outages)
     if chunks is None:
         chunks = _transfer_chunks(lin, sol.case, outages, sol.ybus)
+    kept = None  # rows by outage
     with closing(chunks):
-        for idx, _, _, resp, cols, t, cond in chunks:
+        for j, (idx, _, _, resp, cols, t, cond) in enumerate(chunks):
+            if not j:  # the pass has checked its outages, so they index
+                ends = set(sol.ybus.from_idx[outages].tolist()) | set(sol.ybus.to_idx[outages].tolist())
+                kept = {} if len(ends - {lin.slack}) <= _LIVE_BUSES else None
             singular = _singular(cond)
             i_pre = base.i_terminal[idx]
             masked = singular.any()
@@ -534,6 +514,12 @@ def _impact_chunks(
             # each outage's four response columns times its injection, stacked
             delta_state = np.matmul(resp[:n2, cols].transpose(1, 0, 2), injection[..., None])[..., 0]
             delta_vmag, delta_imag, delta_p = _monitors(sol, delta_state, idx, quantities)
+            if kept is not None:
+                ok = np.flatnonzero(~singular)
+                rows = injection[ok], delta_state[ok]  # copies, which no consumer of the block sees
+                for a in rows:
+                    a.flags.writeable = False
+                kept.update(zip(idx[ok].tolist(), zip(cond[ok].tolist(), *rows)))
             yield _ImpactChunk(
                 outages=idx,
                 cond=cond,
@@ -546,6 +532,8 @@ def _impact_chunks(
                 delta_p=delta_p,
                 imag_fallback=base.tiny,
             )
+    if kept is not None:
+        lin._rows = (base, kept)
 
 
 def _outage_impacts(
@@ -603,31 +591,35 @@ class OutageImpact:
 def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) -> OutageImpact:
     """Predict the impact of removing one closed branch.
 
-    No engine pass: one :func:`_bus_solve` of its two terminal buses on the
-    factorization of ``lin`` (unit injections ``[from_real, from_imag, to_real,
-    to_imag]``, zero at a slack terminal), which solves nothing when ``lin``
-    keeps the responses of an earlier pass over them, then the 4x4 transfer
-    system and the monitors.  These are the floating-point operations of the
-    engine's row for the outage, so the screen gets the same numbers.  Raises
-    :class:`IslandingError` when the outage would disconnect the network
-    (singular transfer matrix), ``ValueError`` for an out-of-range or open
-    branch and ``TypeError`` when ``outage`` is not a Python or NumPy integer
-    (``bool`` included).
+    No engine pass: a copy of the outage's row where ``lin`` keeps it for
+    ``sol`` (see :func:`_impact_chunks`), as after a case14 or case118
+    ``screen``, else one :func:`_bus_solve` of its two terminal buses (unit
+    injections ``[from_real, from_imag, to_real, to_imag]``, zero at a slack
+    terminal) and the 4x4 transfer system, the floating-point operations of
+    the engine's row; then the monitors, so the screen gets the same numbers.
+    Raises :class:`IslandingError` when the outage would disconnect the
+    network (singular transfer matrix), ``ValueError`` for an out-of-range or
+    open branch and ``TypeError`` when ``outage`` is not a Python or NumPy
+    integer (``bool`` included).
     """
     base = sol._baseline
     _require_voltage(base)
     _closed_branch(sol.case, outage)
-    w = _bus_solve(lin, [sol.ybus.from_idx[outage], sol.ybus.to_idx[outage]])
-    table_rows, table_blocks = sol.ybus._branch_table
-    t = _EYE4 - table_blocks[outage] @ w[table_rows[outage]]
-    cond = float(np.linalg.cond(t))
-    if _singular(cond):
-        raise _islanding_error(int(outage), cond)
-    i_pre = base.i_terminal[outage].copy()
-    injection = np.linalg.solve(t, i_pre)
-    delta_state = w[: 2 * sol.n] @ injection
+    kept = lin._rows
+    row = kept[1].get(outage) if kept is not None and kept[0] is base else None
+    if row is None:
+        w = _bus_solve(lin, [sol.ybus.from_idx[outage], sol.ybus.to_idx[outage]])
+        table_rows, table_blocks = sol.ybus._branch_table
+        t = _EYE4 - table_blocks[outage] @ w[table_rows[outage]]
+        cond = float(np.linalg.cond(t))
+        if _singular(cond):
+            raise _islanding_error(int(outage), cond)
+        injection = np.linalg.solve(t, base.i_terminal[outage])
+        row = cond, injection, w[: 2 * sol.n] @ injection
+    cond, injection, delta_state = row
     monitors = (rows[0] for rows in _monitors(sol, delta_state[None], np.array([outage]), _QUANTITIES))
-    return OutageImpact(int(outage), injection, i_pre, cond, delta_state, *monitors, base.tiny.copy())
+    i_pre = base.i_terminal[outage].copy()
+    return OutageImpact(int(outage), injection.copy(), i_pre, cond, delta_state.copy(), *monitors, base.tiny.copy())
 
 
 def severity_from_deltas(

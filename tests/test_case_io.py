@@ -476,6 +476,14 @@ def _drop(key, table=None):
     return edit
 
 
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+
+    return edit
+
+
 def _put(table, key, value):
     def edit(doc):
         doc[table][-1][key] = value
@@ -501,21 +509,34 @@ def _put(table, key, value):
         (_put("branches", "closed", None), "malformed case dictionary: 'closed' must be true or false, not null"),
         (_put("branches", "closed", 0), "malformed case dictionary: 'closed' must be true or false, not 0"),
         (_put("buses", "id", math.inf), "malformed case dictionary: 'id' must be an integer, not Infinity"),
+        (_set("name", None), "malformed case dictionary: 'name' must be a string, not null"),
+        (_set("name", [1, 2]), "malformed case dictionary: 'name' must be a string, not [1, 2]"),
+        (_set("name", 7), "malformed case dictionary: 'name' must be a string, not 7"),
+        (_drop("name"), "case"),
+        (_set("schema_version", 99), "malformed case dictionary: 'schema_version' must be 1, not 99"),
+        (_set("schema_version", True), "malformed case dictionary: 'schema_version' must be an integer, not true"),
+        (_set("schema_version", 1.0), "malformed case dictionary: 'schema_version' must be an integer, not 1.0"),
+        (_set("schema_version", "1"), "malformed case dictionary: 'schema_version' must be an integer, not \"1\""),
+        (_drop("schema_version"), "malformed case dictionary: 'schema_version'"),
     ],
     ids=[
         "no-buses", "no-kind", "null-p_load", "kind-9", "array", "null-q_max", "no-closed",
-        "string-closed", "null-closed", "integer-closed", "infinite-id",
+        "string-closed", "null-closed", "integer-closed", "infinite-id", "null-name", "array-name",
+        "number-name", "no-name", "schema-99", "schema-true", "schema-float", "schema-string", "no-schema",
     ],
 )
 def test_json_reader_on_malformed_documents(edit, expected):
     """A malformed document raises CaseError with the reader's message, ``closed`` included
-    when it is not JSON true or false; a null reactive limit reads as unbounded and a branch
-    without ``closed`` as closed."""
+    when it is not JSON true or false, ``name`` when it is not a JSON string and
+    ``schema_version`` when it is not the JSON integer 1; a null reactive limit reads as
+    unbounded, a branch without ``closed`` as closed and a case without a name as "case"."""
     text = json.dumps(edit(_case_doc()))
-    if isinstance(expected, str):
+    if isinstance(expected, str) and expected.startswith("malformed"):
         with pytest.raises(CaseError) as err:
             case_from_json(text)
         assert str(err.value) == expected
+    elif isinstance(expected, str):
+        assert case_from_json(text).name == expected
     else:
         case = case_from_json(text)
         assert expected in case.generators + case.branches

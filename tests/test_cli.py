@@ -348,6 +348,15 @@ def test_counts_below_one_rejected(tmp_path, capsys, argv):
     assert not summary.exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", ["solve", "sens", "screen"])
+def test_tolerance_not_finite_positive_rejected(capsys, command, tol):
+    code, out, err = run(capsys, command, CASE14, "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --tol must be a finite positive number, got {tol}\n"
+
+
 def test_screen_with_oracle_json(capsys):
     code, out, _ = run(capsys, "screen", CASE14, "--with-oracle", "--json")
     assert code == 0

@@ -162,6 +162,12 @@ def test_zero_iteration_budget_reports_starting_mismatch(case14):
         solve_ac_powerflow(case14, PowerFlowOptions(max_iter=0))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_tolerance_not_finite_positive_rejected(case14, tol):
+    with pytest.raises(ValueError, match=f"tol must be a finite positive number, got {tol}"):
+        solve_ac_powerflow(case14, PowerFlowOptions(tol=tol))
+
+
 def test_infeasible_loading_diverges():
     # far beyond the loadability limit of the corridor
     with pytest.raises(DivergenceError):

@@ -793,8 +793,7 @@ def _impact_arrays(sol, lin, outages):
 def test_engine_live_bound_solves_again_with_equal_results(monkeypatch):
     """Buses numbered in reverse give long live ranges: the pass runs out of slots,
     solves some buses again, and yields the bytes of a pass without the bound.  Without
-    the bound the first stage's pass holds every bus and the model keeps it, so the
-    second stage solves nothing."""
+    the bound each stage's pass solves every bus once."""
     case = random_meshed(1, n_core=400, n_chords=100, n_spurs=20)
     case = replace(case, buses=case.buses[::-1])
     sol = solve_ac_powerflow(case)
@@ -814,7 +813,7 @@ def test_engine_live_bound_solves_again_with_equal_results(monkeypatch):
     monkeypatch.setattr(sensitivity, "_LIVE_BUSES", 10**6)
     lu.calls.clear()
     unbounded = _impact_arrays(sol, lin, closed)
-    assert lu.columns == 2 * distinct
+    assert lu.columns == 2 * 2 * distinct
     assert unbounded == bounded
 
 
@@ -980,10 +979,13 @@ def _same_impact(impact, other) -> bool:
 
 @pytest.mark.parametrize("mode", ["full", "network"])
 @pytest.mark.parametrize("which", ["14", "118"])
-def test_queries_after_a_screen_read_its_responses(request, which, mode):
-    """A screen's pass holds every terminal bus, and the model keeps its responses, read-only:
-    every non-bridge evaluate_outage on that model then makes no solve and gives, byte for
-    byte, the same query on a fresh model and the engine's row, slack terminals included."""
+def test_queries_after_a_screen_read_its_responses(request, which, mode, monkeypatch):
+    """A screen's pass holds at most _LIVE_BUSES terminal buses, and the model keeps each
+    outage's row of it, read-only: every non-bridge evaluate_outage of the same solution on
+    that model then makes no solve and takes no condition number, and returns in fresh
+    writeable arrays, byte for byte, the same query on a fresh model and the engine's row,
+    slack terminals included.  A query of another solution object solves and gives the
+    fresh bytes."""
     sol = request.getfixturevalue(f"sol{which}")
     case = sol.case
     base = linearize_at_solution(sol, mode)
@@ -993,36 +995,70 @@ def test_queries_after_a_screen_read_its_responses(request, which, mode):
     bridges = find_bridges(case)
     outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
     assert any(lin.slack in (sol.ybus.from_idx[k], sol.ybus.to_idx[k]) for k in outages)
-    resp, first = lin._responses
-    assert not resp.flags.writeable and set(first) == _terminal_buses(lin, case, outages)
-    fresh = replace(base)
+    baseline, rows = lin._rows
+    assert baseline is sol._baseline and set(rows) == set(outages)
+    assert not any(a.flags.writeable for _, *arrays in rows.values() for a in arrays)
+    fresh = {k: evaluate_outage(sol, replace(base), k) for k in outages}
     chunks = _impact_chunks(sol, replace(base), outages)
-    rows = {int(k): chunk.impact(i) for chunk in chunks for i, k in enumerate(chunk.outages)}
+    engine = {int(k): chunk.impact(i) for chunk in chunks for i, k in enumerate(chunk.outages)}
+    conds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *args: conds.append(args) or cond(*args))
     lu.calls.clear()
     for k in outages:
         impact = evaluate_outage(sol, lin, k)
-        assert not lu.calls, k
-        assert _same_impact(impact, evaluate_outage(sol, fresh, k)), k
-        assert _same_impact(impact, rows[k]), k
+        assert not lu.calls and not conds, k
+        assert _same_impact(impact, fresh[k]) and _same_impact(impact, engine[k]), k
+        arrays = [a for a in vars(impact).values() if isinstance(a, np.ndarray)]
+        assert all(a.flags.writeable for a in arrays), k
+        assert not any(np.shares_memory(a, kept) for a in arrays for kept in rows[k][1:]), k
+    other = replace(sol)
+    for k in outages[:3]:
+        lu.calls.clear()
+        assert _same_impact(evaluate_outage(other, lin, k), fresh[k]), k
+        assert len(lu.calls) == 1, k
 
 
-def test_later_passes_read_the_kept_responses(case118):
-    """An oracle_outage keeps the responses of its one outage's pass; the screen's pass holds
-    more buses and replaces them, and a second screen on the model solves no terminal and
-    gives the same report."""
+def test_rows_of_a_pass_closed_early_or_singular(monkeypatch, sol14):
+    """A pass closed early keeps no rows.  A pass that ends keeps only its nonsingular
+    outages, and a query of a singular non-bridge outage still raises IslandingError."""
+    case = sol14.case
+    bridges = find_bridges(case)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    lin = replace(linearize_at_solution(sol14))
+    chunks = _impact_chunks(sol14, lin, outages)
+    next(chunks)
+    chunks.close()
+    assert lin._rows is None
+    conds = _transfer_conds(sol14, "full")
+    limit = float(np.median(list(conds.values())))
+    monkeypatch.setattr(sensitivity, "COND_LIMIT", limit)
+    report = screen(case, sol14, lin)
+    singular = {e.branch for e in report.entries if e.note == "singular transfer matrix"}
+    assert singular == {k for k, c in conds.items() if c > limit} and 0 < len(singular) < len(outages)
+    assert set(lin._rows[1]) == set(outages) - singular
+    for k in sorted(singular):
+        with pytest.raises(IslandingError, match=f"branch {k} is singular"):
+            evaluate_outage(sol14, lin, k)
+
+
+def test_a_second_screen_gives_the_same_report(case118):
+    """An oracle_outage keeps no rows; a screen on the solution's own model keeps its rows,
+    and a second screen solves its terminals again, gives the same report and keeps its own."""
     sol = solve_ac_powerflow(case118)
     lin = linearize_at_solution(sol)  # the solution's own model, which the oracle takes
     lu = lin._lu = _CountingLU(lin._lu)
     assert oracle_outage(case118, 10, sol).converged
-    assert set(lin._responses[1]) == _terminal_buses(lin, case118, [10])
+    assert lin._rows is None
     report = screen(case118, sol, lin)
-    kept = lin._responses
+    kept = lin._rows
     bridges = find_bridges(case118)
     outages = [k for k, br in enumerate(case118.branches) if br.closed and k not in bridges]
-    assert set(kept[1]) == _terminal_buses(lin, case118, outages)
+    assert set(kept[1]) == set(outages)
     lu.calls.clear()
     assert screen(case118, sol, lin) == report
-    assert not lu.calls and lin._responses is kept
+    assert lu.columns == 2 * len(_terminal_buses(lin, case118, outages))
+    assert lin._rows is not kept and set(lin._rows[1]) == set(outages)
 
 
 def _tiling():
@@ -1035,20 +1071,20 @@ def _tiling():
 
 def test_large_pass_keeps_no_responses():
     """The 944-bus tiled case has more terminal buses than ``_LIVE_BUSES``: its screen plans
-    the shared slots as before, 49 of them, and the model keeps nothing."""
+    the shared slots, 49 of them, and keeps no rows."""
     tiling = _tiling()
     base = bundled_case("case118")
     case = tiling.tile_case(base, tiling.slack_generation(solve_ac_powerflow(base)), 8, 1)
     sol = solve_ac_powerflow(case)
     lin = linearize_at_solution(sol)
     screen(case, sol, lin)
-    assert case.n == 944 and lin._responses is None
+    assert case.n == 944 and lin._rows is None
     bridges = find_bridges(case)
     outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
     assert len(_terminal_buses(lin, case, outages)) == 878
     order = np.concatenate([idx for idx, *_ in _transfer_chunks(lin, case, outages, sol.ybus)])
-    _, n_slots, first = _slot_plan(lin, sol.ybus.from_idx[order], sol.ybus.to_idx[order])
-    assert n_slots == 49 and first is None
+    _, n_slots = _slot_plan(lin, sol.ybus.from_idx[order], sol.ybus.to_idx[order])
+    assert n_slots == 49
 
 
 def test_pool_shuts_down_on_error_and_early_close(sol118, lin118, monkeypatch):
