@@ -27,7 +27,7 @@ from .powerflow import (
     solve_ac_powerflow,
 )
 from .screening import compare_severities, find_bridges, screen
-from .sensitivity import SEVERITY_METRICS, _outage_impacts
+from .sensitivity import SEVERITY_METRICS, _impact_chunks
 
 __all__ = ["main", "main_entry"]
 
@@ -290,54 +290,44 @@ def _cmd_sens(args) -> int:
     lin = linearize_at_solution(sol, args.mode)
     outages = _parse_outage(args.outage, case)
     bridges = find_bridges(case)
-    impacts = _outage_impacts(sol, lin, [l for l in outages if l not in bridges])
-    records = [(l, impacts.get(l)) for l in outages]
+    field = {"vmag": "delta_vmag", "imag": "delta_imag", "pline": "delta_p"}[args.quantity]
+    # the condition number and monitor row of each non-bridge outage whose
+    # transfer matrix is not singular
+    rows: dict[int, tuple[float, np.ndarray]] = {}
+    for chunk in _impact_chunks(sol, lin, [l for l in outages if l not in bridges], (args.quantity,)):
+        for i in np.flatnonzero(~chunk.singular):
+            rows[int(chunk.outages[i])] = float(chunk.cond[i]), getattr(chunk, field)[i]
+    # (label, column) of each monitored bus or closed branch
+    if args.quantity == "vmag":
+        key, monitored = "bus", [(bus.id, k) for k, bus in enumerate(case.buses)]
+    else:
+        key, monitored = "branch", [(m, m) for m, br in enumerate(case.branches) if br.closed]
 
     if args.json:
         doc = {"case": case.name, "quantity": args.quantity, "mode": args.mode, "outages": []}
-        for l, imp in records:
+        for l in outages:
             br = case.branches[l]
-            rec = {"outage": l, "from": br.from_bus, "to": br.to_bus, "islanding": imp is None}
-            if imp is not None:
-                rec["cond"] = _round12(imp.cond)
-                if args.quantity == "vmag":
-                    rec["deltas"] = [
-                        {"bus": bus.id, "delta": _round12(imp.delta_vmag[k])}
-                        for k, bus in enumerate(case.buses)
-                    ]
-                else:
-                    values = imp.delta_imag if args.quantity == "imag" else imp.delta_p
-                    rec["deltas"] = [
-                        {"branch": m, "delta": _round12(values[m])}
-                        for m in range(case.n_branch)
-                        if case.branches[m].closed
-                    ]
-                    if args.quantity == "imag":
-                        for d in rec["deltas"]:
-                            d["fallback"] = bool(imp.imag_fallback[d["branch"]])
+            rec = {"outage": l, "from": br.from_bus, "to": br.to_bus, "islanding": l in bridges}
+            row = rows.get(l)
+            if row is not None:
+                rec["cond"] = _round12(row[0])
+                rec["deltas"] = [{key: label, "delta": _round12(row[1][c])} for label, c in monitored]
+                if args.quantity == "imag":
+                    for d in rec["deltas"]:
+                        d["fallback"] = bool(sol._baseline.tiny[d["branch"]])
+            elif l not in bridges:
+                rec["note"] = "singular transfer matrix"
             doc["outages"].append(rec)
         _emit(_json_dump(doc), args.out)
         return 0
 
-    if args.quantity == "vmag":
-        lines = ["outage,bus,delta_vmag,islanding"]
-        for l, imp in records:
-            if imp is None:
-                lines.append(f"{l},,,true")
-                continue
-            for k, bus in enumerate(case.buses):
-                lines.append(f"{l},{bus.id},{_fmt(imp.delta_vmag[k])},false")
-    else:
-        head = "delta_imag" if args.quantity == "imag" else "delta_p"
-        lines = [f"outage,branch,{head},islanding"]
-        for l, imp in records:
-            if imp is None:
-                lines.append(f"{l},,,true")
-                continue
-            values = imp.delta_imag if args.quantity == "imag" else imp.delta_p
-            for m in range(case.n_branch):
-                if case.branches[m].closed:
-                    lines.append(f"{l},{m},{_fmt(values[m])},false")
+    lines = [f"outage,{key},{field},islanding"]
+    for l in outages:
+        row = rows.get(l)
+        if row is None:
+            lines.append(f"{l},,,{str(l in bridges).lower()}")
+            continue
+        lines.extend(f"{l},{label},{_fmt(row[1][c])},false" for label, c in monitored)
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -428,15 +418,17 @@ def _severities_from_report(path: str) -> dict[int, float]:
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or "branch" not in e:
             raise CaseError(f"{path}: entry {i} is not a screening entry (an object with a 'branch')")
-        branch, severity = e["branch"], e.get("severity")
+        branch, severity, islanding = e["branch"], e.get("severity"), e.get("islanding", False)
         if type(branch) is not int:  # a JSON integer: not 3.7, "1" or true
             raise CaseError(f"{path}: entry {i} has a branch that is not an integer ({branch!r})")
         if severity is not None and type(severity) not in (int, float):
             raise CaseError(f"{path}: entry {i} has a severity that is not a number or null ({severity!r})")
+        if type(islanding) is not bool:  # JSON true or false: not "no", 0 or null
+            raise CaseError(f"{path}: entry {i} has an islanding flag that is not true or false ({islanding!r})")
         if branch in seen:
             raise CaseError(f"{path}: entry {i} repeats branch {branch}")
         seen.add(branch)
-        if e.get("islanding") or severity is None:
+        if islanding or severity is None:
             continue
         try:
             out[branch] = float(severity)

@@ -321,14 +321,11 @@ class _NewtonProblem:
             x[: 2 * n] = complex_to_state(v)
             x[2 * n :] = self._estimate_reactive(v)
             return x
-        if options.start == "state":
-            if options.initial_state is None or len(options.initial_state) < 2 * n:
-                raise PowerFlowError("start='state' requires an initial_state of length >= 2n")
-            x[: 2 * n] = options.initial_state[: 2 * n]
-            v = state_to_complex(x, n)
-            x[2 * n :] = self._estimate_reactive(v)
-            return x
-        raise PowerFlowError(f"unknown start mode {options.start!r}")
+        # start "state": an initial_state of length >= 2n, as solve_ac_powerflow checks
+        x[: 2 * n] = options.initial_state[: 2 * n]
+        v = state_to_complex(x, n)
+        x[2 * n :] = self._estimate_reactive(v)
+        return x
 
     def q_violations(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """PV buses whose reactive injection at state ``x`` is below / above its limits."""
@@ -633,11 +630,20 @@ def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) 
     Reactive generator limits are checked after convergence; violating PV
     buses are converted to PQ at the binding limit and the problem re-solved,
     for at most five passes.  Raises a :class:`~gridscreen.errors.PowerFlowError`
-    subclass on numerical failure, ``ValueError`` for a ``tol`` not finite and positive.
+    subclass on numerical failure, and ``ValueError`` before any work for a
+    ``tol`` not finite and positive, a ``max_iter`` that is not a
+    non-negative integer (``bool`` included), an unknown ``start``, or
+    ``start="state"`` without an ``initial_state`` of length at least 2n.
     """
     options = options or PowerFlowOptions()
     if not 0 < options.tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {options.tol}")
+    if type(options.max_iter) is bool or not isinstance(options.max_iter, (int, np.integer)) or options.max_iter < 0:
+        raise ValueError(f"max_iter must be a non-negative integer, got {options.max_iter!r}")
+    if options.start not in ("flat", "file", "state"):
+        raise ValueError(f"unknown start mode {options.start!r}; choose from 'flat', 'file', 'state'")
+    if options.start == "state" and (options.initial_state is None or len(options.initial_state) < 2 * case.n):
+        raise ValueError("start='state' requires an initial_state of length >= 2n")
     case.validate()
     ybus = build_ybus(case)
     problem = _NewtonProblem(case, ybus)

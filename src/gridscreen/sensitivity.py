@@ -20,11 +20,13 @@ block then stacks the transfer matrices, the injections and the monitors.
 What does not depend on the pass is built once: the terminal state rows and
 4x4 current blocks of every branch per admittance matrix (its branch
 table), and the pre-outage currents, the zero-voltage guard and the parts
-the monitors read per solution.  A single-outage query runs no engine pass:
-it copies its row where the model keeps one, from a pass over at most
-``_LIVE_BUSES`` distinct terminal buses, and otherwise takes the engine's
-bus solve and floating-point operations for its row on plain 4x4 and
-(2n, 4) arrays, so every caller gets the same numbers for the same outage.
+the monitors read per solution.  The screen and the CLI's ``sens`` read the
+engine's blocks.  A single-outage query, :func:`evaluate_outage`, the one
+builder of an :class:`OutageImpact`, runs no engine pass: it copies its row
+where the model keeps one, from a pass over at most ``_LIVE_BUSES`` distinct
+terminal buses, and otherwise takes the engine's bus solve and
+floating-point operations for its row on plain 4x4 and (2n, 4) arrays, so
+every caller gets the same numbers for the same outage.
 The terminal solves release the interpreter lock and run ahead on a small
 thread pool (one worker per usable CPU; none for a single block); the rest
 of each block, the copy of its solved columns into the slot array included,
@@ -382,32 +384,11 @@ class _ImpactChunk:
     outages: np.ndarray  # (c,)
     cond: np.ndarray  # (c,)
     singular: np.ndarray  # bool (c,)
-    i_pre: np.ndarray  # (c, 4)
     injection: np.ndarray  # (c, 4)
     delta_state: np.ndarray  # (c, 2n)
     delta_vmag: np.ndarray | None  # (c, n)
     delta_imag: np.ndarray | None  # (c, m)
     delta_p: np.ndarray | None  # (c, m)
-    imag_fallback: np.ndarray  # bool (m,)
-
-    def impact(self, i: int) -> OutageImpact:
-        if self.singular[i]:
-            raise _islanding_error(int(self.outages[i]), float(self.cond[i]))
-        return OutageImpact(
-            outage=int(self.outages[i]),
-            injection=self.injection[i],
-            i_pre=self.i_pre[i],
-            cond=float(self.cond[i]),
-            delta_state=self.delta_state[i],
-            delta_vmag=self.delta_vmag[i],
-            delta_imag=self.delta_imag[i],
-            delta_p=self.delta_p[i],
-            imag_fallback=self.imag_fallback.copy(),
-        )
-
-    def severities(self, metric: str, closed: np.ndarray) -> np.ndarray:
-        """Severity (c,) of every row under ``metric``; see :func:`severity_from_deltas`."""
-        return _severities(metric, self.delta_vmag, self.delta_imag, self.delta_p, self.outages, closed)
 
 
 def _monitors(
@@ -480,7 +461,8 @@ def _impact_chunks(
 
     The pre-outage currents of a block solve its stacked transfer matrices
     for the equivalent injections; singular matrices are replaced by the
-    identity for that solve and their rows set to NaN.  ``chunks``, where
+    identity for that solve and their rows set to NaN.  Those currents and
+    the |I| fallback flags stay on ``sol._baseline``.  ``chunks``, where
     given, is the engine pass over ``outages`` on ``lin`` to read (see
     :func:`_transfer_chunks`), so that another stage can share it; by
     default the impacts make their own.  Monitoring ``"vmag"`` at a
@@ -504,11 +486,10 @@ def _impact_chunks(
                 ends = set(sol.ybus.from_idx[outages].tolist()) | set(sol.ybus.to_idx[outages].tolist())
                 kept = {} if len(ends - {lin.slack}) <= _LIVE_BUSES else None
             singular = _singular(cond)
-            i_pre = base.i_terminal[idx]
             masked = singular.any()
             if masked:
                 t = np.where(singular[:, None, None], _EYE4, t)
-            injection = np.linalg.solve(t, i_pre[..., None])[..., 0]
+            injection = np.linalg.solve(t, base.i_terminal[idx][..., None])[..., 0]
             if masked:
                 injection[singular] = np.nan
             # each outage's four response columns times its injection, stacked
@@ -524,27 +505,14 @@ def _impact_chunks(
                 outages=idx,
                 cond=cond,
                 singular=singular,
-                i_pre=i_pre,
                 injection=injection,
                 delta_state=delta_state,
                 delta_vmag=delta_vmag,
                 delta_imag=delta_imag,
                 delta_p=delta_p,
-                imag_fallback=base.tiny,
             )
     if kept is not None:
         lin._rows = (base, kept)
-
-
-def _outage_impacts(
-    sol: PowerFlowSolution, lin: LinearizedSystem, outages: Iterable[int]
-) -> dict[int, OutageImpact | None]:
-    """Impacts by outage index; None where the transfer matrix is singular."""
-    return {
-        int(k): None if chunk.singular[i] else chunk.impact(i)
-        for chunk in _impact_chunks(sol, lin, outages)
-        for i, k in enumerate(chunk.outages)
-    }
 
 
 def _outage_severities(
@@ -563,7 +531,8 @@ def _outage_severities(
     severities = {}
     for chunk in _impact_chunks(sol, lin, outages, (_METRIC_QUANTITY[metric],), chunks):
         keep = ~chunk.singular
-        severities.update(zip(chunk.outages[keep].tolist(), chunk.severities(metric, closed)[keep].tolist()))
+        values = _severities(metric, chunk.delta_vmag, chunk.delta_imag, chunk.delta_p, chunk.outages, closed)
+        severities.update(zip(chunk.outages[keep].tolist(), values[keep].tolist()))
     return severities
 
 
@@ -571,6 +540,8 @@ def _outage_severities(
 class OutageImpact:
     """First-order impact of one line outage on every monitored quantity.
 
+    :func:`evaluate_outage` builds it, in fresh arrays; an all-branches run
+    reads the engine's blocks instead, which hold the same numbers.
     Branch-indexed arrays follow the from side.  The outaged branch itself
     uses the removed-branch convention: its current change is the negated
     pre-outage current (the physical post-outage current is zero), and its

@@ -3,12 +3,15 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from gridscreen import sensitivity
 from gridscreen.case_io import bundled_case_path, case_from_json, case_to_json
 from gridscreen.cli import _report_json, main
 from gridscreen.dcmodel import build_dc_model, dc_lodf
-from gridscreen.screening import screen
+from gridscreen.screening import find_bridges, screen
+from gridscreen.sensitivity import evaluate_outage
 
 from gridbuild import overload_pair, two_bus
 
@@ -299,6 +302,52 @@ def test_sens_branch_csv_with_a_bridge(capsys, quantity, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--quantity", "pline"), "a407f37832fa455bbe82c7e99f42a96b1882c38e9daedf4f73d25e0fbd9fae76"),
+        (
+            ("--mode", "network", "--quantity", "imag"),
+            "d4c93b4735fd2fa59bb1e3ea6d466a10b60914a29eda70ee99b6ad4e731b7148",
+        ),
+    ],
+)
+def test_sens_json_case118_bytes(capsys, argv, digest):
+    """case118's outages fill six engine blocks, solved on the thread pool or, with one
+    usable CPU, inline; the bytes are pinned."""
+    code, out, _ = run(capsys, "sens", CASE118, "--json", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sens_singular_non_bridge_outages_print_as_screen_does(capsys, monkeypatch, sol14, lin14):
+    """With COND_LIMIT at the median case14 condition number, sens marks only bridge 13
+    islanding, and its singular outages are screen's "singular transfer matrix" entries:
+    a JSON note without cond or deltas, and one CSV row ending in false."""
+    case = sol14.case
+    bridges = find_bridges(case)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    conds = [evaluate_outage(sol14, lin14, k).cond for k in outages]
+    monkeypatch.setattr(sensitivity, "COND_LIMIT", float(np.median(conds)))
+    code, out, _ = run(capsys, "screen", CASE14, "--json")
+    assert code == 0 and bridges == {13}
+    singular = sorted(e["branch"] for e in json.loads(out)["entries"] if e["note"] == "singular transfer matrix")
+    assert 0 < len(singular) < len(outages)
+
+    code, out, _ = run(capsys, "sens", CASE14, "--json")
+    assert code == 0
+    records = json.loads(out)["outages"]
+    assert [rec["outage"] for rec in records if rec["islanding"]] == [13]
+    noted = [rec for rec in records if "note" in rec]
+    assert [rec["outage"] for rec in noted] == singular
+    assert all(rec["note"] == "singular transfer matrix" and not {"cond", "deltas"} & set(rec) for rec in noted)
+
+    code, out, _ = run(capsys, "sens", CASE14, "--quantity", "pline")
+    assert code == 0
+    blank = [line for line in out.splitlines() if ",,," in line]
+    assert blank == [f"{k},,,{str(k in bridges).lower()}" for k in sorted([*singular, *bridges])]
+
+
 def test_screen_csv_ranking(capsys):
     code, out, _ = run(capsys, "screen", CASE14)
     assert code == 0
@@ -433,7 +482,8 @@ def test_compare_rejects_non_report(tmp_path, capsys):
 
     # a top-level array, then entries without a branch, not an object, with a non-numeric
     # severity, with a branch that is no JSON integer (checked on an unscored entry too), with
-    # a boolean severity or one past the float range, and a repeated branch
+    # a boolean severity or one past the float range, with an islanding flag that is not JSON
+    # true or false (checked on an unscored entry too), and a repeated branch
     bogus.write_text("[]")
     code, _, err = run(capsys, "compare", str(bogus), str(bogus))
     assert code == 1 and "entries" in err and "Traceback" not in err
@@ -450,6 +500,9 @@ def test_compare_rejects_non_report(tmp_path, capsys):
         {"branch": 1.0, "severity": None, "islanding": True},
         {"branch": 2, "severity": True},
         {"branch": 2, "severity": 10**400},
+        {"branch": 2, "severity": 0.5, "islanding": "no"},
+        {"branch": 2, "severity": 0.5, "islanding": 0},
+        {"branch": 2, "severity": None, "islanding": None},
         {"branch": 0, "severity": 0.7},
         {"branch": 0, "severity": None, "islanding": True},
     ):

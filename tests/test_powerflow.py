@@ -143,11 +143,25 @@ def test_file_start_matches_flat_start(case14, sol14):
     assert sol.iterations <= sol14.iterations
 
 
-def test_unknown_start_mode_rejected(case14):
-    with pytest.raises(PowerFlowError, match="start"):
+def test_unknown_start_mode_rejected(case14, monkeypatch):
+    """An unknown start mode, and a state start without a state of length 2n, raise
+    ``ValueError`` before the Y-bus is built."""
+    monkeypatch.setattr(powerflow, "build_ybus", lambda case: pytest.fail("the solve started"))
+    with pytest.raises(ValueError, match="unknown start mode 'warm'"):
         solve_ac_powerflow(case14, PowerFlowOptions(start="warm"))
-    with pytest.raises(PowerFlowError, match="initial_state"):
+    with pytest.raises(ValueError, match="initial_state"):
         solve_ac_powerflow(case14, PowerFlowOptions(start="state"))
+    with pytest.raises(ValueError, match="initial_state"):
+        solve_ac_powerflow(case14, PowerFlowOptions(start="state", initial_state=np.ones(2 * case14.n - 1)))
+
+
+@pytest.mark.parametrize("max_iter", [-1, True, 2.5, "3"])
+def test_iteration_budget_not_a_count_rejected(case14, monkeypatch, max_iter):
+    """An iteration budget that is not a non-negative integer raises ``ValueError`` before
+    the Y-bus is built; 0 stays allowed (see the next tests)."""
+    monkeypatch.setattr(powerflow, "build_ybus", lambda case: pytest.fail("the solve started"))
+    with pytest.raises(ValueError, match=f"max_iter must be a non-negative integer, got {max_iter!r}"):
+        solve_ac_powerflow(case14, PowerFlowOptions(max_iter=max_iter))
 
 
 def test_iteration_budget_exhaustion_raises(case14):
