@@ -24,7 +24,7 @@ from .case_io import (
     parse_case,
     scale_loading,
 )
-from .dcmodel import DcLodfResult, DcModel, build_dc_model, dc_lodf, dc_ptdf, solve_dc
+from .dcmodel import DcLodfResult, DcModel, build_dc_model, dc_lodf, solve_dc
 from .errors import (
     CaseError,
     DivergenceError,
@@ -112,7 +112,6 @@ __all__ = [
     "circuit_lodf",
     "compare_severities",
     "dc_lodf",
-    "dc_ptdf",
     "evaluate_outage",
     "find_bridges",
     "injection_sensitivity",

@@ -38,7 +38,6 @@ __all__ = [
     "case_to_json",
     "case_from_json",
     "build_ybus",
-    "branch_admittances",
     "scale_loading",
 ]
 
@@ -539,17 +538,6 @@ def case_from_json(text: str) -> GridCase:
 
 # -- admittance assembly ------------------------------------------------------
 
-def branch_admittances(branch: Branch) -> tuple[complex, complex, complex, complex]:
-    """Two-port admittance parameters ``(yff, yft, ytf, ytt)`` of one branch.
-
-    Terminal currents follow from the terminal voltages as
-    ``I_f = yff*V_f + yft*V_t`` and ``I_t = ytf*V_f + ytt*V_t``, with both
-    currents oriented into the branch.  Open branches return four zeros.
-    A one-branch call of the stamps :func:`build_ybus` builds.
-    """
-    return tuple(complex(y[0]) for y in _branch_stamps((branch,)))
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Complex array of the given parts, bit for bit (``re + 1j * im`` may flip a signed zero)."""
     z = np.empty(np.broadcast(re, im).shape, dtype=complex)
@@ -623,7 +611,7 @@ def _branch_blocks(
     """The terminal state rows (c, 4) and current blocks (c, 4, 4) of c branches.
 
     ``f`` and ``t`` are the branches' terminal buses, the others their
-    two-port admittances (see :func:`branch_admittances`).  Row ``i`` of
+    two-port admittances (see :func:`_branch_stamps`).  Row ``i`` of
     both is the :class:`~gridscreen.sensitivity.BranchCurrentJacobian` of
     branch ``i``: the state rows ``[2f, 2f + 1, 2t, 2t + 1]`` of its
     terminal voltages and the derivative of its terminal currents wrt them.
@@ -723,7 +711,9 @@ def _assemble_ybus(
 
 
 def scale_loading(case: GridCase, factor: float) -> GridCase:
-    """Uniformly scale every load and generator setpoint by ``factor``."""
+    """Uniformly scale every load and generator setpoint by ``factor``; one not finite raises ``ValueError``."""
+    if not math.isfinite(factor):
+        raise ValueError(f"loading factor must be finite, got {factor}")
     buses = tuple(
         replace(
             b,

@@ -23,7 +23,6 @@ __all__ = [
     "DcLodfResult",
     "build_dc_model",
     "solve_dc",
-    "dc_ptdf",
     "dc_lodf",
 ]
 
@@ -142,33 +141,20 @@ def solve_dc(case: GridCase | DcModel) -> DcSolution:
     return DcSolution(theta=theta, flows=model.branch_flows(theta))
 
 
-def dc_ptdf(model: DcModel, from_bus: int, to_bus: int) -> np.ndarray:
-    """Per-branch flow change for a unit power transfer between two buses.
-
-    Bus arguments are external ids.  Injections at the slack are absorbed
-    by construction, so a transfer involving the slack perturbs only its
-    other end.
-    """
-    case = model.case
-    p = np.zeros(model.n)
-    p[case.bus_index(from_bus)] += 1.0
-    p[case.bus_index(to_bus)] -= 1.0
-    theta = model.solve_reduced(p)
-    flows = model.b_branch * (theta[model.from_idx] - theta[model.to_idx])
-    return flows
-
-
 def dc_lodf(model: DcModel, outage: int, solution: DcSolution | None = None) -> DcLodfResult:
     """Line outage distribution factors for removing branch ``outage``.
 
-    Raises :class:`IslandingError` when the branch is a bridge in the DC
-    network (its self-PTDF reaches one and no redistribution exists).
+    They follow from the PTDF, the per-branch flow change of a unit
+    transfer from the branch's from bus to its to bus.  Raises
+    :class:`IslandingError` when the branch is a bridge in the DC network
+    (its self-PTDF reaches one and no redistribution exists).
     """
-    case = model.case
-    _closed_branch(case, outage)
-    branch = case.branches[outage]
-
-    ptdf = dc_ptdf(model, branch.from_bus, branch.to_bus)
+    _closed_branch(model.case, outage)
+    p = np.zeros(model.n)
+    p[model.from_idx[outage]] += 1.0
+    p[model.to_idx[outage]] -= 1.0
+    theta = model.solve_reduced(p)
+    ptdf = model.b_branch * (theta[model.from_idx] - theta[model.to_idx])
     denom = 1.0 - ptdf[outage]
     if abs(denom) < _BRIDGE_TOL:
         raise IslandingError(f"branch {outage} is a bridge in the DC network")

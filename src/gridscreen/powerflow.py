@@ -544,7 +544,7 @@ class PowerFlowSolution:
         """The full-mode linear model, factorized on first use; a singular one raises on every use."""
         problem = self._problem
         x_op = self.full_state
-        return _factorized_system("full", self.case, problem.jacobian(x_op), x_op, problem.slack, problem.pv.copy())
+        return _factorized_system("full", self.case, problem.jacobian(x_op), x_op, problem.slack)
 
     @property
     def p_inj(self) -> np.ndarray:
@@ -589,11 +589,12 @@ def _solve_round(problem: _NewtonProblem, x: np.ndarray, options: PowerFlowOptio
 
 def _newton(
     problem: _NewtonProblem, x: np.ndarray, options: PowerFlowOptions
-) -> tuple[_NewtonProblem, np.ndarray, int]:
+) -> tuple[_NewtonProblem, np.ndarray, int, float]:
     """Newton rounds from ``x`` with the reactive-limit passes of :func:`solve_ac_powerflow`.
 
-    Returns the final problem (with its reactive pins), its converged state
-    and the total iteration count.
+    Returns the final problem (with its reactive pins), its converged state,
+    the total iteration count and the max-norm residual of the final problem
+    at that state.
     """
     case, ybus = problem.case, problem.ybus
     q_pinned = dict(problem.q_pinned)
@@ -601,7 +602,7 @@ def _newton(
     rounds_allowed = _Q_LIMIT_ROUNDS if options.enforce_q_limits else 0
     round_no = 0
     while True:
-        x, iterations, _ = _solve_round(problem, x, options)
+        x, iterations, mismatch = _solve_round(problem, x, options)
         total_iterations += iterations
         if len(problem.pv) == 0:
             break
@@ -621,7 +622,7 @@ def _newton(
         state = x[: 2 * problem.n]
         problem = _NewtonProblem(case, ybus, q_pinned)
         x = problem.initial_state(PowerFlowOptions(start="state", initial_state=state))
-    return problem, x, total_iterations
+    return problem, x, total_iterations, mismatch
 
 
 def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) -> PowerFlowSolution:
@@ -647,7 +648,7 @@ def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) 
     case.validate()
     ybus = build_ybus(case)
     problem = _NewtonProblem(case, ybus)
-    problem, x, total_iterations = _newton(problem, problem.initial_state(options), options)
+    problem, x, total_iterations, mismatch = _newton(problem, problem.initial_state(options), options)
     q_pinned = problem.q_pinned
 
     n = case.n
@@ -672,7 +673,7 @@ def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) 
         state=x[: 2 * n].copy(),
         q_gen=q_gen,
         iterations=total_iterations,
-        max_mismatch=float(np.max(np.abs(problem.residual(x)))),
+        max_mismatch=mismatch,
         kinds_effective=kinds,
         q_limited=dict(q_pinned),
         ybus=ybus,
@@ -691,9 +692,10 @@ class LinearizedSystem:
     PV devices respond to perturbations through their linearized stamps.
     ``mode="network"`` keeps only the expanded admittance matrix with the
     devices frozen as constant current sources.  Both share the row layout:
-    rows ``2k``/``2k+1`` are the current balance of bus ``k`` (replaced by
-    voltage pins at the slack), and in full mode one magnitude row per PV
-    bus follows.
+    rows ``2k``/``2k+1`` are the current balance of bus ``k`` for every bus
+    but ``slack``, whose two rows pin its rectangular voltage, and in full
+    mode one magnitude row per PV bus follows.  ``x_op`` is the operating
+    point, so ``matrix @ x_op`` is the right-hand side it solves exactly.
     """
 
     mode: str
@@ -701,10 +703,8 @@ class LinearizedSystem:
     n: int
     size: int
     matrix: sp.csc_matrix
-    rhs: np.ndarray
     x_op: np.ndarray
     slack: int
-    pv: np.ndarray
     _lu: object = field(repr=False)
     # a solution's baseline and the read-only rows by outage of an engine
     # pass of it (see ``sensitivity._impact_chunks``); a replace has none
@@ -713,31 +713,16 @@ class LinearizedSystem:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
 
-    def is_slack(self, bus: int) -> bool:
-        return bus == self.slack
-
-    def kcl_rows(self, bus: int) -> tuple[int, int] | None:
-        """Row pair carrying the current balance of ``bus`` (None at the slack)."""
-        if bus == self.slack:
-            return None
-        return 2 * bus, 2 * bus + 1
-
-    @property
-    def v_op(self) -> np.ndarray:
-        return state_to_complex(self.x_op, self.n)
-
 
 def linearize_at_solution(sol: PowerFlowSolution, mode: str = "full") -> LinearizedSystem:
-    """Extract the linear model of the final Newton iteration.
+    """Extract the linear model of the final Newton iteration at the solution's state.
 
-    The right-hand side is defined as ``matrix @ x_op`` so the operating
-    point solves the linear system exactly, independent of the residual
-    tolerance that stopped the iteration.  Full mode returns the solution's
-    own model, which every later call, the screen and the oracle share, so
-    do not mutate it; network mode builds a new model on each call.  A model
-    of either mode keeps the rows of an engine pass over at most 128 terminal
-    buses, such as a case118 screen's, and a later query of the same solution
-    reads its row there instead of solving; both give the same bits.
+    Full mode returns the solution's own model, which every later call, the
+    screen and the oracle share, so do not mutate it; network mode builds a
+    new model on each call.  A model of either mode keeps the rows of an
+    engine pass over at most 128 terminal buses, such as a case118 screen's,
+    and a later query of the same solution reads its row there instead of
+    solving; both give the same bits.
     """
     if mode == "full":
         return sol._model
@@ -749,13 +734,13 @@ def linearize_at_solution(sol: PowerFlowSolution, mode: str = "full") -> Lineari
 def _network_system(case: GridCase, ybus: sp.spmatrix, slack: int, x_op: np.ndarray) -> LinearizedSystem:
     """Network-mode model of ``ybus``: the pinned admittance matrix alone."""
     matrix = _pinned_network(ybus, slack).tocsc()
-    return _factorized_system("network", case, matrix, x_op, slack, np.zeros(0, dtype=np.int64))
+    return _factorized_system("network", case, matrix, x_op, slack)
 
 
 def _factorized_system(
-    mode: str, case: GridCase, matrix: sp.csc_matrix, x_op: np.ndarray, slack: int, pv: np.ndarray
+    mode: str, case: GridCase, matrix: sp.csc_matrix, x_op: np.ndarray, slack: int
 ) -> LinearizedSystem:
-    """Factor ``matrix`` into a linear model that ``x_op`` solves exactly."""
+    """Factor ``matrix`` into a linear model of the operating point ``x_op``."""
     try:
         lu = splu(matrix)
     except RuntimeError as exc:
@@ -766,10 +751,8 @@ def _factorized_system(
         n=case.n,
         size=matrix.shape[0],
         matrix=matrix,
-        rhs=matrix @ x_op,
         x_op=x_op,
         slack=slack,
-        pv=pv,
         _lu=lu,
     )
 

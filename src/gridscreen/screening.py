@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .case_io import GridCase, _closed_branch, _without_branch
+from .case_io import GridCase, _branch_index, _closed_branch, _without_branch
 from .errors import PowerFlowError, SingularSystemError
 from .powerflow import (
     LinearizedSystem,
@@ -31,6 +31,7 @@ from .sensitivity import (
     _QUANTITIES,
     SEVERITY_METRICS,
     _outage_severities,
+    _require_model_of,
     _severities,
     _singular,
     _transfer_chunks,
@@ -70,7 +71,13 @@ def _adjacency(case: GridCase, skip_branch: int | None = None) -> list[list[tupl
 
 
 def is_connected(case: GridCase, skip_branch: int | None = None) -> bool:
-    """Whether all buses are reachable over closed branches (optionally skipping one)."""
+    """Whether all buses are reachable over closed branches (optionally skipping one).
+
+    A ``skip_branch`` that is not an integer raises ``TypeError``, one out of
+    range ``ValueError``.
+    """
+    if skip_branch is not None:
+        _branch_index(case, skip_branch)
     adj = _adjacency(case, skip_branch)
     seen = [False] * case.n
     stack = [0]
@@ -377,7 +384,7 @@ class _Oracle:
         for k in sorted(k for k in outages if k not in chorded):
             problem = self.problem(k)
             try:
-                _, x, _ = _newton(problem, problem.initial_state(self._options), self._options)
+                _, x, _, _ = _newton(problem, problem.initial_state(self._options), self._options)
             except PowerFlowError as exc:
                 results[k] = exc
             else:
@@ -422,6 +429,12 @@ class _Oracle:
         return {k: OracleOutcome(k, False, True, *(d[i] for d in deltas)) for i, k in enumerate(ks.tolist())}
 
 
+def _require_solution_of(case: GridCase, sol: PowerFlowSolution) -> None:
+    """Raise ``ValueError`` unless ``sol`` is a solution of ``case`` (or of an equal case)."""
+    if not (sol.case is case or sol.case == case):
+        raise ValueError("the power flow solution is not a solution of this case")
+
+
 def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> OracleOutcome:
     """Ground-truth outage impact by a warm-started nonlinear re-solve.
 
@@ -436,9 +449,10 @@ def oracle_outage(case: GridCase, branch_idx: int, base: PowerFlowSolution) -> O
     ``10 tol`` of that solve's.  Non-convergence is reported as an outcome,
     not raised: a contingency whose post-outage power flow fails to solve
     is itself a finding.  Raises ``ValueError`` for an open or out-of-range
-    branch.
+    branch, and for a ``base`` of another case.
     """
     _closed_branch(case, branch_idx)
+    _require_solution_of(case, base)
     if not is_connected(case, skip_branch=branch_idx):
         return OracleOutcome(branch=branch_idx, islanded=True, converged=False, detail="islands the network")
     result = _Oracle(base).solve([branch_idx])[branch_idx]
@@ -579,24 +593,30 @@ def screen(
     summary whose ``n_diverged`` counts the non-islanding outages whose
     re-solve did not converge; such an outage gets the note "oracle did not
     converge" unless its transfer matrix is singular.  ``sol`` must solve
-    ``case``; ``lin`` is the model that predicts the outages, by default
-    ``linearize_at_solution(sol)`` (full mode).  The re-solves are those of
+    ``case`` and ``lin``, the model that predicts the outages, must be taken
+    at ``sol``, by default ``linearize_at_solution(sol)`` (full mode); either
+    raises ``ValueError`` otherwise.  The re-solves are those of
     :class:`_Oracle` with ``metric``, so each oracle severity is that of
     :func:`oracle_outage` bit for bit, whatever the model, and no more than
     one Broyden group's states are held at once.  In a connected case whose
     ``lin`` is the full-mode model of ``sol``, one engine pass serves both
     the severities and the re-solves; otherwise the oracle makes a pass of
     its own.
-    ``top_k`` below 1 raises ``ValueError``.
+    A ``top_k`` that is not an integer (``bool`` included) raises
+    ``TypeError``, one below 1 ``ValueError``.
     """
     if metric not in SEVERITY_METRICS:
         raise ValueError(f"unknown severity metric {metric!r}; choose from {SEVERITY_METRICS}")
+    if isinstance(top_k, bool) or not isinstance(top_k, (int, np.integer)):
+        raise TypeError(f"top_k must be an integer, got {top_k!r}")
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     if sol is None:
         sol = solve_ac_powerflow(case)
+    _require_solution_of(case, sol)
     if lin is None:
         lin = linearize_at_solution(sol)
+    _require_model_of(sol, lin)
     bridges = find_bridges(case)
     outages = [idx for idx, br in enumerate(case.branches) if br.closed and idx not in bridges]
     chunks = _transfer_chunks(lin, sol.case, outages, sol.ybus)

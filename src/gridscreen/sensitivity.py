@@ -127,9 +127,8 @@ def _bus_solve(lin: LinearizedSystem, buses: list[int]) -> np.ndarray:
     k = 2 * len(buses)
     rhs = np.zeros((lin.size, k + k % 4), order="F")  # SuperLU's own layout: no copy to convert
     for p, b in enumerate(buses):
-        if not lin.is_slack(b):
-            (r0, r1) = lin.kcl_rows(b)
-            rhs[r0, 2 * p] = rhs[r1, 2 * p + 1] = 1.0
+        if b != lin.slack:
+            rhs[2 * b, 2 * p] = rhs[2 * b + 1, 2 * p + 1] = 1.0
     return lin.solve(rhs)[:, :k] if buses else rhs
 
 
@@ -139,7 +138,7 @@ def injection_sensitivity(lin: LinearizedSystem, branch_idx: int) -> InjectionSe
     _closed_branch(case, branch_idx)
     br = case.branches[branch_idx]
     term = (case.bus_index(br.from_bus), case.bus_index(br.to_bus))
-    rows = np.array([r for bus in term for r in lin.kcl_rows(bus) or (-1, -1)], dtype=np.int64)
+    rows = np.array([(-1, -1) if b == lin.slack else (2 * b, 2 * b + 1) for b in term], dtype=np.int64).ravel()
     full = _bus_solve(lin, list(term))
     return InjectionSensitivity(branch=branch_idx, rows=rows, dv=full[: 2 * lin.n, :], full=full)
 
@@ -444,6 +443,12 @@ def _monitors(
     return delta_vmag, delta_imag, delta_p
 
 
+def _require_model_of(sol: PowerFlowSolution, lin: LinearizedSystem) -> None:
+    """Raise ``ValueError`` unless ``lin`` is a model of ``sol``: of its case, at its state bit for bit."""
+    if not (lin.case is sol.case or lin.case == sol.case) or lin.x_op[: 2 * sol.n].tobytes() != sol.state.tobytes():
+        raise ValueError("the linear model is not taken at this solution")
+
+
 def _require_voltage(base) -> None:
     """Raise ``ValueError`` at a zero-voltage bus, where |V| is not differentiable."""
     if base.zero_voltage:
@@ -570,8 +575,10 @@ def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) 
     the engine's row; then the monitors, so the screen gets the same numbers.
     Raises :class:`IslandingError` when the outage would disconnect the
     network (singular transfer matrix), ``ValueError`` for an out-of-range or
-    open branch and ``TypeError`` when ``outage`` is not a Python or NumPy
-    integer (``bool`` included).
+    open branch or, where it solves, for a ``lin`` that is not a model of
+    ``sol`` (a kept row was made by a pass of that same pair), and
+    ``TypeError`` when ``outage`` is not a Python or NumPy integer (``bool``
+    included).
     """
     base = sol._baseline
     _require_voltage(base)
@@ -579,6 +586,7 @@ def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) 
     kept = lin._rows
     row = kept[1].get(outage) if kept is not None and kept[0] is base else None
     if row is None:
+        _require_model_of(sol, lin)
         w = _bus_solve(lin, [sol.ybus.from_idx[outage], sol.ybus.to_idx[outage]])
         table_rows, table_blocks = sol.ybus._branch_table
         t = _EYE4 - table_blocks[outage] @ w[table_rows[outage]]

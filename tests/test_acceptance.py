@@ -63,9 +63,8 @@ def injection_residual(sol, lin, idx: int) -> float:
     jac = branch_current_jacobian(sol.case, idx)
     rhs = np.zeros(lin.size)
     for pos, bus in enumerate(jac.rows[0::2] // 2):
-        pair = lin.kcl_rows(int(bus))
-        if pair is not None:
-            rhs[list(pair)] = impact.injection[2 * pos : 2 * pos + 2]
+        if bus != lin.slack:
+            rhs[[2 * bus, 2 * bus + 1]] = impact.injection[2 * pos : 2 * pos + 2]
     dv = lin.solve(rhs)[: 2 * lin.n]
     reproduced = impact.i_pre + jac.apply_state(dv)
     return float(np.max(np.abs(reproduced - impact.injection)))

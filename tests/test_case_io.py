@@ -15,7 +15,6 @@ from gridscreen.case_io import (
     BusKind,
     Generator,
     GridCase,
-    branch_admittances,
     build_ybus,
     bundled_case,
     bundled_case_path,
@@ -657,6 +656,14 @@ def test_scale_loading_scales_demand_and_dispatch():
     assert scaled.generators[0].v_set == pytest.approx(1.01)
 
 
+def test_scale_loading_rejects_a_factor_that_is_not_finite():
+    case = two_bus(p=0.5, q=0.2)
+    for factor in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="loading factor must be finite"):
+            scale_loading(case, factor)
+    assert scale_loading(case, -1.0).buses[1].p_load == -0.5
+
+
 def _stamp_bits(stamps) -> list[bytes]:
     return [np.asarray(y, dtype=complex).tobytes() for y in stamps]
 
@@ -683,8 +690,8 @@ def test_ybus_stamps_equal_the_scalar_formula_on_bundled_cases(name):
 )
 def test_ybus_stamps_equal_the_scalar_formula(seed, n_core, n_parallel, n_open):
     """Random networks with taps, phase shifts of both signs, open branches, zero resistance,
-    zero or negative reactance and charging, and signed zeros: every stamp, and
-    ``branch_admittances`` of every branch, equals the scalar formula bit for bit."""
+    zero or negative reactance and charging, and signed zeros: every stamp equals
+    the scalar formula bit for bit."""
     rng = np.random.default_rng(seed)
     case = random_meshed(seed, n_core, 3, n_parallel, 2, n_open)
     branches = []
@@ -704,8 +711,6 @@ def test_ybus_stamps_equal_the_scalar_formula(seed, n_core, n_parallel, n_open):
     case = replace(case, branches=tuple(branches))
     ybus = build_ybus(case)
     assert _stamp_bits((ybus.yff, ybus.yft, ybus.ytf, ybus.ytt)) == _reference_stamps(branches)
-    for br in branches:
-        assert _stamp_bits(branch_admittances(br)) == _stamp_bits(reference.branch_pi_admittances(br))
 
 
 def test_ybus_rejects_a_closed_branch_without_impedance():
@@ -714,9 +719,14 @@ def test_ybus_rejects_a_closed_branch_without_impedance():
         build_ybus(case)
 
 
+def _stamps(case: GridCase, k: int = 0) -> tuple[complex, complex, complex, complex]:
+    """The two-port admittances ``(yff, yft, ytf, ytt)`` that ``build_ybus`` stamps for branch ``k``."""
+    ybus = build_ybus(case)
+    return tuple(complex(y[k]) for y in (ybus.yff, ybus.yft, ybus.ytf, ybus.ytt))
+
+
 def test_branch_admittances_plain_line():
-    br = Branch(1, 2, 0.0, 0.1, b_charging=0.04)
-    yff, yft, ytf, ytt = branch_admittances(br)
+    yff, yft, ytf, ytt = _stamps(two_bus(r=0.0, x=0.1, b_charging=0.04))
     ys = 1.0 / 0.1j
     assert yff == pytest.approx(ys + 0.02j)
     assert ytt == pytest.approx(ys + 0.02j)
@@ -725,27 +735,26 @@ def test_branch_admittances_plain_line():
 
 
 def test_branch_admittances_transformer():
-    br = Branch(1, 2, 0.01, 0.2, b_charging=0.1, tap=0.95, shift=math.radians(10))
+    transformer = dict(r=0.01, x=0.2, tap=0.95, shift=math.radians(10))
     ys = 1.0 / (0.01 + 0.2j)
     tap = 0.95 * np.exp(1j * math.radians(10))
-    yff, yft, ytf, ytt = branch_admittances(br)
+    yff, yft, ytf, ytt = _stamps(two_bus(b_charging=0.1, **transformer))
     assert yff == pytest.approx((ys + 0.05j) / 0.95**2)
     assert yft == pytest.approx(-ys / np.conj(tap))
     assert ytf == pytest.approx(-ys / tap)
     assert ytt == pytest.approx(ys + 0.05j)
-    assert branch_admittances(replace(br, b_charging=0.0))[0] == pytest.approx(ys / 0.95**2)
+    assert _stamps(two_bus(b_charging=0.0, **transformer))[0] == pytest.approx(ys / 0.95**2)
 
 
 def test_branch_admittances_open_branch_is_zero():
-    br = Branch(1, 2, 0.01, 0.2, closed=False)
-    assert branch_admittances(br) == (0j, 0j, 0j, 0j)
+    assert _stamps(two_bus(r=0.01, x=0.2).with_branch_open(0)) == (0j, 0j, 0j, 0j)
 
 
 def test_build_ybus_places_branch_blocks():
     case = two_bus(x=0.1, b_charging=0.04)
     adm = build_ybus(case)
     y = adm.matrix.toarray()
-    yff, yft, ytf, ytt = branch_admittances(case.branches[0])
+    yff, yft, ytf, ytt = _stamps(case)
     assert y[0, 0] == pytest.approx(yff)
     assert y[0, 1] == pytest.approx(yft)
     assert y[1, 0] == pytest.approx(ytf)
@@ -772,7 +781,7 @@ def test_build_ybus_open_branches_leave_no_trace(case14):
     opened = case14.with_branch_open(5)
     y_open = build_ybus(opened).matrix.toarray()
     manual = build_ybus(case14).matrix.toarray()
-    yff, yft, ytf, ytt = branch_admittances(case14.branches[5])
+    yff, yft, ytf, ytt = _stamps(case14, 5)
     f = case14.bus_index(case14.branches[5].from_bus)
     t = case14.bus_index(case14.branches[5].to_bus)
     manual[f, f] -= yff

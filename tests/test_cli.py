@@ -210,6 +210,38 @@ def test_dclodf_bridge_json_flags_islanding(capsys):
     assert rec["islanding"] is True and "rows" not in rec
 
 
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        (CASE14, "53bd7576dc91a5f2832fd0fbb8154e0945a5efcd03aa67f41806a1b12cbd779f"),
+        (CASE118, "aa171c22b8f09183dc381d3a7cc8b5324fe3c4d9fe43a56f9b64c8e0c823e27c"),
+    ],
+)
+def test_dclodf_json_bytes(capsys, case, digest):
+    """Every outage's DC factors, from the unit transfer between its terminals; the bytes are pinned."""
+    code, out, _ = run(capsys, "dclodf", case, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "case, q_limits, digest",
+    [
+        (CASE14, False, "4395f2913f679f242c021e30ee917900a3dd6523d5c6289dd13fd6ccf56b0278"),
+        (CASE14, True, "4395f2913f679f242c021e30ee917900a3dd6523d5c6289dd13fd6ccf56b0278"),
+        (CASE118, False, "70efcfce21c6109021df08395082b9040c2d14172efbd18d6898b9832ff2af54"),
+        (CASE118, True, "481d72400e64a1df8a03d77ed851d47cb205b9361a7b8f9b1d657173cf1909eb"),
+    ],
+)
+def test_solve_json_bytes(capsys, case, q_limits, digest):
+    """The solution and its final mismatch, with and without reactive limits (case14 binds
+    none); the bytes are pinned."""
+    code, out, _ = run(capsys, "solve", case, "--json", *(["--q-limits"] if q_limits else []))
+    assert code == 0
+    assert json.loads(out)["max_mismatch"] > 0.0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # int() would read "1_0" as 10, " 3" and "+3" as 3, and "\u0663" (Arabic-Indic three) as 3
 @pytest.mark.parametrize(
     "value", ["99", "abc", "-3", "1_0", " 3", "+3", "\u0663", pytest.param("9" * 5000, id="5000-digits")]

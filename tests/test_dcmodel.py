@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridscreen.case_io import Branch, Bus, BusKind, GridCase
-from gridscreen.dcmodel import build_dc_model, dc_lodf, dc_ptdf, solve_dc
+from gridscreen.dcmodel import build_dc_model, dc_lodf, solve_dc
 from gridscreen.errors import CaseError, IslandingError
 from gridscreen.powerflow import branch_power_flows
 from gridscreen.screening import find_bridges
@@ -20,25 +20,6 @@ def _nodal_injections(model, flows):
     np.add.at(p, model.from_idx, flows)
     np.add.at(p, model.to_idx, -flows)
     return p
-
-
-def test_triangle_ptdf_closed_form():
-    model = build_dc_model(triangle(x=0.1))
-    ptdf = dc_ptdf(model, from_bus=2, to_bus=1)
-    assert ptdf == pytest.approx([-2 / 3, -1 / 3, -1 / 3], abs=1e-12)
-
-
-def test_ptdf_self_transfer_is_zero():
-    model = build_dc_model(triangle())
-    assert dc_ptdf(model, 3, 3) == pytest.approx([0.0, 0.0, 0.0], abs=0)
-
-
-def test_ptdf_superposition(case14):
-    model = build_dc_model(case14)
-    slack_id = case14.buses[case14.slack_index()].id
-    combined = dc_ptdf(model, 9, 5)
-    via_slack = dc_ptdf(model, 9, slack_id) - dc_ptdf(model, 5, slack_id)
-    assert np.allclose(combined, via_slack, atol=1e-12)
 
 
 def test_dc_solution_satisfies_kcl(case14):

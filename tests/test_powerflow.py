@@ -315,28 +315,21 @@ def test_branch_power_flows_zero_for_open_branch(case14):
 
 
 def test_linearize_full_reproduces_operating_point(sol14, lin14):
-    assert lin14.size == 2 * sol14.n + len(lin14.pv)
-    assert np.array_equal(lin14.rhs, lin14.matrix @ lin14.x_op)
-    assert np.allclose(lin14.solve(lin14.rhs), sol14.full_state, atol=1e-9)
-    assert np.allclose(lin14.v_op, sol14.v_complex, atol=0)
+    assert lin14.size == 2 * sol14.n + len(sol14._problem.pv)
+    assert np.allclose(lin14.solve(lin14.matrix @ lin14.x_op), sol14.full_state, atol=1e-9)
+    assert np.allclose(state_to_complex(lin14.x_op, sol14.n), sol14.v_complex, atol=0)
 
 
 def test_linearize_network_mode_shape_and_pins(sol14, lin14_network):
     lin = lin14_network
     assert lin.size == 2 * sol14.n
-    assert np.allclose(lin.solve(lin.rhs), sol14.state, atol=1e-9)
+    assert np.allclose(lin.solve(lin.matrix @ lin.x_op), sol14.state, atol=1e-9)
     s = lin.slack
     pin_rows = lin.matrix[[2 * s, 2 * s + 1], :].toarray()
     expected = np.zeros((2, lin.size))
     expected[0, 2 * s] = 1.0
     expected[1, 2 * s + 1] = 1.0
     assert np.array_equal(pin_rows, expected)
-
-
-def test_linearize_kcl_rows(lin14):
-    assert lin14.kcl_rows(lin14.slack) is None
-    assert lin14.kcl_rows(3) == (6, 7)
-    assert lin14.is_slack(lin14.slack)
 
 
 def test_linearize_rejects_unknown_mode(sol14):

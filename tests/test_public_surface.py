@@ -51,7 +51,6 @@ PUBLIC_NAMES = [
     "circuit_lodf",
     "compare_severities",
     "dc_lodf",
-    "dc_ptdf",
     "evaluate_outage",
     "find_bridges",
     "injection_sensitivity",
@@ -72,9 +71,9 @@ PUBLIC_NAMES = [
 ]
 
 
-def test_the_public_surface_is_these_57_names():
+def test_the_public_surface_is_these_56_names():
     assert gridscreen.__all__ == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 56
 
 
 def test_every_exported_name_resolves():

@@ -86,6 +86,16 @@ def test_is_connected_with_skips(case14):
     assert not is_connected(case14.with_branch_open(13))
 
 
+def test_is_connected_rejects_a_skip_branch_that_indexes_no_branch(case14):
+    for k in (-1, case14.n_branch, 99):
+        with pytest.raises(ValueError, match=f"branch index {k} out of range"):
+            is_connected(case14, skip_branch=k)
+    for k in NON_INTEGER_INDICES:
+        with pytest.raises(TypeError, match=f"branch index {re.escape(repr(k))} is not an integer"):
+            is_connected(case14, skip_branch=k)
+    assert not is_connected(case14, skip_branch=np.int64(13))
+
+
 def test_oracle_flags_islanding_outage():
     case = ring5()
     base = solve_ac_powerflow(case)
@@ -173,12 +183,13 @@ def test_screen_singular_non_bridge_is_not_islanding(monkeypatch, case14, sol14)
         assert e.note == ("islands the network" if e.branch in bridges else "singular transfer matrix")
 
 
-def test_screen_zero_voltage_raises_before_any_solve(monkeypatch, case118, sol118, lin118):
+def test_screen_zero_voltage_raises_before_any_solve(monkeypatch, case118, sol118):
     """|V| is not differentiable at a zero-voltage bus; the screen fails before it solves or starts a pool."""
     state = sol118.state.copy()
     state[6:8] = 0.0  # bus 4 at zero voltage
     sol = replace(sol118, state=state)
-    lin = replace(lin118)  # keeps no terminal responses, so a pass on it solves
+    # a model of that state, which keeps no terminal responses, so a pass on it solves
+    lin = linearize_at_solution(sol, "network")
     calls = []
     solve = LinearizedSystem.solve
     monkeypatch.setattr(LinearizedSystem, "solve", lambda lin, rhs: calls.append(rhs) or solve(lin, rhs))
@@ -207,6 +218,41 @@ def test_screen_rejects_unknown_metric(case14):
 def test_screen_rejects_top_k_below_one(case14, sol14, top_k):
     with pytest.raises(ValueError, match="top_k must be at least 1"):
         screen(case14, sol14, top_k=top_k)
+
+
+@pytest.mark.parametrize("top_k", [True, 2.5, "3"])
+def test_screen_rejects_top_k_that_is_not_an_integer(monkeypatch, case14, sol14, top_k):
+    monkeypatch.setattr(screening, "_transfer_chunks", _no_engine_pass)
+    with pytest.raises(TypeError, match="top_k must be an integer"):
+        screen(case14, sol14, top_k=top_k)
+
+
+def test_screen_rejects_a_solution_of_another_case(case14, sol14):
+    """The base-loading solution would rank branch 11 fifth for the 1.3x case, whose own screen ranks 10."""
+    loaded = scale_loading(case14, 1.3)
+    assert [e.branch for e in screen(loaded).top()] == [13, 12, 16, 14, 10]
+    for case in (loaded, case14.with_branch_open(2)):
+        with pytest.raises(ValueError, match="not a solution of this case"):
+            screen(case, sol14)
+    assert screen(replace(case14), sol14).entries == screen(case14, sol14).entries  # an equal case
+
+
+def test_screen_rejects_a_model_of_another_solution(case14, sol14):
+    loaded = linearize_at_solution(solve_ac_powerflow(scale_loading(case14, 1.3)))
+    early = solve_ac_powerflow(case14, PowerFlowOptions(tol=1e-3))  # the same case, another state
+    for lin in (loaded, linearize_at_solution(early, "network")):
+        with pytest.raises(ValueError, match="linear model is not taken at this solution"):
+            screen(case14, sol14, lin)
+    assert screen(case14, early, linearize_at_solution(early, "network")).entries
+
+
+def test_oracle_rejects_a_solution_of_another_case(case14, sol14):
+    """From the base-loading solution, the 1.3x case's outage 3 would converge to max |dV| 0.0106, not 0.0146."""
+    loaded = scale_loading(case14, 1.3)
+    own = oracle_outage(loaded, 3, solve_ac_powerflow(loaded))
+    assert np.max(np.abs(own.delta_vmag)) == pytest.approx(0.0146, abs=1e-4)
+    with pytest.raises(ValueError, match="not a solution of this case"):
+        oracle_outage(loaded, 3, sol14)
 
 
 def test_screen_accepts_prebuilt_solution(case14, sol14, lin14):

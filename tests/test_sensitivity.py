@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gridscreen.errors import IslandingError, PowerFlowError
 from gridscreen.powerflow import (
+    PowerFlowOptions,
     _NewtonProblem,
     branch_terminal_currents,
     linearize_at_solution,
@@ -386,6 +387,18 @@ def test_monitors_reject_zero_voltage(sol14, lin14):
         next(_impact_chunks(sol, lin14, [0], ("vmag",)))
 
 
+def test_queries_reject_a_model_of_another_solution(case14, sol14, lin14):
+    """A query that solves checks that its model is taken at its solution: of its case, at its state."""
+    loaded = solve_ac_powerflow(scale_loading(case14, 1.3))
+    early = solve_ac_powerflow(case14, PowerFlowOptions(tol=1e-3))  # the same case, another state
+    pairs = [(sol14, linearize_at_solution(loaded)), (loaded, lin14), (sol14, linearize_at_solution(early, "network"))]
+    for sol, lin in pairs:
+        for query in (evaluate_outage, circuit_lodf):
+            with pytest.raises(ValueError, match="linear model is not taken at this solution"):
+                query(sol, lin, 3)
+    assert _same_impact(evaluate_outage(replace(sol14), lin14, 3), evaluate_outage(sol14, lin14, 3))
+
+
 def test_removed_branch_conventions(sol14, lin14):
     outage = 6
     impact = evaluate_outage(sol14, lin14, outage)
@@ -631,7 +644,7 @@ def test_engine_slack_terminal_outage_uses_zero_columns(sol14, lin14):
     case = sol14.case
     # branch 0 of the bundled 14-bus case leaves the slack bus
     slack = case.bus_index(case.branches[0].from_bus)
-    assert lin14.is_slack(slack)
+    assert slack == lin14.slack
     _, _, _, resp, cols, _, _ = next(_transfer_chunks(lin14, case, [0], sol14.ybus))
     assert resp.shape[1] == 3  # one zero column, two columns for the far terminal
     assert cols[0, 0] == cols[0, 1] == 0 and np.all(resp[:, 0] == 0.0)
