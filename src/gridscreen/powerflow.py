@@ -707,7 +707,8 @@ class LinearizedSystem:
     slack: int
     _lu: object = field(repr=False)
     # a solution's baseline and the read-only rows by outage of an engine
-    # pass of it (see ``sensitivity._impact_chunks``); a replace has none
+    # pass of it, (cond, injection, delta_state, delta_vmag, delta_imag,
+    # delta_p) each (see ``sensitivity._impact_chunks``); a replace has none
     _rows: tuple[object, dict[int, tuple]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -721,8 +722,9 @@ def linearize_at_solution(sol: PowerFlowSolution, mode: str = "full") -> Lineari
     screen and the oracle share, so do not mutate it; network mode builds a
     new model on each call.  A model of either mode keeps the rows of an
     engine pass over at most 128 terminal buses, such as a case118 screen's,
-    and a later query of the same solution reads its row there instead of
-    solving; both give the same bits.
+    monitors included, and a later query of the same solution copies its
+    row there instead of solving or computing its monitors; both give the
+    same bits.
     """
     if mode == "full":
         return sol._model

@@ -209,13 +209,15 @@ class _ChordBlock:
         """Each row's entries at its own terminal rows, as (c, 4, 1)."""
         return x[np.arange(len(x))[:, None], self.rows][..., None]
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
+    def residual(self, x: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
         """Post-outage residual ``F_k(x_i)`` of each row of ``x`` (c, size).
 
-        The base layout's residual less the removed branch's terminal
-        currents; a row whose voltage collapsed reads NaN.
+        The base layout's residual at ``x``, ``f`` where given (it is
+        overwritten), less the removed branch's terminal currents; a row
+        whose voltage collapsed reads NaN.
         """
-        f = self.layout.residual(x)
+        if f is None:
+            f = self.layout.residual(x)
         f[np.arange(len(x))[:, None], self.rows] -= np.matmul(self.stamps, self._at_terminals(x))[..., 0]
         return f
 
@@ -224,7 +226,8 @@ class _ChordBlock:
 
         ``M_k = J0 - E_k B_k E_k^T`` is the post-outage Jacobian at the base
         state; the zero columns of ``W_k`` make this the compensation with
-        the slack rows of ``B_k`` zeroed.
+        the slack rows of ``B_k`` zeroed.  One row ``r`` (1, size) serves
+        every row of the block, by one single-column solve.
         """
         y = self.lin.solve(r.T).T
         return y + np.matmul(self.compensation, self._at_terminals(y))[..., 0]
@@ -255,7 +258,14 @@ class _Oracle:
     stored step ``s_j`` in turn and is divided by ``1 - s_n . z / |s_n|^2``,
     where ``s_n`` is the last one.  So each step is one stacked residual,
     one multi-column solve of the base LU, one stacked compensation and one
-    row-wise dot product per stored step, and nothing is refactorized.
+    row-wise dot product per stored step, and nothing is refactorized.  The
+    first step takes one column: ``F_k(x0) = r0 - E_k B_k x0[rows]``, where
+    ``r0`` is the base residual at ``x0``, and ``M_k^-1 E_k B_k`` is the
+    compensation ``W_k T_k^-1 B_k`` (the slack rows of ``B_k`` drop out, as
+    the slack columns of ``W_k`` are zero), so ``s_0 = W_k T_k^-1 B_k
+    x0[rows] - M_k^-1 r0`` takes the single-column solve ``J0^-1 r0`` for
+    the whole group.  Its voltage part, ``W_k T_k^-1 B_k x0[rows]``, is the
+    engine's prediction of the outage, corrected by ``-M_k^-1 r0``.
     Each row keeps its own steps, which leave the group with it, so each
     row's arithmetic is that of the outage iterated alone.  An outage leaves
     the group as soon as its mismatch is at most ``tol / 10``: on case118
@@ -329,8 +339,8 @@ class _Oracle:
         """Broyden iteration of a group from ``x0``: the states of the outages that converge by it."""
         options = self._options
         x = np.tile(self._lin.x_op, (len(block.outages), 1))
-        f = block.residual(x)
-        best = np.max(np.abs(f), axis=1)
+        r0 = self._layout.residual(x[:1])  # the base residual; F_k(x0) differs from it at the terminal rows only
+        best = np.max(np.abs(block.residual(x, np.tile(r0, (len(x), 1)))), axis=1)
         stalled = np.zeros(len(best), dtype=int)  # steps since the last new minimum
         # the steps s_0 .. s_n of the rows still in the group, and their squared norms
         steps: list[np.ndarray] = []
@@ -339,7 +349,10 @@ class _Oracle:
         for n in range(options.max_iter):
             if not len(block.outages):
                 break
-            s = -block.inverse(f)
+            if n:
+                s = -block.inverse(f)
+            else:  # -M_k^-1 F_k(x0) by superposition (see the class docstring)
+                s = np.matmul(block.compensation, block._at_terminals(x))[..., 0] - block.inverse(r0)
             with np.errstate(divide="ignore", invalid="ignore"):  # a breakdown gives a non-finite step
                 for j in range(n - 1):
                     s += steps[j + 1] * (_dot(steps[j], s) / norms[j])[:, None]

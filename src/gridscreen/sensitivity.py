@@ -22,11 +22,11 @@ What does not depend on the pass is built once: the terminal state rows and
 table), and the pre-outage currents, the zero-voltage guard and the parts
 the monitors read per solution.  The screen and the CLI's ``sens`` read the
 engine's blocks.  A single-outage query, :func:`evaluate_outage`, the one
-builder of an :class:`OutageImpact`, runs no engine pass: it copies its row
-where the model keeps one, from a pass over at most ``_LIVE_BUSES`` distinct
-terminal buses, and otherwise takes the engine's bus solve and
-floating-point operations for its row on plain 4x4 and (2n, 4) arrays, so
-every caller gets the same numbers for the same outage.
+builder of an :class:`OutageImpact`, runs no engine pass: it copies its row,
+monitors included, where the model keeps one, from a pass over at most
+``_LIVE_BUSES`` distinct terminal buses, and otherwise takes the engine's
+bus solve and floating-point operations for its row on plain 4x4 and
+(2n, 4) arrays, so every caller gets the same numbers for the same outage.
 The terminal solves release the interpreter lock and run ahead on a small
 thread pool (one worker per usable CPU; none for a single block); the rest
 of each block, the copy of its solved columns into the slot array included,
@@ -377,7 +377,7 @@ class _ImpactChunk:
     """Engine results for a block of outages; row ``i`` describes ``outages[i]``.
 
     Rows of singular outages hold NaN.  Monitors that were not asked for
-    are None.
+    are None, unless the pass keeps its rows (see :func:`_impact_chunks`).
     """
 
     outages: np.ndarray  # (c,)
@@ -472,10 +472,13 @@ def _impact_chunks(
     :func:`_transfer_chunks`), so that another stage can share it; by
     default the impacts make their own.  Monitoring ``"vmag"`` at a
     zero-voltage bus, where |V| is not differentiable, raises
-    ``ValueError`` before any solve.  A pass that ends, over at most
-    ``_LIVE_BUSES`` non-slack terminal buses, replaces what ``lin`` kept by
-    the baseline of ``sol`` and the read-only ``(cond, injection,
-    delta_state)`` of each nonsingular outage, which :func:`evaluate_outage` reads.
+    ``ValueError`` before any solve.  A pass over at most ``_LIVE_BUSES``
+    non-slack terminal buses of a solution with no zero-voltage bus keeps
+    its rows: it monitors all of ``_QUANTITIES``, whatever was asked, and
+    once it ends it replaces what ``lin`` kept by the baseline of ``sol``
+    and the read-only ``(cond, injection, delta_state, delta_vmag,
+    delta_imag, delta_p)`` of each nonsingular outage, which
+    :func:`evaluate_outage` copies.
     """
     base = sol._baseline
     if "vmag" in quantities:
@@ -489,7 +492,8 @@ def _impact_chunks(
         for j, (idx, _, _, resp, cols, t, cond) in enumerate(chunks):
             if not j:  # the pass has checked its outages, so they index
                 ends = set(sol.ybus.from_idx[outages].tolist()) | set(sol.ybus.to_idx[outages].tolist())
-                kept = {} if len(ends - {lin.slack}) <= _LIVE_BUSES else None
+                if len(ends - {lin.slack}) <= _LIVE_BUSES and not base.zero_voltage:
+                    kept, quantities = {}, _QUANTITIES
             singular = _singular(cond)
             masked = singular.any()
             if masked:
@@ -502,7 +506,8 @@ def _impact_chunks(
             delta_vmag, delta_imag, delta_p = _monitors(sol, delta_state, idx, quantities)
             if kept is not None:
                 ok = np.flatnonzero(~singular)
-                rows = injection[ok], delta_state[ok]  # copies, which no consumer of the block sees
+                # copies, which no consumer of the block sees
+                rows = injection[ok], delta_state[ok], delta_vmag[ok], delta_imag[ok], delta_p[ok]
                 for a in rows:
                     a.flags.writeable = False
                 kept.update(zip(idx[ok].tolist(), zip(cond[ok].tolist(), *rows)))
@@ -567,12 +572,13 @@ class OutageImpact:
 def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) -> OutageImpact:
     """Predict the impact of removing one closed branch.
 
-    No engine pass: a copy of the outage's row where ``lin`` keeps it for
-    ``sol`` (see :func:`_impact_chunks`), as after a case14 or case118
-    ``screen``, else one :func:`_bus_solve` of its two terminal buses (unit
+    No engine pass: where ``lin`` keeps the outage's row for ``sol`` (see
+    :func:`_impact_chunks`), as after a case14 or case118 ``screen``, the
+    impact is copies of that row, its monitors included, and nothing is
+    computed; else one :func:`_bus_solve` of its two terminal buses (unit
     injections ``[from_real, from_imag, to_real, to_imag]``, zero at a slack
-    terminal) and the 4x4 transfer system, the floating-point operations of
-    the engine's row; then the monitors, so the screen gets the same numbers.
+    terminal), the 4x4 transfer system and the monitors, the floating-point
+    operations of the engine's row, so the screen gets the same numbers.
     Raises :class:`IslandingError` when the outage would disconnect the
     network (singular transfer matrix), ``ValueError`` for an out-of-range or
     open branch or, where it solves, for a ``lin`` that is not a model of
@@ -585,7 +591,10 @@ def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) 
     _closed_branch(sol.case, outage)
     kept = lin._rows
     row = kept[1].get(outage) if kept is not None and kept[0] is base else None
-    if row is None:
+    if row is not None:  # fresh copies of the read-only row
+        cond, *arrays = row
+        row = (cond, *(a.copy() for a in arrays))
+    else:
         _require_model_of(sol, lin)
         w = _bus_solve(lin, [sol.ybus.from_idx[outage], sol.ybus.to_idx[outage]])
         table_rows, table_blocks = sol.ybus._branch_table
@@ -594,11 +603,11 @@ def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) 
         if _singular(cond):
             raise _islanding_error(int(outage), cond)
         injection = np.linalg.solve(t, base.i_terminal[outage])
-        row = cond, injection, w[: 2 * sol.n] @ injection
-    cond, injection, delta_state = row
-    monitors = (rows[0] for rows in _monitors(sol, delta_state[None], np.array([outage]), _QUANTITIES))
-    i_pre = base.i_terminal[outage].copy()
-    return OutageImpact(int(outage), injection.copy(), i_pre, cond, delta_state.copy(), *monitors, base.tiny.copy())
+        delta_state = w[: 2 * sol.n] @ injection
+        monitors = _monitors(sol, delta_state[None], np.array([outage]), _QUANTITIES)
+        row = (cond, injection, delta_state, *(rows[0] for rows in monitors))
+    cond, injection, *arrays = row  # arrays: delta_state and the three monitors
+    return OutageImpact(int(outage), injection, base.i_terminal[outage].copy(), cond, *arrays, base.tiny.copy())
 
 
 def severity_from_deltas(

@@ -184,7 +184,10 @@ def test_screen_singular_non_bridge_is_not_islanding(monkeypatch, case14, sol14)
 
 
 def test_screen_zero_voltage_raises_before_any_solve(monkeypatch, case118, sol118):
-    """|V| is not differentiable at a zero-voltage bus; the screen fails before it solves or starts a pool."""
+    """|V| is not differentiable at a zero-voltage bus; the screen fails before it solves or starts a pool.
+
+    A screen under a branch metric ranks the outages but keeps no rows, and
+    warns nothing; a query of that solution raises."""
     state = sol118.state.copy()
     state[6:8] = 0.0  # bus 4 at zero voltage
     sol = replace(sol118, state=state)
@@ -201,6 +204,13 @@ def test_screen_zero_voltage_raises_before_any_solve(monkeypatch, case118, sol11
     assert threading.active_count() == before
     screen(case118, sol, lin, metric="imag_inf")  # |V| is not monitored
     assert calls
+    # a pass that keeps its rows monitors |V| too, so this one keeps none
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        screen(case118, sol, lin, metric="pline_inf")
+    assert lin._rows is None
+    with pytest.raises(ValueError, match="voltage magnitude is zero"):
+        evaluate_outage(sol, lin, 10)
 
 
 def test_screen_skips_open_branches(case14):
@@ -819,11 +829,14 @@ def test_broyden_sends_no_case14_or_case118_outage_to_newton(monkeypatch, case14
     """The screen's oracle opens the Newton path for no outage of case14 or case118, in few steps.
 
     A step is one call of the compensated base LU for a whole Broyden
-    group; a row-step is one outage's share of it.  All 177 case118
-    outages form one group, which takes 21 steps and 1048 row-steps; in
-    blocks of 32 outages they took 76 steps.  The chord without Broyden's
-    update took 134 steps and 1270 row-steps on case118, and sent branch 7
-    to Newton after all 50 steps of its budget; on case14 it took 30 steps.
+    group; a row-step is one outage's share of it, but the first step, by
+    superposition, solves one column for the whole group.  All 177 case118
+    outages form one group, which takes 21 steps and 872 row-steps (1048
+    with a column per outage in the first step); in blocks of 32 outages
+    they took 76 steps.  The chord without Broyden's update took 134 steps
+    and 1270 row-steps on case118, and sent branch 7 to Newton after all 50
+    steps of its budget; on case14 it took 30 steps, where Broyden's
+    iteration takes 17 steps and 92 row-steps.
     """
     opened, steps = [], []
     problem, inverse = _Oracle.problem, _ChordBlock.inverse
@@ -839,12 +852,49 @@ def test_broyden_sends_no_case14_or_case118_outage_to_newton(monkeypatch, case14
     monkeypatch.setattr(_Oracle, "problem", recording_problem)
     monkeypatch.setattr(_ChordBlock, "inverse", counting_inverse)
     screen(case118, sol118, linearize_at_solution(sol118, mode), metric="pline_inf", with_oracle=True)
-    assert opened == []
+    assert opened == [] and steps[0] == 1
     assert len(steps) <= 25 and sum(steps) <= 1100, (len(steps), sum(steps))
     steps.clear()
     screen(case14, sol14, linearize_at_solution(sol14, mode), metric="pline_inf", with_oracle=True)
     assert opened == []
     assert len(steps) <= 20, len(steps)
+
+
+@pytest.mark.parametrize("which", ["14", "118"])
+def test_the_prediction_is_the_first_broyden_step(request, monkeypatch, which):
+    """The first step from ``x0`` is ``s_0 = -M_k^-1 F_k(x0)`` with ``F_k(x0) = r0 - E_k B_k
+    x0[rows]``, so ``s_0 + M_k^-1 r0`` is ``W_k T_k^-1 B_k x0[rows]``: its voltage part is the
+    engine's prediction, the screen's delta_state row, for every non-bridge outage."""
+    sol = request.getfixturevalue(f"sol{which}")
+    case = sol.case
+    firsts = []  # [block, x_1] of each Broyden group
+    residual = _ChordBlock.residual
+
+    def recording_residual(block, x, f=None):
+        if f is not None:  # a group's residual at x0; its next residual is at x_1 = x0 + s_0
+            firsts.append([block, None])
+        elif firsts[-1][1] is None:
+            firsts[-1][1] = x.copy()
+        return residual(block, x, f)
+
+    monkeypatch.setattr(_ChordBlock, "residual", recording_residual)
+    lin = linearize_at_solution(sol)
+    bridges = find_bridges(case)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    oracle = _Oracle(sol)
+    assert oracle._lin is lin
+    oracle.solve(outages)
+    x0 = lin.x_op
+    r0 = oracle._layout.residual(x0[None])
+    n2 = 2 * case.n
+    predicted = {}
+    for block, x1 in firsts:
+        prediction = (x1 - x0 + block.inverse(r0))[:, :n2]
+        predicted.update(zip(block.outages.tolist(), prediction))
+    assert sorted(predicted) == outages
+    for k in outages:
+        delta_state = evaluate_outage(sol, lin, k).delta_state
+        assert np.max(np.abs(predicted[k] - delta_state)) <= 1e-10 * np.max(np.abs(delta_state)), k
 
 
 # -- the oracle's blocks -----------------------------------------------------------

@@ -1010,42 +1010,48 @@ def _engine_rows(chunks) -> dict[int, list[bytes]]:
 @pytest.mark.parametrize("which", ["14", "118"])
 def test_queries_after_a_screen_read_its_responses(request, which, mode, monkeypatch):
     """A screen's pass holds at most _LIVE_BUSES terminal buses, and the model keeps each
-    outage's row of it, read-only: every non-bridge evaluate_outage of the same solution on
-    that model then makes no solve and takes no condition number, and returns in fresh
-    writeable arrays, byte for byte, the same query on a fresh model and the engine's row,
-    slack terminals included.  A query of another solution object solves and gives the
+    outage's row of it, all three monitors included whatever the screen's metric, read-only:
+    under each metric, every non-bridge evaluate_outage of the same solution on that model
+    then makes no solve, takes no condition number and computes no monitor, and returns in
+    fresh writeable arrays, byte for byte, the same query on a fresh model and the engine's
+    row, slack terminals included.  A query of another solution object solves and gives the
     fresh bytes."""
     sol = request.getfixturevalue(f"sol{which}")
     case = sol.case
     base = linearize_at_solution(sol, mode)
-    lu = _CountingLU(base._lu)
-    lin = replace(base, _lu=lu)
-    screen(case, sol, lin)
     bridges = find_bridges(case)
     outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
-    assert any(lin.slack in (sol.ybus.from_idx[k], sol.ybus.to_idx[k]) for k in outages)
-    baseline, rows = lin._rows
-    assert baseline is sol._baseline and set(rows) == set(outages)
-    assert not any(a.flags.writeable for _, *arrays in rows.values() for a in arrays)
+    assert any(base.slack in (sol.ybus.from_idx[k], sol.ybus.to_idx[k]) for k in outages)
     fresh = {k: evaluate_outage(sol, replace(base), k) for k in outages}
     engine = _engine_rows(_impact_chunks(sol, replace(base), outages))
-    conds = []
-    cond = np.linalg.cond
+    conds, monitored = [], []
+    cond, monitors = np.linalg.cond, sensitivity._monitors
     monkeypatch.setattr(np.linalg, "cond", lambda *args: conds.append(args) or cond(*args))
-    lu.calls.clear()
-    for k in outages:
-        impact = evaluate_outage(sol, lin, k)
-        assert not lu.calls and not conds, k
-        assert _same_impact(impact, fresh[k]), k
-        assert [np.asarray(getattr(impact, name)).tobytes() for name in _ROW] == engine[k], k
-        arrays = [a for a in vars(impact).values() if isinstance(a, np.ndarray)]
-        assert all(a.flags.writeable for a in arrays), k
-        assert not any(np.shares_memory(a, kept) for a in arrays for kept in rows[k][1:]), k
+    monkeypatch.setattr(sensitivity, "_monitors", lambda *args: monitored.append(args) or monitors(*args))
     other = replace(sol)
-    for k in outages[:3]:
+    for metric in SEVERITY_METRICS:
+        lu = _CountingLU(base._lu)
+        lin = replace(base, _lu=lu)
+        screen(case, sol, lin, metric=metric)
+        baseline, rows = lin._rows
+        assert baseline is sol._baseline and set(rows) == set(outages), metric
+        assert not any(a.flags.writeable for _, *arrays in rows.values() for a in arrays), metric
         lu.calls.clear()
-        assert _same_impact(evaluate_outage(other, lin, k), fresh[k]), k
-        assert len(lu.calls) == 1, k
+        conds.clear()
+        monitored.clear()
+        for k in outages:
+            impact = evaluate_outage(sol, lin, k)
+            assert not lu.calls and not conds and not monitored, (metric, k)
+            assert _same_impact(impact, fresh[k]), (metric, k)
+            assert [np.asarray(getattr(impact, name)).tobytes() for name in _ROW] == engine[k], (metric, k)
+            arrays = [a for a in vars(impact).values() if isinstance(a, np.ndarray)]
+            assert all(a.flags.writeable for a in arrays), (metric, k)
+            assert not any(np.shares_memory(a, kept) for a in arrays for kept in rows[k][1:]), (metric, k)
+        for k in outages[:3]:
+            lu.calls.clear()
+            monitored.clear()
+            assert _same_impact(evaluate_outage(other, lin, k), fresh[k]), (metric, k)
+            assert len(lu.calls) == 1 and len(monitored) == 1, (metric, k)
 
 
 def test_rows_of_a_pass_closed_early_or_singular(monkeypatch, sol14):
