@@ -56,11 +56,8 @@ from .screening import (
 )
 from .sensitivity import (
     SEVERITY_METRICS,
-    BranchCurrentJacobian,
     CircuitLodfResult,
-    InjectionSensitivity,
     OutageImpact,
-    OutageTransferMatrix,
     branch_current_jacobian,
     circuit_lodf,
     evaluate_outage,
@@ -75,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmittanceMatrix",
     "Branch",
-    "BranchCurrentJacobian",
     "Bus",
     "BusKind",
     "CaseError",
@@ -87,12 +83,10 @@ __all__ = [
     "Generator",
     "GridCase",
     "GridScreenError",
-    "InjectionSensitivity",
     "IslandingError",
     "LinearizedSystem",
     "OracleOutcome",
     "OutageImpact",
-    "OutageTransferMatrix",
     "PowerFlowError",
     "PowerFlowOptions",
     "PowerFlowSolution",

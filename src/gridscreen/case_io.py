@@ -22,25 +22,6 @@ import scipy.sparse as sp
 
 from .errors import CaseError
 
-__all__ = [
-    "BusKind",
-    "Bus",
-    "Branch",
-    "Generator",
-    "GridCase",
-    "AdmittanceMatrix",
-    "parse_case",
-    "load_case",
-    "bundled_case",
-    "bundled_case_path",
-    "case_to_dict",
-    "case_from_dict",
-    "case_to_json",
-    "case_from_json",
-    "build_ybus",
-    "scale_loading",
-]
-
 
 class BusKind(IntEnum):
     """Bus role in the power flow problem (values match the MATPOWER type codes)."""
@@ -141,9 +122,6 @@ class GridCase:
             if bus.kind == BusKind.SLACK:
                 return i
         raise CaseError("case has no slack bus")
-
-    def generators_at(self, bus_id: int) -> list[Generator]:
-        return [g for g in self.generators if g.bus == bus_id]
 
     def with_branch_open(self, branch_idx: int) -> "GridCase":
         """Copy of the case with one branch switched out (indices preserved).

@@ -29,8 +29,6 @@ from .powerflow import (
 from .screening import compare_severities, find_bridges, screen
 from .sensitivity import SEVERITY_METRICS, _impact_chunks
 
-__all__ = ["main", "main_entry"]
-
 
 def _fmt(x: float) -> str:
     if x != x:

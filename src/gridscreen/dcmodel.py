@@ -14,17 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .case_io import GridCase, _closed_branch
+from .case_io import GridCase, _bus_positions, _closed_branch
 from .errors import CaseError, IslandingError, SingularSystemError
-
-__all__ = [
-    "DcModel",
-    "DcSolution",
-    "DcLodfResult",
-    "build_dc_model",
-    "solve_dc",
-    "dc_lodf",
-]
 
 # a unit transfer across a bridge returns in full over the bridge itself,
 # leaving 1 - PTDF == 0; this tolerance separates that from roundoff
@@ -86,9 +77,8 @@ class DcLodfResult:
 def build_dc_model(case: GridCase) -> DcModel:
     case.validate()
     n = case.n
-    m = case.n_branch
-    from_idx = np.fromiter((case.bus_index(br.from_bus) for br in case.branches), dtype=np.int64, count=m)
-    to_idx = np.fromiter((case.bus_index(br.to_bus) for br in case.branches), dtype=np.int64, count=m)
+    from_idx = _bus_positions(case, [br.from_bus for br in case.branches])
+    to_idx = _bus_positions(case, [br.to_bus for br in case.branches])
     for i, br in enumerate(case.branches):
         if br.closed and br.x == 0:
             raise CaseError(f"branch {i} ({br.from_bus}-{br.to_bus}) is closed with zero reactance: no DC model")

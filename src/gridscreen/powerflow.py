@@ -38,23 +38,6 @@ from .errors import DivergenceError, PowerFlowError, SingularSystemError
 
 logger = logging.getLogger(__name__)
 
-__all__ = [
-    "PowerFlowOptions",
-    "PowerFlowSolution",
-    "LinearizedSystem",
-    "BranchTerminalCurrents",
-    "BranchFlows",
-    "PowerBalance",
-    "solve_ac_powerflow",
-    "linearize_at_solution",
-    "branch_terminal_currents",
-    "branch_power_flows",
-    "power_balance",
-    "expand_complex_matrix",
-    "state_to_complex",
-    "complex_to_state",
-]
-
 # mismatch must grow this many consecutive steps before the iteration is
 # declared divergent
 _GROWTH_LIMIT = 3
@@ -474,8 +457,7 @@ class PowerFlowSolution:
     q_gen: np.ndarray  # per-bus generator reactive injection
     iterations: int
     max_mismatch: float
-    kinds_effective: np.ndarray  # per-bus BusKind after any Q-limit conversion
-    q_limited: dict[int, float]
+    q_limited: dict[int, float]  # bus index -> pinned reactive injection of each PV bus converted to PQ
     ybus: AdmittanceMatrix
     _problem: _NewtonProblem = field(repr=False)
 
@@ -653,12 +635,10 @@ def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) 
 
     n = case.n
     v = state_to_complex(x, n)
-    kinds = _bus_kinds(case.buses)
-    own = kinds != BusKind.PQ
+    own = _bus_kinds(case.buses) != BusKind.PQ
     own[problem.slack] = True
     pinned = np.fromiter(q_pinned, dtype=np.int64, count=len(q_pinned))
     own[pinned] = True
-    kinds[pinned] = int(BusKind.PQ)
     # the reactive power of the constant-current loads, Im(v * conj(i_load)),
     # multiplied as NumPy multiplies two complex scalars: its array product
     # may fuse the parts into other bits
@@ -674,7 +654,6 @@ def solve_ac_powerflow(case: GridCase, options: PowerFlowOptions | None = None) 
         q_gen=q_gen,
         iterations=total_iterations,
         max_mismatch=mismatch,
-        kinds_effective=kinds,
         q_limited=dict(q_pinned),
         ybus=ybus,
         _problem=problem,

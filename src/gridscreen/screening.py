@@ -39,18 +39,6 @@ from .sensitivity import (
 
 logger = logging.getLogger(__name__)
 
-__all__ = [
-    "OracleOutcome",
-    "ScreenEntry",
-    "ComparisonSummary",
-    "ScreeningReport",
-    "find_bridges",
-    "is_connected",
-    "oracle_outage",
-    "screen",
-    "compare_severities",
-]
-
 _TOP_OVERLAP_SIZES = (3, 5, 10)
 
 

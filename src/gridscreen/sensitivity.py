@@ -56,24 +56,6 @@ from .powerflow import (
     state_to_complex,
 )
 
-__all__ = [
-    "InjectionSensitivity",
-    "BranchCurrentJacobian",
-    "OutageTransferMatrix",
-    "OutageImpact",
-    "CircuitLodfResult",
-    "SEVERITY_METRICS",
-    "COND_LIMIT",
-    "injection_sensitivity",
-    "branch_current_jacobian",
-    "outage_transfer_matrix",
-    "solve_outage_injection",
-    "evaluate_outage",
-    "circuit_lodf",
-    "severity_from_deltas",
-    "singular_outage_branches",
-]
-
 # transfer matrices above this condition number are treated as singular
 COND_LIMIT = 1e12
 

@@ -33,6 +33,27 @@ def branch_pi_admittances(branch):
     return yff, yft, ytf, ytt
 
 
+def branch_block(case: GridCase, branch_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """State rows ``[2f, 2f+1, 2t, 2t+1]`` and real 4x4 current block of one branch.
+
+    ``block @ dv[rows]`` is the change of ``[Ifr, Ifi, Itr, Iti]`` for a
+    voltage state change ``dv``: each 2x2 entry is the real form
+    ``[[g, -b], [b, g]]`` of multiplication by one admittance ``g + jb``.
+    """
+    br = case.branches[branch_idx]
+    f = case.bus_index(br.from_bus)
+    t = case.bus_index(br.to_bus)
+    yff, yft, ytf, ytt = branch_pi_admittances(br)
+    block = np.zeros((4, 4))
+    for i, row in enumerate(((yff, yft), (ytf, ytt))):
+        for j, y in enumerate(row):
+            block[2 * i, 2 * j] = y.real
+            block[2 * i, 2 * j + 1] = -y.imag
+            block[2 * i + 1, 2 * j] = y.imag
+            block[2 * i + 1, 2 * j + 1] = y.real
+    return np.array([2 * f, 2 * f + 1, 2 * t, 2 * t + 1]), block
+
+
 def dense_ybus(case: GridCase) -> np.ndarray:
     n = case.n
     y = np.zeros((n, n), dtype=complex)
@@ -49,13 +70,17 @@ def dense_ybus(case: GridCase) -> np.ndarray:
     return y
 
 
+def _generators_at(case: GridCase, bus_id: int) -> list:
+    return [g for g in case.generators if g.bus == bus_id]
+
+
 def _effective_pv(case: GridCase, sol: PowerFlowSolution) -> list[int]:
     slack = case.slack_index()
     pv = []
     for k, bus in enumerate(case.buses):
         if k == slack or k in sol.q_limited:
             continue
-        if bus.kind == BusKind.PV and case.generators_at(bus.id):
+        if bus.kind == BusKind.PV and _generators_at(case, bus.id):
             pv.append(k)
     return pv
 
@@ -78,7 +103,7 @@ def newton_residual(sol: PowerFlowSolution, x: np.ndarray) -> np.ndarray:
     f = np.empty(2 * n + len(pv))
     i_net = y @ v
     for k, bus in enumerate(case.buses):
-        p = -bus.p_load + sum(g.p_set for g in case.generators_at(bus.id))
+        p = -bus.p_load + sum(g.p_set for g in _generators_at(case, bus.id))
         q = -bus.q_load + sol.q_limited.get(k, 0.0) + q_extra.get(k, 0.0)
         i_dev = complex(p, q).conjugate() / v[k].conjugate() - complex(bus.i_load_r, bus.i_load_i)
         mis = i_net[k] - i_dev
@@ -86,14 +111,14 @@ def newton_residual(sol: PowerFlowSolution, x: np.ndarray) -> np.ndarray:
         f[2 * k + 1] = mis.imag
 
     slack_bus = case.buses[slack]
-    gens = case.generators_at(slack_bus.id)
+    gens = _generators_at(case, slack_bus.id)
     v_set = gens[0].v_set if gens else slack_bus.v_init
     slack_v = v_set * cmath.exp(1j * slack_bus.theta_init)
     f[2 * slack] = v[slack].real - slack_v.real
     f[2 * slack + 1] = v[slack].imag - slack_v.imag
 
     for j, k in enumerate(pv):
-        v_pv = case.generators_at(case.buses[k].id)[0].v_set
+        v_pv = _generators_at(case, case.buses[k].id)[0].v_set
         f[2 * n + j] = v[k].real ** 2 + v[k].imag ** 2 - v_pv**2
 
     return f
@@ -140,7 +165,7 @@ def newton_layout(case: GridCase, q_pinned: dict[int, float]) -> dict:
     i_fix = np.array([-complex(b.i_load_r, b.i_load_i) for b in case.buses])
     pv, vset, qmin, qmax = [], [], [], []
     for k, bus in enumerate(case.buses):
-        gens = case.generators_at(bus.id)
+        gens = _generators_at(case, bus.id)
         for g in gens:
             p_fix[k] += g.p_set
         if k != slack and bus.kind == BusKind.PV and gens and k not in q_pinned:
@@ -151,7 +176,7 @@ def newton_layout(case: GridCase, q_pinned: dict[int, float]) -> dict:
     for k, q in q_pinned.items():
         q_fix[k] += q
     slack_bus = case.buses[slack]
-    slack_gens = case.generators_at(slack_bus.id)
+    slack_gens = _generators_at(case, slack_bus.id)
     v_slack = slack_gens[0].v_set if slack_gens else slack_bus.v_init
     return {
         "pv": np.array(pv, dtype=np.int64),

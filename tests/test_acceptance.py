@@ -13,7 +13,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from gridbuild import RING5_BRIDGE, ring5
-from reference import from_side_power, terminal_currents
+from reference import branch_block, from_side_power, terminal_currents
 
 from gridscreen.case_io import load_case
 from gridscreen.dcmodel import build_dc_model, dc_lodf, solve_dc
@@ -26,7 +26,6 @@ from gridscreen.powerflow import (
 from gridscreen.screening import find_bridges, is_connected, oracle_outage, screen
 from gridscreen.sensitivity import (
     _monitors,
-    branch_current_jacobian,
     circuit_lodf,
     evaluate_outage,
     singular_outage_branches,
@@ -57,16 +56,17 @@ def injection_residual(sol, lin, idx: int) -> float:
     The engine's injection goes into the terminal current-balance rows (the
     slack absorbs its share), an independent solve of the linear model gives
     the voltage change, and the branch current it implies must reproduce the
-    injection: ``i_pre + B dv[rows] = injection``.
+    injection: ``i_pre + B dv[rows] = injection``, with ``B`` built
+    independently of the engine's branch blocks.
     """
     impact = evaluate_outage(sol, lin, idx)
-    jac = branch_current_jacobian(sol.case, idx)
+    rows, block = branch_block(sol.case, idx)
     rhs = np.zeros(lin.size)
-    for pos, bus in enumerate(jac.rows[0::2] // 2):
+    for pos, bus in enumerate(rows[0::2] // 2):
         if bus != lin.slack:
             rhs[[2 * bus, 2 * bus + 1]] = impact.injection[2 * pos : 2 * pos + 2]
     dv = lin.solve(rhs)[: 2 * lin.n]
-    reproduced = impact.i_pre + jac.apply_state(dv)
+    reproduced = impact.i_pre + block @ dv[rows]
     return float(np.max(np.abs(reproduced - impact.injection)))
 
 
@@ -140,17 +140,19 @@ def test_c3_gradient_suite(case14, sol14):
     dvmag, dimag, dp = _monitors(sol14, directions, outages, ("vmag", "imag", "pline"))
     assert not sol14._baseline.tiny[monitored].any()
 
+    # the branch blocks every engine pass gathers from, against differences of
+    # the reference's scalar terminal currents
+    rows, blocks = sol14.ybus._branch_table
     worst_linear = 0.0  # branch terminal currents, an exactly linear map
     worst_chain = 0.0  # |V|, |I|, P monitors
     for k, (d, branch) in enumerate(zip(directions, monitored)):
         dc = d[0::2] + 1j * d[1::2]
 
-        jac = branch_current_jacobian(case14, branch)
         fd_i = (
             np.asarray(terminal_currents(case14, v + h * dc, branch))
             - np.asarray(terminal_currents(case14, v - h * dc, branch))
         ) / (2 * h)
-        pred_i = jac.apply_state(d)
+        pred_i = blocks[branch] @ d[rows[branch]]
         rel = np.max(np.abs(fd_i - pred_i)) / max(np.max(np.abs(fd_i)), 1e-9)
         worst_linear = max(worst_linear, float(rel))
 

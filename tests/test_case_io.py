@@ -789,9 +789,3 @@ def test_build_ybus_open_branches_leave_no_trace(case14):
     manual[t, f] -= ytf
     manual[t, t] -= ytt
     assert np.allclose(y_open, manual, atol=1e-14)
-
-
-def test_generators_at_returns_all_units(case14):
-    gens = case14.generators_at(1)
-    assert [g.bus for g in gens] == [1]
-    assert case14.generators_at(4) == []

@@ -204,8 +204,7 @@ def test_isolated_bus_gives_singular_system():
 def test_pv_bus_holds_setpoint_without_limits():
     sol = solve_ac_powerflow(pv_case())
     assert sol.v_mag[1] == pytest.approx(1.02, abs=1e-9)
-    assert sol.q_limited == {}
-    assert sol.kinds_effective[1] == int(BusKind.PV)
+    assert sol.q_limited == {}  # the PV bus stays PV
 
 
 def test_q_limit_upper_bound_enforced():
@@ -214,8 +213,7 @@ def test_q_limit_upper_bound_enforced():
     assert free.q_gen[1] > 0.05  # the limit actually binds
 
     sol = solve_ac_powerflow(case, PowerFlowOptions(enforce_q_limits=True))
-    assert sol.q_limited == {1: pytest.approx(0.05)}
-    assert sol.kinds_effective[1] == int(BusKind.PQ)
+    assert sol.q_limited == {1: pytest.approx(0.05)}  # the PV bus became PQ at its limit
     assert sol.q_gen[1] == pytest.approx(0.05, abs=1e-9)
     # a binding upper limit means the setpoint can no longer be held up
     assert sol.v_mag[1] < 1.02
@@ -575,7 +573,6 @@ def _solve_outcome(case: GridCase, options: PowerFlowOptions):
     return (
         sol.state.tobytes(),
         sol.q_gen.tobytes(),
-        sol.kinds_effective.tobytes(),
         sol.iterations,
         sol.max_mismatch,
         sorted(sol.q_limited.items()),
