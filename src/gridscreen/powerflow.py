@@ -685,10 +685,13 @@ class LinearizedSystem:
     x_op: np.ndarray
     slack: int
     _lu: object = field(repr=False)
-    # a solution's baseline and the read-only rows by outage of an engine
-    # pass of it, (cond, injection, delta_state, delta_vmag, delta_imag,
-    # delta_p) each (see ``sensitivity._impact_chunks``); a replace has none
-    _rows: tuple[object, dict[int, tuple]] | None = field(default=None, init=False, repr=False, compare=False)
+    # a solution's baseline and the rows by outage of an engine pass of it,
+    # each (cond, row) with row one read-only buffer [injection, i_pre,
+    # delta_state, delta_vmag, delta_imag, delta_p] (see
+    # ``sensitivity._impact_chunks``); a replace has none
+    _rows: tuple[object, dict[int, tuple[float, np.ndarray]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)

@@ -22,11 +22,13 @@ What does not depend on the pass is built once: the terminal state rows and
 table), and the pre-outage currents, the zero-voltage guard and the parts
 the monitors read per solution.  The screen and the CLI's ``sens`` read the
 engine's blocks.  A single-outage query, :func:`evaluate_outage`, the one
-builder of an :class:`OutageImpact`, runs no engine pass: it copies its row,
-monitors included, where the model keeps one, from a pass over at most
-``_LIVE_BUSES`` distinct terminal buses, and otherwise takes the engine's
-bus solve and floating-point operations for its row on plain 4x4 and
-(2n, 4) arrays, so every caller gets the same numbers for the same outage.
+builder of an :class:`OutageImpact`, runs no engine pass: where the model
+keeps the outage's row, from a pass over at most ``_LIVE_BUSES`` distinct
+terminal buses, as one read-only buffer of its injection, pre-outage
+currents, state change and three monitors, it copies that buffer once and
+returns slices of the copy; otherwise it takes the engine's bus solve and
+floating-point operations for its row on plain 4x4 and (2n, 4) arrays, so
+every caller gets the same numbers for the same outage.
 The terminal solves release the interpreter lock and run ahead on a small
 thread pool (one worker per usable CPU; none for a single block); the rest
 of each block, the copy of its solved columns into the slot array included,
@@ -458,9 +460,10 @@ def _impact_chunks(
     non-slack terminal buses of a solution with no zero-voltage bus keeps
     its rows: it monitors all of ``_QUANTITIES``, whatever was asked, and
     once it ends it replaces what ``lin`` kept by the baseline of ``sol``
-    and the read-only ``(cond, injection, delta_state, delta_vmag,
-    delta_imag, delta_p)`` of each nonsingular outage, which
-    :func:`evaluate_outage` copies.
+    and ``(cond, row)`` of each nonsingular outage.  ``row`` is one
+    read-only float64 buffer, ``[injection (4), i_pre (4), delta_state
+    (2n), delta_vmag (n), delta_imag (m), delta_p (m)]``, a row of one
+    ``np.concatenate`` per block; :func:`evaluate_outage` copies it.
     """
     base = sol._baseline
     if "vmag" in quantities:
@@ -487,12 +490,13 @@ def _impact_chunks(
             delta_state = np.matmul(resp[:n2, cols].transpose(1, 0, 2), injection[..., None])[..., 0]
             delta_vmag, delta_imag, delta_p = _monitors(sol, delta_state, idx, quantities)
             if kept is not None:
-                ok = np.flatnonzero(~singular)
-                # copies, which no consumer of the block sees
-                rows = injection[ok], delta_state[ok], delta_vmag[ok], delta_imag[ok], delta_p[ok]
-                for a in rows:
-                    a.flags.writeable = False
-                kept.update(zip(idx[ok].tolist(), zip(cond[ok].tolist(), *rows)))
+                # one copy, which no consumer of the block sees; each kept row is a view of it
+                table = np.concatenate(
+                    (injection, base.i_terminal[idx], delta_state, delta_vmag, delta_imag, delta_p), axis=1
+                )
+                table.flags.writeable = False
+                ok = np.flatnonzero(~singular).tolist()
+                kept.update(zip(idx[ok].tolist(), zip(cond[ok].tolist(), map(table.__getitem__, ok))))
             yield _ImpactChunk(
                 outages=idx,
                 cond=cond,
@@ -555,12 +559,14 @@ def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) 
     """Predict the impact of removing one closed branch.
 
     No engine pass: where ``lin`` keeps the outage's row for ``sol`` (see
-    :func:`_impact_chunks`), as after a case14 or case118 ``screen``, the
-    impact is copies of that row, its monitors included, and nothing is
-    computed; else one :func:`_bus_solve` of its two terminal buses (unit
-    injections ``[from_real, from_imag, to_real, to_imag]``, zero at a slack
-    terminal), the 4x4 transfer system and the monitors, the floating-point
-    operations of the engine's row, so the screen gets the same numbers.
+    :func:`_impact_chunks`), as after a case14 or case118 ``screen``, that
+    one buffer is copied once and the impact's arrays are slices of the
+    copy, fresh, writeable and not overlapping (``imag_fallback`` is its
+    own copy), and nothing is computed; else one :func:`_bus_solve` of its
+    two terminal buses (unit injections ``[from_real, from_imag, to_real,
+    to_imag]``, zero at a slack terminal), the 4x4 transfer system and the
+    monitors, the floating-point operations of the engine's row, so the
+    screen gets the same numbers.
     Raises :class:`IslandingError` when the outage would disconnect the
     network (singular transfer matrix), ``ValueError`` for an out-of-range or
     open branch or, where it solves, for a ``lin`` that is not a model of
@@ -573,23 +579,26 @@ def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) 
     _closed_branch(sol.case, outage)
     kept = lin._rows
     row = kept[1].get(outage) if kept is not None and kept[0] is base else None
-    if row is not None:  # fresh copies of the read-only row
-        cond, *arrays = row
-        row = (cond, *(a.copy() for a in arrays))
-    else:
-        _require_model_of(sol, lin)
-        w = _bus_solve(lin, [sol.ybus.from_idx[outage], sol.ybus.to_idx[outage]])
-        table_rows, table_blocks = sol.ybus._branch_table
-        t = _EYE4 - table_blocks[outage] @ w[table_rows[outage]]
-        cond = float(np.linalg.cond(t))
-        if _singular(cond):
-            raise _islanding_error(int(outage), cond)
-        injection = np.linalg.solve(t, base.i_terminal[outage])
-        delta_state = w[: 2 * sol.n] @ injection
-        monitors = _monitors(sol, delta_state[None], np.array([outage]), _QUANTITIES)
-        row = (cond, injection, delta_state, *(rows[0] for rows in monitors))
-    cond, injection, *arrays = row  # arrays: delta_state and the three monitors
-    return OutageImpact(int(outage), injection, base.i_terminal[outage].copy(), cond, *arrays, base.tiny.copy())
+    if row is not None:  # slices of one fresh copy of the read-only row
+        cond, row = row
+        row = row.copy()
+        v = 8 + 2 * sol.n  # where delta_vmag starts, then delta_imag and delta_p
+        i = v + sol.n
+        p = i + len(base.tiny)
+        parts = row[:4], row[4:8], cond, row[8:v], row[v:i], row[i:p], row[p:]
+        return OutageImpact(int(outage), *parts, base.tiny.copy())
+    _require_model_of(sol, lin)
+    w = _bus_solve(lin, [sol.ybus.from_idx[outage], sol.ybus.to_idx[outage]])
+    table_rows, table_blocks = sol.ybus._branch_table
+    t = _EYE4 - table_blocks[outage] @ w[table_rows[outage]]
+    cond = float(np.linalg.cond(t))
+    if _singular(cond):
+        raise _islanding_error(int(outage), cond)
+    injection = np.linalg.solve(t, base.i_terminal[outage])
+    delta_state = w[: 2 * sol.n] @ injection
+    monitors = (rows[0] for rows in _monitors(sol, delta_state[None], np.array([outage]), _QUANTITIES))
+    i_pre = base.i_terminal[outage].copy()
+    return OutageImpact(int(outage), injection, i_pre, cond, delta_state, *monitors, base.tiny.copy())
 
 
 def severity_from_deltas(

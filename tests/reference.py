@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from gridscreen.case_io import BusKind, GridCase
-from gridscreen.powerflow import PowerFlowSolution
+from gridscreen.powerflow import LinearizedSystem, PowerFlowSolution
+from gridscreen.sensitivity import COND_LIMIT
 
 
 def branch_pi_admittances(branch):
@@ -133,6 +134,42 @@ def terminal_currents(case: GridCase, v: np.ndarray, branch_idx: int) -> np.ndar
     i_from = yff * vf + yft * vt
     i_to = ytf * vf + ytt * vt
     return np.array([i_from.real, i_from.imag, i_to.real, i_to.imag])
+
+
+def terminal_responses(lin: LinearizedSystem, branch_idx: int) -> np.ndarray:
+    """Voltage responses (2n, 4) of ``lin`` to unit current injections at one branch's terminals.
+
+    Columns are ``[from_real, from_imag, to_real, to_imag]``, each from a
+    dense solve of ``lin.matrix`` with a unit entry in the terminal's KCL
+    row ``2b`` or ``2b + 1``; a slack terminal's right-hand side is zero,
+    and so is its column.
+    """
+    case = lin.case
+    br = case.branches[branch_idx]
+    rhs = np.zeros((lin.size, 4))
+    for j, bus in enumerate((case.bus_index(br.from_bus), case.bus_index(br.to_bus))):
+        if bus != lin.slack:
+            rhs[2 * bus, 2 * j] = rhs[2 * bus + 1, 2 * j + 1] = 1.0
+    return np.linalg.solve(lin.matrix.toarray(), rhs)[: 2 * case.n]
+
+
+def outage_chain(sol: PowerFlowSolution, lin: LinearizedSystem, branch_idx: int):
+    """``(cond, injection, delta_state)`` of removing one branch, on dense arrays.
+
+    ``Z`` is :func:`terminal_responses`, ``B`` the :func:`branch_block`, the
+    transfer matrix ``T = I - B Z[rows]`` and the injection ``T^-1 i_pre``
+    from the :func:`terminal_currents` at the solution; the state change is
+    ``Z`` times the injection.  Where ``cond(T)`` exceeds ``COND_LIMIT`` (an
+    islanding outage), the injection and the state change are None.
+    """
+    z = terminal_responses(lin, branch_idx)
+    rows, block = branch_block(lin.case, branch_idx)
+    t = np.eye(4) - block @ z[rows]
+    cond = float(np.linalg.cond(t))
+    if not cond <= COND_LIMIT:
+        return cond, None, None
+    injection = np.linalg.solve(t, terminal_currents(sol.case, sol.v_complex, branch_idx))
+    return cond, injection, z @ injection
 
 
 def from_side_power(case: GridCase, v: np.ndarray, branch_idx: int) -> float:

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,19 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip() == "gridscreen 0.1.0"
+
+
+@pytest.mark.parametrize("module", ["gridscreen", "gridscreen.cli"])
+def test_module_forms_run_the_command_line(capsys, module):
+    """``python -m gridscreen`` and ``python -m gridscreen.cli`` print the bytes of ``main`` and
+    exit with its code, 1 on a usage error."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv in (["solve", CASE14, "--json"], ["screen", CASE14, "--top", "0"]):
+        code, out, err = run(capsys, *argv)
+        done = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=env, check=False)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode()), argv
+    assert code == 1 and err
 
 
 def test_missing_command_exits_one(capsys):
