@@ -51,10 +51,14 @@ _CURRENT_FLOOR = 1e-9
 
 
 def state_to_complex(state: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Interleaved ``[V1r, V1i, V2r, ...]`` vector (or rows of them) to complex bus voltages."""
+    """Interleaved ``[V1r, V1i, V2r, ...]`` vector (or rows of them) to complex bus voltages.
+
+    The interleaved pairs are complex128's memory layout, so the result is
+    one fresh copy of the first ``2n`` entries, viewed as complex.
+    """
     if n is None:
         n = state.shape[-1] // 2
-    return state[..., 0 : 2 * n : 2] + 1j * state[..., 1 : 2 * n : 2]
+    return state[..., : 2 * n].astype(np.float64, order="C").view(np.complex128)
 
 
 def complex_to_state(v: np.ndarray) -> np.ndarray:
@@ -685,10 +689,11 @@ class LinearizedSystem:
     x_op: np.ndarray
     slack: int
     _lu: object = field(repr=False)
-    # a solution's baseline and the rows by outage of an engine pass of it,
+    # a solution's baseline and the rows by outage of a screen's pass of it,
     # each (cond, row) with row one read-only buffer [injection, i_pre,
     # delta_state, delta_vmag, delta_imag, delta_p] (see
-    # ``sensitivity._impact_chunks``); a replace has none
+    # ``sensitivity._outage_severities``, the one writer); the CLI's ``sens``
+    # keeps none, and a replace has none
     _rows: tuple[object, dict[int, tuple[float, np.ndarray]]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -702,11 +707,11 @@ def linearize_at_solution(sol: PowerFlowSolution, mode: str = "full") -> Lineari
 
     Full mode returns the solution's own model, which every later call, the
     screen and the oracle share, so do not mutate it; network mode builds a
-    new model on each call.  A model of either mode keeps the rows of an
-    engine pass over at most 128 terminal buses, such as a case118 screen's,
-    monitors included, and a later query of the same solution copies its
-    row there instead of solving or computing its monitors; both give the
-    same bits.
+    new model on each call.  A model of either mode keeps the rows of a
+    screen's pass over at most 128 terminal buses, such as a case118
+    screen's, monitors included, and a later query of the same solution
+    copies its row there instead of solving or computing its monitors; both
+    give the same bits.  The CLI's ``sens`` keeps no rows.
     """
     if mode == "full":
         return sol._model

@@ -21,14 +21,17 @@ What does not depend on the pass is built once: the terminal state rows and
 4x4 current blocks of every branch per admittance matrix (its branch
 table), and the pre-outage currents, the zero-voltage guard and the parts
 the monitors read per solution.  The screen and the CLI's ``sens`` read the
-engine's blocks.  A single-outage query, :func:`evaluate_outage`, the one
-builder of an :class:`OutageImpact`, runs no engine pass: where the model
-keeps the outage's row, from a pass over at most ``_LIVE_BUSES`` distinct
-terminal buses, as one read-only buffer of its injection, pre-outage
-currents, state change and three monitors, it copies that buffer once and
-returns slices of the copy; otherwise it takes the engine's bus solve and
-floating-point operations for its row on plain 4x4 and (2n, 4) arrays, so
-every caller gets the same numbers for the same outage.
+engine's blocks, and the engine pass keeps nothing; ``sens`` computes only
+the quantity it prints.  The screen's pass, over at most ``_LIVE_BUSES``
+distinct terminal buses, keeps on the model each outage's row, one
+read-only buffer of its injection, pre-outage currents, state change and
+three monitors.  A single-outage query, :func:`evaluate_outage`, the one
+builder of an :class:`OutageImpact` and the one reader of those rows, runs
+no engine pass: where the model keeps the outage's row, it copies that
+buffer once and returns slices of the copy; otherwise it takes the
+engine's bus solve and floating-point operations for its row on plain 4x4
+and (2n, 4) arrays, so every caller gets the same numbers for the same
+outage.
 The terminal solves release the interpreter lock and run ahead on a small
 thread pool (one worker per usable CPU; none for a single block); the rest
 of each block, the copy of its solved columns into the slot array included,
@@ -91,9 +94,7 @@ class InjectionSensitivity:
     """
 
     branch: int
-    rows: np.ndarray  # the four KCL row indices, -1 where the terminal is the slack
     dv: np.ndarray  # (2n, 4) voltage part of the response
-    full: np.ndarray  # (size, 4) response of the complete linear system
 
 
 def _bus_solve(lin: LinearizedSystem, buses: list[int]) -> np.ndarray:
@@ -121,10 +122,8 @@ def injection_sensitivity(lin: LinearizedSystem, branch_idx: int) -> InjectionSe
     case = lin.case
     _closed_branch(case, branch_idx)
     br = case.branches[branch_idx]
-    term = (case.bus_index(br.from_bus), case.bus_index(br.to_bus))
-    rows = np.array([(-1, -1) if b == lin.slack else (2 * b, 2 * b + 1) for b in term], dtype=np.int64).ravel()
-    full = _bus_solve(lin, list(term))
-    return InjectionSensitivity(branch=branch_idx, rows=rows, dv=full[: 2 * lin.n, :], full=full)
+    terminals = [case.bus_index(br.from_bus), case.bus_index(br.to_bus)]
+    return InjectionSensitivity(branch=branch_idx, dv=_bus_solve(lin, terminals)[: 2 * lin.n, :])
 
 
 @dataclass
@@ -360,8 +359,7 @@ def _transfer_chunks(
 class _ImpactChunk:
     """Engine results for a block of outages; row ``i`` describes ``outages[i]``.
 
-    Rows of singular outages hold NaN.  Monitors that were not asked for
-    are None, unless the pass keeps its rows (see :func:`_impact_chunks`).
+    Rows of singular outages hold NaN, and monitors not asked for are None.
     """
 
     outages: np.ndarray  # (c,)
@@ -456,29 +454,18 @@ def _impact_chunks(
     :func:`_transfer_chunks`), so that another stage can share it; by
     default the impacts make their own.  Monitoring ``"vmag"`` at a
     zero-voltage bus, where |V| is not differentiable, raises
-    ``ValueError`` before any solve.  A pass over at most ``_LIVE_BUSES``
-    non-slack terminal buses of a solution with no zero-voltage bus keeps
-    its rows: it monitors all of ``_QUANTITIES``, whatever was asked, and
-    once it ends it replaces what ``lin`` kept by the baseline of ``sol``
-    and ``(cond, row)`` of each nonsingular outage.  ``row`` is one
-    read-only float64 buffer, ``[injection (4), i_pre (4), delta_state
-    (2n), delta_vmag (n), delta_imag (m), delta_p (m)]``, a row of one
-    ``np.concatenate`` per block; :func:`evaluate_outage` copies it.
+    ``ValueError`` before any solve.  The pass keeps nothing: the screen's
+    pass, :func:`_outage_severities`, keeps rows for later queries, and the
+    CLI's ``sens`` computes only the quantity it prints.
     """
     base = sol._baseline
     if "vmag" in quantities:
         _require_voltage(base)
     n2 = 2 * sol.n
-    outages = list(outages)
     if chunks is None:
         chunks = _transfer_chunks(lin, sol.case, outages, sol.ybus)
-    kept = None  # rows by outage
     with closing(chunks):
-        for j, (idx, _, _, resp, cols, t, cond) in enumerate(chunks):
-            if not j:  # the pass has checked its outages, so they index
-                ends = set(sol.ybus.from_idx[outages].tolist()) | set(sol.ybus.to_idx[outages].tolist())
-                if len(ends - {lin.slack}) <= _LIVE_BUSES and not base.zero_voltage:
-                    kept, quantities = {}, _QUANTITIES
+        for idx, _, _, resp, cols, t, cond in chunks:
             singular = _singular(cond)
             masked = singular.any()
             if masked:
@@ -488,47 +475,51 @@ def _impact_chunks(
                 injection[singular] = np.nan
             # each outage's four response columns times its injection, stacked
             delta_state = np.matmul(resp[:n2, cols].transpose(1, 0, 2), injection[..., None])[..., 0]
-            delta_vmag, delta_imag, delta_p = _monitors(sol, delta_state, idx, quantities)
-            if kept is not None:
-                # one copy, which no consumer of the block sees; each kept row is a view of it
-                table = np.concatenate(
-                    (injection, base.i_terminal[idx], delta_state, delta_vmag, delta_imag, delta_p), axis=1
-                )
-                table.flags.writeable = False
-                ok = np.flatnonzero(~singular).tolist()
-                kept.update(zip(idx[ok].tolist(), zip(cond[ok].tolist(), map(table.__getitem__, ok))))
-            yield _ImpactChunk(
-                outages=idx,
-                cond=cond,
-                singular=singular,
-                injection=injection,
-                delta_state=delta_state,
-                delta_vmag=delta_vmag,
-                delta_imag=delta_imag,
-                delta_p=delta_p,
-            )
-    if kept is not None:
-        lin._rows = (base, kept)
+            monitors = _monitors(sol, delta_state, idx, quantities)
+            yield _ImpactChunk(idx, cond, singular, injection, delta_state, *monitors)
 
 
 def _outage_severities(
     sol: PowerFlowSolution,
     lin: LinearizedSystem,
-    outages: Iterable[int],
+    outages: list[int],
     metric: str,
     chunks: Iterator[tuple[np.ndarray, ...]] | None = None,
 ) -> dict[int, float]:
-    """Severities by outage index under ``metric``, monitoring only what it reads.
+    """Severities by outage index under ``metric``, the screen's impact pass.
 
-    Outages with a singular transfer matrix are left out.  ``chunks`` is
-    that of :func:`_impact_chunks`.
+    Outages with a singular transfer matrix are left out.  ``outages`` are
+    closed branches of ``sol.case``, and ``chunks`` is that of
+    :func:`_impact_chunks`.  A pass over at most ``_LIVE_BUSES`` non-slack
+    terminal buses of a solution with no zero-voltage bus keeps its rows:
+    it monitors all of ``_QUANTITIES``, whatever ``metric`` reads, and once
+    it ends it replaces what ``lin`` kept by the baseline of ``sol`` and
+    ``(cond, row)`` of each nonsingular outage.  ``row`` is one read-only
+    float64 buffer, ``[injection (4), i_pre (4), delta_state (2n),
+    delta_vmag (n), delta_imag (m), delta_p (m)]``, a row of one
+    ``np.concatenate`` per block; :func:`evaluate_outage` copies it.  Any
+    other pass monitors only what ``metric`` reads and keeps nothing.
     """
-    closed = sol._baseline.closed
+    base = sol._baseline
+    closed = base.closed
+    ends = set(sol.ybus.from_idx[outages].tolist()) | set(sol.ybus.to_idx[outages].tolist())
+    kept = {} if len(ends - {lin.slack}) <= _LIVE_BUSES and not base.zero_voltage else None  # rows by outage
+    quantities = _QUANTITIES if kept is not None else (_METRIC_QUANTITY[metric],)
     severities = {}
-    for chunk in _impact_chunks(sol, lin, outages, (_METRIC_QUANTITY[metric],), chunks):
-        keep = ~chunk.singular
+    for chunk in _impact_chunks(sol, lin, outages, quantities, chunks):
+        ok = np.flatnonzero(~chunk.singular).tolist()
         values = _severities(metric, chunk.delta_vmag, chunk.delta_imag, chunk.delta_p, chunk.outages, closed)
-        severities.update(zip(chunk.outages[keep].tolist(), values[keep].tolist()))
+        severities.update(zip(chunk.outages[ok].tolist(), values[ok].tolist()))
+        if kept is not None:
+            # one copy per block, which the severities do not read; each kept row is a view of it
+            monitors = chunk.delta_vmag, chunk.delta_imag, chunk.delta_p
+            table = np.concatenate(
+                (chunk.injection, base.i_terminal[chunk.outages], chunk.delta_state, *monitors), axis=1
+            )
+            table.flags.writeable = False
+            kept.update(zip(chunk.outages[ok].tolist(), zip(chunk.cond[ok].tolist(), map(table.__getitem__, ok))))
+    if kept is not None:
+        lin._rows = (base, kept)
     return severities
 
 
@@ -559,10 +550,11 @@ def evaluate_outage(sol: PowerFlowSolution, lin: LinearizedSystem, outage: int) 
     """Predict the impact of removing one closed branch.
 
     No engine pass: where ``lin`` keeps the outage's row for ``sol`` (see
-    :func:`_impact_chunks`), as after a case14 or case118 ``screen``, that
-    one buffer is copied once and the impact's arrays are slices of the
-    copy, fresh, writeable and not overlapping (``imag_fallback`` is its
-    own copy), and nothing is computed; else one :func:`_bus_solve` of its
+    :func:`_outage_severities`), as after a case14 or case118 ``screen``
+    but not after the CLI's ``sens``, which keeps none, that one buffer is
+    copied once and the impact's arrays are slices of the copy, fresh,
+    writeable and not overlapping (``imag_fallback`` is its own copy), and
+    nothing is computed; else one :func:`_bus_solve` of its
     two terminal buses (unit injections ``[from_real, from_imag, to_real,
     to_imag]``, zero at a slack terminal), the 4x4 transfer system and the
     monitors, the floating-point operations of the engine's row, so the

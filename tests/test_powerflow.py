@@ -61,9 +61,16 @@ CASE14_ANGLE_DEG = [
 
 
 def test_state_round_trip():
+    """state_to_complex inverts complex_to_state, reads the first 2n entries of longer rows,
+    and returns a fresh array: writing into it leaves the state as it was."""
     rng = np.random.default_rng(7)
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
-    assert np.array_equal(state_to_complex(complex_to_state(v)), v)
+    state = complex_to_state(v)
+    assert np.array_equal(state_to_complex(state), v)
+    rows = rng.normal(size=(3, 15))  # 12 voltage entries and 3 more per row
+    got = state_to_complex(rows, 6)
+    assert got.shape == (3, 6) and np.array_equal(got, rows[:, 0:12:2] + 1j * rows[:, 1:12:2])
+    assert not np.shares_memory(got, rows) and not np.shares_memory(state_to_complex(state), state)
 
 
 def test_expand_complex_matrix_reproduces_complex_product():

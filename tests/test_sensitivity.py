@@ -1094,6 +1094,23 @@ def test_rows_of_a_pass_closed_early_or_singular(monkeypatch, sol14):
             evaluate_outage(sol14, lin, k)
 
 
+@pytest.mark.parametrize("quantity", ["vmag", "imag", "pline"])
+def test_impact_pass_keeps_nothing(sol118, lin118, quantity):
+    """An impact pass, such as the CLI's sens, monitors exactly the quantity it is given and
+    keeps no rows, though case118 has fewer than _LIVE_BUSES terminal buses; a screen on that
+    model afterwards keeps the row of every non-bridge outage."""
+    case = sol118.case
+    bridges = find_bridges(case)
+    outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
+    lin = replace(lin118)
+    monitors = {"vmag": "delta_vmag", "imag": "delta_imag", "pline": "delta_p"}
+    for chunk in _impact_chunks(sol118, lin, outages, (quantity,)):
+        assert [getattr(chunk, name) is None for name in monitors.values()] == [q != quantity for q in monitors]
+    assert lin._rows is None
+    screen(case, sol118, lin)
+    assert lin._rows[0] is sol118._baseline and set(lin._rows[1]) == set(outages)
+
+
 def test_a_second_screen_gives_the_same_report(case118):
     """An oracle_outage keeps no rows; a screen on the solution's own model keeps its rows,
     and a second screen solves its terminals again, gives the same report and keeps its own."""
