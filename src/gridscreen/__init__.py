@@ -24,7 +24,7 @@ from .case_io import (
     parse_case,
     scale_loading,
 )
-from .dcmodel import DcLodfResult, DcModel, build_dc_model, dc_lodf, solve_dc
+from .dcmodel import DcModel, build_dc_model, dc_lodf, solve_dc
 from .errors import (
     CaseError,
     DivergenceError,
@@ -44,10 +44,6 @@ from .powerflow import (
     solve_ac_powerflow,
 )
 from .screening import (
-    ComparisonSummary,
-    OracleOutcome,
-    ScreenEntry,
-    ScreeningReport,
     compare_severities,
     find_bridges,
     is_connected,
@@ -56,8 +52,6 @@ from .screening import (
 )
 from .sensitivity import (
     SEVERITY_METRICS,
-    CircuitLodfResult,
-    OutageImpact,
     branch_current_jacobian,
     circuit_lodf,
     evaluate_outage,
@@ -75,9 +69,6 @@ __all__ = [
     "Bus",
     "BusKind",
     "CaseError",
-    "CircuitLodfResult",
-    "ComparisonSummary",
-    "DcLodfResult",
     "DcModel",
     "DivergenceError",
     "Generator",
@@ -85,13 +76,9 @@ __all__ = [
     "GridScreenError",
     "IslandingError",
     "LinearizedSystem",
-    "OracleOutcome",
-    "OutageImpact",
     "PowerFlowError",
     "PowerFlowOptions",
     "PowerFlowSolution",
-    "ScreenEntry",
-    "ScreeningReport",
     "SEVERITY_METRICS",
     "SingularSystemError",
     "branch_current_jacobian",

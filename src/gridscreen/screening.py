@@ -8,7 +8,6 @@ flow per outage to measure how faithful the ranking is.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -36,8 +35,6 @@ from .sensitivity import (
     _singular,
     _transfer_chunks,
 )
-
-logger = logging.getLogger(__name__)
 
 _TOP_OVERLAP_SIZES = (3, 5, 10)
 
@@ -589,11 +586,14 @@ def screen(
     :func:`evaluate_outage` for the same outage.  A non-bridge outage whose
     transfer matrix is singular is not flagged as islanding; it gets the
     severity +inf and the note "singular transfer matrix".  With
-    ``with_oracle`` every outage is additionally re-solved nonlinearly, and
-    the report carries per-entry oracle severities plus a rank-agreement
-    summary whose ``n_diverged`` counts the non-islanding outages whose
-    re-solve did not converge; such an outage gets the note "oracle did not
-    converge" unless its transfer matrix is singular.  ``sol`` must solve
+    ``with_oracle`` every outage that does not island the network is
+    additionally re-solved nonlinearly (in a case that is already split,
+    every outage islands it, and none is), and the report carries
+    per-entry oracle severities plus a rank-agreement summary of the
+    outages with a finite predicted and a converged oracle severity, whose
+    ``n_diverged`` counts the non-islanding outages whose re-solve did not
+    converge; such an outage gets the note "oracle did not converge" unless
+    its transfer matrix is singular.  ``sol`` must solve
     ``case`` and ``lin``, the model that predicts the outages, must be taken
     at ``sol``, by default ``linearize_at_solution(sol)`` (full mode); either
     raises ``ValueError`` otherwise.  The re-solves are those of
@@ -632,58 +632,37 @@ def screen(
             chorded = {}
             chunks = oracle._chord_stage(chunks, chorded)
     severities = _outage_severities(sol, lin, outages, metric, chunks)
+    comparison = None
+    if with_oracle:
+        # every outage that does not island the network: all of ``outages`` in a connected case
+        solved = oracle.solve(outages if connected else [], chorded)
+        reference = {k: v for k, v in solved.items() if not isinstance(v, PowerFlowError)}
+        # the bridges and the singular outages have no predicted severity, so they are not compared
+        comparison = compare_severities(severities, reference)
+        comparison.n_diverged = len(solved) - len(reference)
 
     entries: list[ScreenEntry] = []
     for idx, br in enumerate(case.branches):
         if not br.closed:
             continue
-        entry = ScreenEntry(
-            branch=idx,
-            from_bus=br.from_bus,
-            to_bus=br.to_bus,
-            severity=float("inf"),
-            islanding=idx in bridges,
-        )
+        entry = ScreenEntry(idx, br.from_bus, br.to_bus, severities.get(idx, float("inf")), idx in bridges)
         if idx in bridges:
             entry.note = "islands the network"
-        elif idx in severities:
-            entry.severity = severities[idx]
-        else:
+        elif idx not in severities:
             entry.note = "singular transfer matrix"
-        entries.append(entry)
-
-    if with_oracle:
-        solved = oracle.solve([e.branch for e in entries if e.branch not in islands], chorded)
-        for entry in entries:
-            entry.oracle_islanded = entry.branch in islands
-            entry.oracle_converged = not entry.oracle_islanded and not isinstance(solved[entry.branch], PowerFlowError)
+        if with_oracle:
+            entry.oracle_islanded = idx in islands
+            entry.oracle_converged = idx in reference
             if entry.oracle_islanded:
                 entry.oracle_severity = float("inf")
             elif entry.oracle_converged:
-                entry.oracle_severity = solved[entry.branch]
-            elif entry.note != "singular transfer matrix":
+                entry.oracle_severity = reference[idx]
+            elif not entry.note:
                 entry.note = "oracle did not converge"
-
+        entries.append(entry)
     entries.sort(key=_rank_key)
     for rank, entry in enumerate(entries, start=1):
         entry.rank = rank
-
-    comparison = None
-    if with_oracle:
-        # a converged oracle outcome is never islanded and has a severity
-        predicted: dict[int, float] = {}
-        reference: dict[int, float] = {}
-        n_diverged = 0
-        for e in entries:
-            if e.oracle_islanded:
-                continue
-            if not e.oracle_converged:
-                n_diverged += 1
-            elif not e.islanding:
-                predicted[e.branch] = e.severity
-                reference[e.branch] = e.oracle_severity
-        comparison = compare_severities(predicted, reference)
-        comparison.n_diverged = n_diverged
 
     return ScreeningReport(
         case_name=case.name,

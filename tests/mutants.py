@@ -133,6 +133,22 @@ MUTANTS = (
         "tests/test_sensitivity.py",
         "queries_after_a_screen",
     ),
+    Mutant(
+        "screen counts no diverged oracle solve",
+        "src/gridscreen/screening.py",
+        "comparison.n_diverged = len(solved) - len(reference)",
+        "comparison.n_diverged = 0",
+        "tests/test_screening.py",
+        "nonconverged_oracle_excluded_from_comparison",
+    ),
+    Mutant(
+        "oracle islanding read from the bridges",
+        "src/gridscreen/screening.py",
+        "entry.oracle_islanded = idx in islands",
+        "entry.oracle_islanded = idx in bridges",
+        "tests/test_screening.py",
+        "disconnected_case",
+    ),
 )
 
 

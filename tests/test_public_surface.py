@@ -19,9 +19,6 @@ PUBLIC_NAMES = [
     "Bus",
     "BusKind",
     "CaseError",
-    "CircuitLodfResult",
-    "ComparisonSummary",
-    "DcLodfResult",
     "DcModel",
     "DivergenceError",
     "Generator",
@@ -29,13 +26,9 @@ PUBLIC_NAMES = [
     "GridScreenError",
     "IslandingError",
     "LinearizedSystem",
-    "OracleOutcome",
-    "OutageImpact",
     "PowerFlowError",
     "PowerFlowOptions",
     "PowerFlowSolution",
-    "ScreenEntry",
-    "ScreeningReport",
     "SEVERITY_METRICS",
     "SingularSystemError",
     "branch_current_jacobian",
@@ -70,9 +63,9 @@ PUBLIC_NAMES = [
 ]
 
 
-def test_the_public_surface_is_these_53_names():
+def test_the_public_surface_is_these_46_names():
     assert gridscreen.__all__ == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 53
+    assert len(PUBLIC_NAMES) == 46
 
 
 def test_every_exported_name_resolves():

@@ -315,6 +315,26 @@ def test_screen_nonconverged_oracle_excluded_from_comparison():
     assert report.comparison.n_diverged == 2
 
 
+def test_screen_oracle_of_a_disconnected_case_islands_every_outage(monkeypatch, case14):
+    """In a case that is already split, every outage islands it for the oracle: no re-solve
+    runs, and the comparison is insufficient, with nothing diverged."""
+    case = replace(case14, buses=case14.buses + (Bus(99, BusKind.PQ, g_shunt=1.0, i_load_r=0.5),))
+    sol = solve_ac_powerflow(case)
+    assert not is_connected(case) and sol.iterations == 4
+    assert abs(sol.v_complex[case.bus_index(99)]) == pytest.approx(0.5)
+    calls = []
+    newton, iterate = screening._newton, _Oracle._iterate
+    monkeypatch.setattr(screening, "_newton", lambda *args: calls.append(args) or newton(*args))
+    monkeypatch.setattr(_Oracle, "_iterate", lambda *args: calls.append(args) or iterate(*args))
+    report = screen(case, sol, metric="pline_inf", with_oracle=True)
+    assert not calls
+    assert len(report.entries) == case14.n_branch
+    for e in report.entries:
+        assert e.oracle_islanded and not e.oracle_converged and e.oracle_severity == math.inf, e.branch
+    assert report.comparison.insufficient and report.comparison.n_compared == 0
+    assert report.comparison.n_diverged == 0
+
+
 def test_compare_severities_identical_maps():
     values = {0: 0.5, 1: 0.4, 2: 0.1, 3: 0.9}
     comp = compare_severities(values, dict(values))

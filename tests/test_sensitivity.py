@@ -3,6 +3,7 @@
 import importlib.util
 import re
 import threading
+from contextlib import closing
 from dataclasses import fields, replace
 from itertools import combinations
 from pathlib import Path
@@ -42,7 +43,7 @@ from gridscreen.sensitivity import (
 )
 from gridscreen.screening import _Oracle, find_bridges, is_connected, oracle_outage, screen
 from gridscreen.case_io import GridCase, _without_branch, build_ybus, bundled_case, scale_loading
-from gridscreen import case_io, sensitivity
+from gridscreen import case_io, screening, sensitivity
 
 import reference
 from gridbuild import (
@@ -1072,15 +1073,24 @@ def test_queries_after_a_screen_read_its_responses(request, which, mode, monkeyp
 
 
 def test_rows_of_a_pass_closed_early_or_singular(monkeypatch, sol14):
-    """A pass closed early keeps no rows.  A pass that ends keeps only its nonsingular
-    outages, and a query of a singular non-bridge outage still raises IslandingError."""
+    """A screen whose pass stops after its first block keeps no rows.  A pass that ends keeps
+    only its nonsingular outages, and a query of a singular non-bridge outage still raises
+    IslandingError."""
     case = sol14.case
     bridges = find_bridges(case)
     outages = [k for k, br in enumerate(case.branches) if br.closed and k not in bridges]
     lin = replace(linearize_at_solution(sol14))
-    chunks = _impact_chunks(sol14, lin, outages)
-    next(chunks)
-    chunks.close()
+    transfer_chunks = screening._transfer_chunks
+
+    def first_block_only(*args):
+        with closing(transfer_chunks(*args)) as chunks:
+            yield next(chunks)
+        raise RuntimeError("pass stopped")
+
+    with monkeypatch.context() as m:
+        m.setattr(screening, "_transfer_chunks", first_block_only)
+        with pytest.raises(RuntimeError, match="pass stopped"):
+            screen(case, sol14, lin)
     assert lin._rows is None
     conds = _transfer_conds(sol14, "full")
     limit = float(np.median(list(conds.values())))
@@ -1109,6 +1119,36 @@ def test_impact_pass_keeps_nothing(sol118, lin118, quantity):
     assert lin._rows is None
     screen(case, sol118, lin)
     assert lin._rows[0] is sol118._baseline and set(lin._rows[1]) == set(outages)
+
+
+def test_a_screen_that_fails_midway_leaves_the_kept_rows(monkeypatch, sol118, lin118):
+    """A case118 screen whose monitors fail in its second block leaves what the model kept:
+    nothing on a fresh model, and the very rows an earlier screen of that model kept."""
+    case = sol118.case
+    monitors = sensitivity._monitors
+    calls = []
+
+    def failing_monitors(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("monitors failed")
+        return monitors(*args)
+
+    def failing_screen(lin):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(sensitivity, "_monitors", failing_monitors)
+            with pytest.raises(RuntimeError, match="monitors failed"):
+                screen(case, sol118, lin)
+
+    lin = replace(lin118)
+    failing_screen(lin)
+    assert lin._rows is None
+    screen(case, sol118, lin)
+    kept = lin._rows
+    assert kept[0] is sol118._baseline
+    failing_screen(lin)
+    assert lin._rows is kept
 
 
 def test_a_second_screen_gives_the_same_report(case118):
